@@ -263,7 +263,8 @@ def cmd_scaling(args):
     if args.report:
         base = {
             "dims": args.dims,
-            "shape": args.shape,
+            # a strong sweep ignores --shape; its report has always said "1"
+            "shape": "1" if args.shape is None else args.shape,
             "precision": precision.value,
             "sampling": args.sampling,
             "generator": args.gen,
@@ -309,6 +310,8 @@ def build_parser():
 
     s = sub.add_parser("scaling", help="strong/weak scaling sweep")
     _add_common(s, needs_dims=False)
+    # no default: a weak sweep without --shape must fail, not run on 1 core
+    s.set_defaults(shape=None)
     s.add_argument("--mode", choices=("strong", "weak"), required=True)
     s.add_argument("--sweep", required=True,
                    help="comma list: shapes (strong) or dims (weak)")

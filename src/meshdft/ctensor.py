@@ -75,6 +75,21 @@ class ComplexTensor:
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
+    @classmethod
+    def _own(cls, re, im):
+        """Wrap freshly built, finite, same-shape same-dtype planes without a copy.
+
+        For planes the package just computed and nothing else references:
+        they are frozen in place and skip the constructor's copy and finite
+        scan. Anything from outside goes through ``ComplexTensor(re, im)``.
+        """
+        re.setflags(write=False)
+        im.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("ComplexTensor is immutable")
 
@@ -117,7 +132,7 @@ class ComplexTensor:
         return ComplexTensor(self.re.astype(dtype), self.im.astype(dtype))
 
     def conj(self):
-        return ComplexTensor(self.re, -self.im)
+        return ComplexTensor._own(self.re, -self.im)
 
     def add(self, other):
         if not isinstance(other, ComplexTensor):
@@ -273,10 +288,13 @@ def matmul_mixed(a, b, mode=PrecisionMode.F64_REFERENCE):
         raise ArgumentError(f"mode must be a PrecisionMode, got {mode!r}")
     if mode is PrecisionMode.F64_REFERENCE:
         return np.einsum(
-            "ij,jk->ik", a.astype(np.float64), b.astype(np.float64), optimize=False
+            "ij,jk->ik",
+            a.astype(np.float64, copy=False),
+            b.astype(np.float64, copy=False),
+            optimize=False,
         )
-    a32 = a.astype(np.float32)
-    b32 = b.astype(np.float32)
+    a32 = a.astype(np.float32, copy=False)
+    b32 = b.astype(np.float32, copy=False)
     if mode is PrecisionMode.F32:
         return np.einsum("ij,jk->ik", a32, b32, optimize=False)
     return _matmul_split3(a32, b32)
@@ -307,12 +325,13 @@ def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
         raise DimensionError(
             f"matrix columns {matrix.shape[1]} != tensor extent {k} along axis {axis}"
         )
+    # planes already in the mode's dtype are used as they are, not copied
     dtype = mode.real_dtype
-    m_re = matrix.re.astype(dtype)
-    m_im = matrix.im.astype(dtype)
+    m_re = matrix.re.astype(dtype, copy=False)
+    m_im = matrix.im.astype(dtype, copy=False)
     moved_shape = np.moveaxis(tensor.re, axis, 0).shape
-    x_re = np.moveaxis(tensor.re, axis, 0).reshape(k, -1).astype(dtype)
-    x_im = np.moveaxis(tensor.im, axis, 0).reshape(k, -1).astype(dtype)
+    x_re = np.moveaxis(tensor.re, axis, 0).reshape(k, -1).astype(dtype, copy=False)
+    x_im = np.moveaxis(tensor.im, axis, 0).reshape(k, -1).astype(dtype, copy=False)
 
     rr = matmul_mixed(m_re, x_re, mode)
     ii = matmul_mixed(m_im, x_im, mode)

@@ -33,14 +33,10 @@ def bit_reversal_permutation(n):
     if not _is_pow2(n):
         raise ArgumentError(f"length must be a power of two, got {n!r}")
     bits = n.bit_length() - 1
+    i = np.arange(n, dtype=np.int64)
     perm = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        r = 0
-        v = i
-        for _ in range(bits):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        perm[i] = r
+    for b in range(bits):
+        perm |= ((i >> b) & 1) << (bits - 1 - b)
     return perm
 
 

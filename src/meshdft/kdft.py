@@ -21,12 +21,16 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .mesh import MeshSim, Permute, line_ring_pairs, ring_pairs
-from .vandermonde import SamplePoints, matrix_for, slice_rows
+from .vandermonde import SamplePoints, column_blocks
 
 
 @dataclass(frozen=True)
 class KdftPlan:
-    """Precomputed row slices (split into column blocks) for every dim and position."""
+    """Precomputed row slices (split into column blocks) for every dim and position.
+
+    Blocks are stored in the precision's real dtype, so contractions use them
+    without a cast.
+    """
 
     shape: ComputationShape
     extents: tuple
@@ -75,17 +79,10 @@ def create_kdft_plan(shape, samples_per_dim, precision=PrecisionMode.F64_REFEREN
         n, p = extents[d], shape.dims[d]
         if n % p != 0:
             raise PlanError(f"extent {n} on dim {d} not divisible by {p} cores")
-        matrix = matrix_for(samples[d], n)
-        width = n // p
-        for sl in slice_rows(matrix, p, dim_index=d):
-            blocks = tuple(
-                ComplexTensor(
-                    sl.rows.re[:, j * width : (j + 1) * width],
-                    sl.rows.im[:, j * width : (j + 1) * width],
-                )
-                for j in range(p)
+        for pos in range(p):
+            col_blocks[(d, pos)] = column_blocks(
+                samples[d], p, pos, precision.real_dtype
             )
-            col_blocks[(d, sl.core_index)] = blocks
     return KdftPlan(
         shape=shape,
         extents=extents,

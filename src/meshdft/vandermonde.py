@@ -62,6 +62,16 @@ class VandermondeSlice:
         return self.rows.shape[0]
 
 
+def _unit_roots(n):
+    """cos and -sin of the angle table 2*pi*e/n for exponents e in [0, n).
+
+    Every uniform matrix entry is one of these n values, looked up by its
+    exponent reduced mod n, so n trig calls serve all n*n entries.
+    """
+    angles = 2.0 * np.pi * np.arange(n, dtype=np.int64) / n
+    return np.cos(angles), -np.sin(angles)
+
+
 def build_uniform(n):
     """DFT matrix V[k][m] = exp(-2j*pi*k*m/n) with exponents reduced mod n."""
     if not isinstance(n, int) or n < 1:
@@ -69,8 +79,21 @@ def build_uniform(n):
     k = np.arange(n, dtype=np.int64)
     # reduce k*m mod n first so symmetric entries are bit-identical
     exponents = np.mod(np.outer(k, k), n)
-    angles = 2.0 * np.pi * exponents / n
-    return ComplexTensor(np.cos(angles), -np.sin(angles))
+    cos, neg_sin = _unit_roots(n)
+    return ComplexTensor(cos[exponents], neg_sin[exponents])
+
+
+def _nonuniform_rows(z, cols):
+    """complex128 rows z_k**(-m), m < cols, by iterated division; row k needs only z_k."""
+    v = np.empty((z.size, cols), dtype=np.complex128)
+    v[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = 1.0 / z
+        for m in range(1, cols):
+            v[:, m] = v[:, m - 1] * inv
+    if not np.isfinite(v).all():
+        raise ArgumentError("matrix overflowed; sample points too small for this size")
+    return v
 
 
 def build_nonuniform(samples, cols):
@@ -83,15 +106,7 @@ def build_nonuniform(samples, cols):
         samples = SamplePoints.explicit(samples)
     if not isinstance(cols, int) or cols < 1:
         raise ArgumentError(f"cols must be a positive int, got {cols!r}")
-    z = samples.points
-    v = np.empty((z.size, cols), dtype=np.complex128)
-    v[:, 0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv = 1.0 / z
-        for m in range(1, cols):
-            v[:, m] = v[:, m - 1] * inv
-    if not np.isfinite(v).all():
-        raise ArgumentError("matrix overflowed; sample points too small for this size")
+    v = _nonuniform_rows(samples.points, cols)
     return ComplexTensor(v.real, v.imag)
 
 
@@ -100,6 +115,39 @@ def matrix_for(samples, cols):
     if samples.is_uniform and len(samples) == cols:
         return build_uniform(cols)
     return build_nonuniform(samples, cols)
+
+
+def column_blocks(samples, parts, pos, dtype=np.float64):
+    """Core ``pos``'s row slice of the n x n transform matrix, as ``parts`` column blocks.
+
+    ``parts`` must divide n = len(samples) and 0 <= pos < parts. Block j
+    holds rows [pos*w, (pos+1)*w) and columns [j*w, (j+1)*w) of
+    :func:`matrix_for` ``(samples, n)`` with w = n/parts, bit for bit, cast
+    to ``dtype``. Only this core's rows are ever built: uniform entries are
+    looked up in the length-n table one block at a time, nonuniform rows
+    come from this core's points alone.
+    """
+    n = len(samples)
+    w = n // parts
+    rows = slice(pos * w, (pos + 1) * w)
+    if samples.is_uniform:
+        cos, neg_sin = _unit_roots(n)
+        cos = cos.astype(dtype, copy=False)
+        neg_sin = neg_sin.astype(dtype, copy=False)
+        k = np.arange(n, dtype=np.int64)
+        blocks = []
+        for j in range(parts):
+            exponents = np.mod(np.outer(k[rows], k[j * w : (j + 1) * w]), n)
+            blocks.append(ComplexTensor._own(cos[exponents], neg_sin[exponents]))
+        return tuple(blocks)
+    v = _nonuniform_rows(samples.points[rows], n)
+    return tuple(
+        ComplexTensor._own(
+            v.real[:, j * w : (j + 1) * w].astype(dtype),
+            v.imag[:, j * w : (j + 1) * w].astype(dtype),
+        )
+        for j in range(parts)
+    )
 
 
 def slice_rows(matrix, parts, dim_index=0):

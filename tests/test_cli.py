@@ -184,3 +184,24 @@ def test_scaling_strong_requires_dims(capsys):
     ])
     assert code == 2
     assert "requires --dims" in capsys.readouterr().err
+
+
+def test_scaling_weak_requires_shape(capsys):
+    code = cli.main([
+        "scaling", "--algo", "fft", "--mode", "weak", "--sweep", "64,128",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: weak scaling requires --shape" in captured.err
+    assert captured.out == ""
+
+
+def test_scaling_strong_report_keeps_default_shape(tmp_path):
+    base = str(tmp_path / "sweep")
+    code = cli.main([
+        "scaling", "--algo", "fft", "--mode", "strong", "--dims", "16",
+        "--sweep", "1,2", "--report", base,
+    ])
+    assert code == 0
+    doc = json.loads(open(base + ".json").read())
+    assert doc["base"]["shape"] == "1"

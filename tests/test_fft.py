@@ -20,6 +20,26 @@ def test_bit_reversal_examples():
         md.bit_reversal_permutation(6)
 
 
+def _bit_reversal_loop(n):
+    bits = n.bit_length() - 1
+    perm = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        r, v = 0, i
+        for _ in range(bits):
+            r = (r << 1) | (v & 1)
+            v >>= 1
+        perm[i] = r
+    return perm
+
+
+@pytest.mark.parametrize("bits", range(13))
+def test_bit_reversal_matches_loop(bits):
+    n = 1 << bits
+    got = md.bit_reversal_permutation(n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _bit_reversal_loop(n))
+
+
 def test_local_fft_smallest_sizes():
     one = cvec([3.0 + 1.0j])
     assert np.array_equal(md.local_fft(one).to_complex(), [3.0 + 1.0j])

@@ -213,3 +213,66 @@ def test_one_shuffle_validation():
         md.one_shuffle(mesh, slices[:1], x_blocks)
     with pytest.raises(md.DimensionError):
         md.one_shuffle(mesh, [s.rows for s in md.slice_rows(md.build_uniform(6), 2)], x_blocks)
+
+
+def test_f32_partial_sum_overflow_raises():
+    # 16 terms of 3e37 per block sum past float32's 3.4e38 inside the engine
+    n = 64
+    x = md.ComplexTensor(np.full(n, 3e37), np.zeros(n))
+    shape = md.ComputationShape(4, 1, 1)
+    plan = md.create_kdft_plan(shape, (n,), F32)
+    blocks, _ = md.decompose(x, shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(md.ArgumentError):
+            md.kdft_forward(md.MeshSim(shape), plan, blocks)
+
+
+# -- plan blocks ---------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_blocks_slice(plan, matrix, parts):
+    w = matrix.shape[0] // parts
+    for pos in range(parts):
+        blocks = plan.col_blocks[(0, pos)]
+        assert len(blocks) == parts
+        for j, block in enumerate(blocks):
+            rows, cols = slice(pos * w, (pos + 1) * w), slice(j * w, (j + 1) * w)
+            assert _same_bits(block.re, matrix.re[rows, cols])
+            assert _same_bits(block.im, matrix.im[rows, cols])
+
+
+@pytest.mark.parametrize("n,parts", [(1, 1), (6, 1), (7, 7), (12, 3), (1024, 8)])
+def test_plan_blocks_are_slices_of_the_uniform_matrix(n, parts):
+    plan = md.create_kdft_plan(md.ComputationShape(parts, 1, 1), (n,))
+    _assert_blocks_slice(plan, md.build_uniform(n), parts)
+
+
+@pytest.mark.parametrize("n,parts", [(1, 1), (6, 1), (7, 7), (12, 3), (1024, 8)])
+def test_plan_blocks_are_slices_of_the_nonuniform_matrix(n, parts):
+    rng = np.random.default_rng(n + parts)
+    samples = md.SamplePoints.explicit(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
+    plan = md.create_kdft_plan(md.ComputationShape(parts, 1, 1), (samples,))
+    _assert_blocks_slice(plan, md.build_nonuniform(samples, n), parts)
+
+
+@pytest.mark.parametrize("nonuniform", [False, True])
+def test_f32_plan_blocks_are_f64_blocks_cast(nonuniform):
+    shape = md.ComputationShape(3, 2, 1)
+    rng = np.random.default_rng(70)
+    if nonuniform:
+        samples = [md.SamplePoints.explicit(np.exp(1j * rng.uniform(0, 6.0, n)))
+                   for n in (12, 8)]
+    else:
+        samples = [12, 8]
+    p64 = md.create_kdft_plan(shape, samples, F64)
+    for mode in (F32, md.PrecisionMode.BF16_SPLIT3):
+        p32 = md.create_kdft_plan(shape, samples, mode)
+        assert p32.col_blocks.keys() == p64.col_blocks.keys()
+        for key, blocks in p64.col_blocks.items():
+            for b64, b32 in zip(blocks, p32.col_blocks[key], strict=True):
+                assert _same_bits(b32.re, b64.re.astype(np.float32))
+                assert _same_bits(b32.im, b64.im.astype(np.float32))

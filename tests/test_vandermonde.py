@@ -138,3 +138,13 @@ def test_phase_slice_errors():
         md.build_phase_slice(4, 3, 0)
     with pytest.raises(md.ArgumentError):
         md.build_phase_slice(4, 2, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_build_uniform_matches_the_dense_formula(n):
+    # reference: cos/sin evaluated at every one of the N^2 angles
+    k = np.arange(n, dtype=np.int64)
+    angles = 2.0 * np.pi * np.mod(np.outer(k, k), n) / n
+    v = md.build_uniform(n)
+    assert v.re.tobytes() == np.cos(angles).tobytes()
+    assert v.im.tobytes() == (-np.sin(angles)).tobytes()
