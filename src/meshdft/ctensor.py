@@ -77,11 +77,13 @@ class ComplexTensor:
 
     @classmethod
     def _own(cls, re, im):
-        """Wrap freshly built, finite, same-shape same-dtype planes without a copy.
+        """Wrap finite, same-shape same-dtype planes without a copy or a scan.
 
-        For planes the package just computed and nothing else references:
-        they are frozen in place and skip the constructor's copy and finite
-        scan. Anything from outside goes through ``ComplexTensor(re, im)``.
+        For data movement inside the package: fresh planes nothing else
+        references, or views and rearrangements of planes that are already
+        frozen and finite. They are frozen in place and skip the
+        constructor's copy and finite scan. Anything from outside goes
+        through ``ComplexTensor(re, im)``.
         """
         re.setflags(write=False)
         im.setflags(write=False)
@@ -89,6 +91,18 @@ class ComplexTensor:
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
         return self
+
+    @classmethod
+    def _own_checked(cls, re, im):
+        """Like :meth:`_own`, for fresh arithmetic results: scan, but no copy.
+
+        Arithmetic on finite planes can still overflow (f32, and even f64),
+        so the finite scan stays and raises ``ArgumentError`` as the
+        constructor does.
+        """
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ArgumentError("non-finite values in tensor planes")
+        return cls._own(re, im)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexTensor is immutable")
@@ -141,13 +155,13 @@ class ComplexTensor:
             raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
         if other.dtype != self.dtype:
             raise ArgumentError(f"dtype mismatch: {self.dtype} vs {other.dtype}")
-        return ComplexTensor(self.re + other.re, self.im + other.im)
+        return ComplexTensor._own_checked(self.re + other.re, self.im + other.im)
 
     __add__ = add
 
     def scaled(self, factor):
         factor = self.dtype.type(factor)
-        return ComplexTensor(self.re * factor, self.im * factor)
+        return ComplexTensor._own_checked(self.re * factor, self.im * factor)
 
     def __repr__(self):
         return f"ComplexTensor(shape={self.shape}, dtype={self.dtype})"
@@ -306,12 +320,15 @@ def _real_product(x, y, mode):
     return x * y
 
 
-def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
-    """Apply a complex matrix along one axis of a complex tensor.
+def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
+             conjugate=False):
+    """Apply a complex matrix (its conjugate if ``conjugate``) along one axis.
 
     The contraction runs as four real matrix products recombined into the
     complex result; each product goes through :func:`matmul_mixed` so the
-    precision mode applies uniformly.
+    precision mode applies uniformly. The conjugate flips the signs of the
+    recombination instead of negating the matrix: every mode rounds
+    symmetrically, so the bits match a product with ``-matrix.im``.
     """
     if not isinstance(matrix, ComplexTensor) or not isinstance(tensor, ComplexTensor):
         raise ArgumentError("contract expects ComplexTensor operands")
@@ -337,13 +354,17 @@ def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
     ii = matmul_mixed(m_im, x_im, mode)
     ri = matmul_mixed(m_re, x_im, mode)
     ir = matmul_mixed(m_im, x_re, mode)
-    out_re = rr - ii
-    out_im = ri + ir
+    if conjugate:
+        out_re = rr + ii
+        out_im = ri - ir
+    else:
+        out_re = rr - ii
+        out_im = ri + ir
 
     out_shape = (matrix.shape[0],) + moved_shape[1:]
     out_re = np.moveaxis(out_re.reshape(out_shape), 0, axis)
     out_im = np.moveaxis(out_im.reshape(out_shape), 0, axis)
-    return ComplexTensor(out_re, out_im)
+    return ComplexTensor._own_checked(out_re, out_im)
 
 
 def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
@@ -362,13 +383,13 @@ def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
     dtype = mode.real_dtype
     bshape = [1] * tensor.rank
     bshape[axis] = factors.shape[0]
-    f_re = factors.re.astype(dtype).reshape(bshape)
-    f_im = factors.im.astype(dtype).reshape(bshape)
-    x_re = tensor.re.astype(dtype)
-    x_im = tensor.im.astype(dtype)
+    f_re = factors.re.astype(dtype, copy=False).reshape(bshape)
+    f_im = factors.im.astype(dtype, copy=False).reshape(bshape)
+    x_re = tensor.re.astype(dtype, copy=False)
+    x_im = tensor.im.astype(dtype, copy=False)
     out_re = _real_product(x_re, f_re, mode) - _real_product(x_im, f_im, mode)
     out_im = _real_product(x_re, f_im, mode) + _real_product(x_im, f_re, mode)
-    return ComplexTensor(out_re, out_im)
+    return ComplexTensor._own_checked(out_re, out_im)
 
 
 def reorder(tensor, axis, permutation):
@@ -384,6 +405,6 @@ def reorder(tensor, axis, permutation):
         raise ArgumentError(f"permutation must be {n} integers")
     if not np.array_equal(np.sort(perm), np.arange(n)):
         raise ArgumentError("permutation is not a bijection")
-    return ComplexTensor(
+    return ComplexTensor._own(
         np.take(tensor.re, perm, axis=axis), np.take(tensor.im, perm, axis=axis)
     )

@@ -162,7 +162,8 @@ def decompose(tensor, shape):
     blocks = []
     for core in range(shape.num_cores):
         sl = assignment.block_slices(core)
-        blocks.append(ComplexTensor(tensor.re[sl], tensor.im[sl]))
+        # views of the input's frozen planes
+        blocks.append(ComplexTensor._own(tensor.re[sl], tensor.im[sl]))
     return blocks, assignment
 
 
@@ -218,10 +219,11 @@ def gather_to_host(blocks, assignment):
             dtype = block.dtype
         elif block.dtype != dtype:
             raise AssemblyError("blocks disagree on dtype")
-    re = np.zeros(assignment.global_shape, dtype=dtype)
-    im = np.zeros(assignment.global_shape, dtype=dtype)
+    # the blocks tile the global shape, so every element is filled
+    re = np.empty(assignment.global_shape, dtype=dtype)
+    im = np.empty(assignment.global_shape, dtype=dtype)
     for core, block in enumerate(blocks):
         sl = assignment.block_slices(core)
         re[sl] = block.re
         im[sl] = block.im
-    return ComplexTensor(re, im)
+    return ComplexTensor._own(re, im)

@@ -73,11 +73,18 @@ def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
     if m == 1:
         return tensor.astype(dtype)
     perm = bit_reversal_permutation(m)
-    work = reorder(tensor, axis, perm)
-    moved_shape = np.moveaxis(work.re, axis, 0).shape
-    re = np.moveaxis(work.re, axis, 0).reshape(m, -1).astype(dtype).copy()
-    im = np.moveaxis(work.im, axis, 0).reshape(m, -1).astype(dtype).copy()
+    moved_shape = np.moveaxis(tensor.re, axis, 0).shape
+    # bit-reverse straight into the contiguous (m, rest) layout that the
+    # butterflies update in place
+    re, im = (
+        np.take(np.moveaxis(p, axis, 0), perm, axis=0)
+        .reshape(m, -1)
+        .astype(dtype, copy=False)
+        for p in (tensor.re, tensor.im)
+    )
     tables = _twiddles(m, dtype.name)
+    # every stage's half-plane holds m/2 rows: three scratch buffers serve all
+    t_re_buf, t_im_buf, s_buf = (np.empty(re.size // 2, dtype=dtype) for _ in range(3))
     size = 2
     while size <= m:
         half = size // 2
@@ -86,20 +93,25 @@ def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
         w_im = w_im[None, :, None]
         re3 = re.reshape(m // size, size, -1)
         im3 = im.reshape(m // size, size, -1)
-        a_re = re3[:, :half].copy()
-        a_im = im3[:, :half].copy()
-        b_re = re3[:, half:]
-        b_im = im3[:, half:]
-        t_re = w_re * b_re - w_im * b_im
-        t_im = w_re * b_im + w_im * b_re
-        re3[:, :half] = a_re + t_re
-        im3[:, :half] = a_im + t_im
-        re3[:, half:] = a_re - t_re
-        im3[:, half:] = a_im - t_im
+        a_re, b_re = re3[:, :half], re3[:, half:]
+        a_im, b_im = im3[:, :half], im3[:, half:]
+        t_re, t_im, s = (buf.reshape(a_re.shape) for buf in (t_re_buf, t_im_buf, s_buf))
+        # t = w * b, then hi = a - t into b and lo = a + t into a: the same
+        # operations in the same order as the out-of-place form
+        np.multiply(w_re, b_re, out=t_re)
+        np.multiply(w_im, b_im, out=s)
+        np.subtract(t_re, s, out=t_re)
+        np.multiply(w_re, b_im, out=t_im)
+        np.multiply(w_im, b_re, out=s)
+        np.add(t_im, s, out=t_im)
+        np.subtract(a_re, t_re, out=b_re)
+        np.subtract(a_im, t_im, out=b_im)
+        np.add(a_re, t_re, out=a_re)
+        np.add(a_im, t_im, out=a_im)
         size *= 2
     out_re = np.moveaxis(re.reshape(moved_shape), 0, axis)
     out_im = np.moveaxis(im.reshape(moved_shape), 0, axis)
-    return ComplexTensor(out_re, out_im)
+    return ComplexTensor._own_checked(out_re, out_im)
 
 
 def local_fft_flops(m, rest=1):
@@ -194,7 +206,7 @@ def create_fft_plan(shape, extents, precision=PrecisionMode.F64_REFERENCE):
 
 
 def _phase_column(phase, b):
-    return ComplexTensor(phase.re[:, b], phase.im[:, b])
+    return ComplexTensor._own(phase.re[:, b], phase.im[:, b])
 
 
 def _phase_steps(core, x, axis, parts, pos, beta_map, phase, pairs, mode, tag):
@@ -202,12 +214,20 @@ def _phase_steps(core, x, axis, parts, pos, beta_map, phase, pairs, mode, tag):
     held = beta_map[pos]
     acc = scale_along_axis(x, axis, _phase_column(phase, held), mode)
     core.add_flops("einsum", 4 * x.size, tag)
+    # the first term's planes are fresh and referenced nowhere else, so the
+    # other terms are summed into them; a non-finite partial sum stays
+    # non-finite, so one scan at the end catches any overflow
+    acc_re, acc_im = acc.re, acc.im
+    acc_re.setflags(write=True)
+    acc_im.setflags(write=True)
     for s in range(1, parts):
         x = yield Permute(pairs, x, tag=tag)
         held = beta_map[(pos + s) % parts]
-        acc = acc.add(scale_along_axis(x, axis, _phase_column(phase, held), mode))
+        term = scale_along_axis(x, axis, _phase_column(phase, held), mode)
+        np.add(acc_re, term.re, out=acc_re)
+        np.add(acc_im, term.im, out=acc_im)
         core.add_flops("einsum", 4 * x.size, tag)
-    return acc
+    return ComplexTensor._own_checked(acc_re, acc_im)
 
 
 def _check_blocks(plan, blocks):

@@ -101,16 +101,18 @@ def _tally_contract(core, matrix, x, axis, tag):
     core.add_flops("einsum", 4 * matrix.shape[0] * matrix.shape[1] * rest, tag)
 
 
-def _shift_steps(core, cols, x, axis, parts, pos, pairs, mode, tag, trace_log=None):
+def _shift_steps(core, cols, x, axis, parts, pos, pairs, mode, tag, trace_log=None,
+                 conjugate=False):
     """The shift-by-one schedule for one dimension on one core (generator).
 
     ``cols[j]`` is this core's column block matching payloads that started
-    at ring position j. The payload goes around the ring parts-1 times.
+    at ring position j; with ``conjugate`` its conjugate is applied. The
+    payload goes around the ring parts-1 times.
     """
     slice_idx = pos
     if trace_log is not None:
         trace_log.append(("einsum", core.rank, slice_idx, _fingerprint(x)))
-    acc = contract(cols[slice_idx], x, axis=axis, mode=mode)
+    acc = contract(cols[slice_idx], x, axis=axis, mode=mode, conjugate=conjugate)
     _tally_contract(core, cols[slice_idx], x, axis, tag)
     for _ in range(parts - 1):
         if trace_log is not None:
@@ -119,7 +121,9 @@ def _shift_steps(core, cols, x, axis, parts, pos, pairs, mode, tag, trace_log=No
         slice_idx = (slice_idx + 1) % parts
         if trace_log is not None:
             trace_log.append(("einsum", core.rank, slice_idx, _fingerprint(x)))
-        acc = acc.add(contract(cols[slice_idx], x, axis=axis, mode=mode))
+        acc = acc.add(
+            contract(cols[slice_idx], x, axis=axis, mode=mode, conjugate=conjugate)
+        )
         _tally_contract(core, cols[slice_idx], x, axis, tag)
     return acc
 
@@ -135,12 +139,11 @@ def _transform_program(plan, conjugate, trace_logs=None):
             parts = plan.shape.dims[d]
             pos = core.coords[d]
             cols = plan.col_blocks[(d, pos)]
-            if conjugate:
-                cols = tuple(c.conj() for c in cols)
             pairs = line_ring_pairs(plan.shape, d)
             log = trace_logs[core.rank] if trace_logs is not None else None
             x = yield from _shift_steps(
-                core, cols, x, d, parts, pos, pairs, mode, f"dim{d + 1}", log
+                core, cols, x, d, parts, pos, pairs, mode, f"dim{d + 1}", log,
+                conjugate,
             )
         if conjugate:
             x = x.scaled(inv_scale)

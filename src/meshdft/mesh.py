@@ -187,7 +187,7 @@ def _check_payload(value, context):
 def _concat(blocks, axis):
     re = np.concatenate([b.re for b in blocks], axis=axis)
     im = np.concatenate([b.im for b in blocks], axis=axis)
-    return ComplexTensor(re, im)
+    return ComplexTensor._own(re, im)
 
 
 def _split_chunks(value, axis, n):
@@ -204,7 +204,8 @@ def _split_chunks(value, axis, n):
     for i in range(n):
         idx = [slice(None)] * value.rank
         idx[axis] = slice(i * step, (i + 1) * step)
-        out.append(ComplexTensor(value.re[tuple(idx)], value.im[tuple(idx)]))
+        idx = tuple(idx)
+        out.append(ComplexTensor._own(value.re[idx], value.im[idx]))
     return out
 
 

@@ -161,6 +161,17 @@ def test_contract_is_linear(mode, tol):
     assert np.max(np.abs(lhs - rhs)) / scale < tol
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("axis", [0, 1])
+def test_contract_conjugate_matches_conjugated_matrix(mode, axis):
+    rng = np.random.default_rng(35)
+    m = md.ComplexTensor(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
+    x = rand_tensor((6, 6), seed=36)
+    got = md.contract(m, x, axis=axis, mode=mode, conjugate=True)
+    ref = md.contract(m.conj(), x, axis=axis, mode=mode)
+    assert np.array_equal(got.re, ref.re) and np.array_equal(got.im, ref.im)
+
+
 def test_contract_composes_like_matrix_product():
     rng = np.random.default_rng(41)
     a = md.ComplexTensor(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))

@@ -266,3 +266,91 @@ def test_forward_argument_errors():
         md.fft_forward(md.MeshSim(md.ComputationShape(4, 1, 1)), plan, blocks)
     with pytest.raises(md.DimensionError):
         md.fft_forward(md.MeshSim(shape), plan, blocks[:1])
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (4, 1, 1)])
+def test_f32_overflow_raises(dims):
+    # 3e38 fits float32, but the butterflies' sums pass its 3.4e38 maximum
+    n = 64
+    x = md.ComplexTensor(np.full(n, 3e38), np.zeros(n))
+    shape = md.ComputationShape(*dims)
+    plan = md.create_fft_plan(shape, (n,), F32)
+    blocks, _ = md.decompose(x, shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(md.ArgumentError):
+            md.fft_forward(md.MeshSim(shape), plan, blocks)
+
+
+def test_phase_sum_overflow_raises():
+    # each phase term is finite; only their sum at frequency 0 overflows
+    blocks = [md.ComplexTensor(np.full(4, 3e38, np.float32), np.zeros(4, np.float32))] * 2
+    phases = [md.build_phase_slice(8, 2, p) for p in range(2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(md.ArgumentError):
+            md.phase_adjust(md.MeshSim(2), blocks, phases, mode=F32)
+
+
+def _local_fft_copy_per_stage(tensor, axis, mode):
+    """The out-of-place butterfly loop the in-place one must match bit for bit."""
+    m = tensor.shape[axis]
+    dtype = mode.real_dtype
+    if m == 1:
+        return tensor.astype(dtype)
+    work = md.reorder(tensor, axis, md.bit_reversal_permutation(m))
+    moved_shape = np.moveaxis(work.re, axis, 0).shape
+    re = np.moveaxis(work.re, axis, 0).reshape(m, -1).astype(dtype).copy()
+    im = np.moveaxis(work.im, axis, 0).reshape(m, -1).astype(dtype).copy()
+    size = 2
+    while size <= m:
+        half = size // 2
+        t = np.arange(half, dtype=np.float64)
+        ang = 2.0 * np.pi * t / size
+        w_re = np.cos(ang).astype(dtype)[None, :, None]
+        w_im = (-np.sin(ang)).astype(dtype)[None, :, None]
+        re3 = re.reshape(m // size, size, -1)
+        im3 = im.reshape(m // size, size, -1)
+        a_re = re3[:, :half].copy()
+        a_im = im3[:, :half].copy()
+        b_re = re3[:, half:]
+        b_im = im3[:, half:]
+        t_re = w_re * b_re - w_im * b_im
+        t_im = w_re * b_im + w_im * b_re
+        re3[:, :half] = a_re + t_re
+        im3[:, :half] = a_im + t_im
+        re3[:, half:] = a_re - t_re
+        im3[:, half:] = a_im - t_im
+        size *= 2
+    return md.ComplexTensor(
+        np.moveaxis(re.reshape(moved_shape), 0, axis),
+        np.moveaxis(im.reshape(moved_shape), 0, axis),
+    )
+
+
+@pytest.mark.parametrize("mode", [md.PrecisionMode.F64_REFERENCE, F32], ids=["f64", "f32"])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
+def test_local_fft_matches_copy_per_stage_loop(mode, axis, m):
+    extents = [3, 2, 5]
+    extents[axis] = m
+    x = rand_tensor(tuple(extents), seed=m + 10 * axis)
+    got = md.local_fft(x, axis=axis, mode=mode)
+    ref = _local_fft_copy_per_stage(x, axis, mode)
+    assert got.dtype == ref.dtype == mode.real_dtype
+    assert np.array_equal(got.re, ref.re)
+    assert np.array_equal(got.im, ref.im)
+
+
+def test_moved_and_computed_planes_are_read_only():
+    x = rand_tensor((8, 4), seed=98)
+    shape = md.ComputationShape(2, 1, 1)
+    blocks, _ = md.decompose(x, shape)
+    reordered = md.reorder(blocks[0], 0, md.bit_reversal_permutation(4))
+    exchanged = md.strided_gather(md.MeshSim(2), blocks)
+    transformed = md.local_fft(blocks[0], axis=1)
+    plan = md.create_fft_plan(shape, x.shape)
+    forward = md.fft_forward(md.MeshSim(shape), plan, blocks)
+    for t in blocks + [reordered, transformed] + exchanged + forward:
+        for plane in (t.re, t.im):
+            assert not plane.flags.writeable
+            with pytest.raises(ValueError):
+                plane[(0,) * plane.ndim] = 1.0

@@ -1,5 +1,7 @@
 """The direct (quadratic) engine: plans, forward, inverse, shift-by-one."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,24 @@ def test_inverse_round_trip_distributed():
     back = md.kdft_inverse_uniform(md.MeshSim(shape), plan, fwd)
     restored = md.gather_to_host(back, assignment)
     assert err_vs(restored, x) < 1e-12
+
+
+@pytest.mark.parametrize("mode", [F64, F32, md.PrecisionMode.BF16_SPLIT3],
+                         ids=["f64", "f32", "bf16split3"])
+def test_inverse_matches_forward_with_conjugated_blocks(mode):
+    # bit for bit what contracting with explicitly conjugated blocks gives
+    x = rand_tensor((12, 8), seed=53)
+    shape = md.ComputationShape(3, 2, 1)
+    plan = md.create_kdft_plan(shape, (12, 8), mode)
+    blocks, _ = md.decompose(x, shape)
+    conjugated = dataclasses.replace(plan, col_blocks={
+        key: tuple(c.conj() for c in cols) for key, cols in plan.col_blocks.items()
+    })
+    ref = md.kdft_forward(md.MeshSim(shape), conjugated, blocks)
+    got = md.kdft_inverse_uniform(md.MeshSim(shape), plan, blocks)
+    for g, r in zip(got, ref, strict=True):
+        r = r.scaled(1.0 / 96)
+        assert np.array_equal(g.re, r.re) and np.array_equal(g.im, r.im)
 
 
 def test_inverse_rejects_nonuniform_plans():

@@ -1,4 +1,4 @@
-"""Memory bounds on the kdft plan build and on one contraction.
+"""Memory bounds on the kdft plan build and inverse, one contraction, and the fft path.
 
 numpy reports its array allocations to tracemalloc, so the traced peak
 covers every temporary plane a call makes.
@@ -42,3 +42,33 @@ def test_contract_allocates_little_beyond_its_inputs():
     x = rand_tensor((128,), seed=81)
     _, peak = _peak_bytes(lambda: md.contract(matrix, x))
     assert peak <= 0.25 * matrix.nbytes
+
+
+def test_kdft_inverse_peaks_like_the_forward():
+    # the inverse flips signs in the recombination instead of conjugating
+    # every column block on every call
+    n, parts = 1024, 8
+    shape = md.ComputationShape(parts, 1, 1)
+    plan = md.create_kdft_plan(shape, (n,))
+    blocks, _ = md.decompose(rand_tensor((n,), seed=82), shape)
+    _, forward = _peak_bytes(lambda: md.kdft_forward(md.MeshSim(shape), plan, blocks))
+    _, inverse = _peak_bytes(
+        lambda: md.kdft_inverse_uniform(md.MeshSim(shape), plan, blocks)
+    )
+    assert inverse <= 2 * forward
+
+
+def test_local_fft_peaks_near_its_output():
+    x = rand_tensor((64, 64, 64), seed=83)
+    _, peak = _peak_bytes(lambda: md.local_fft(x, axis=1))
+    assert peak <= 2.5 * x.nbytes
+
+
+def test_fft_forward_peak():
+    # the phase sum reuses its first term's planes; copying them peaks at 4.1x
+    x = rand_tensor((64, 64, 64), seed=84)
+    shape = md.ComputationShape(2, 2, 2)
+    plan = md.create_fft_plan(shape, x.shape)
+    blocks, _ = md.decompose(x, shape)
+    _, peak = _peak_bytes(lambda: md.fft_forward(md.MeshSim(shape), plan, blocks))
+    assert peak <= 3.3 * x.nbytes
