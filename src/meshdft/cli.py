@@ -95,8 +95,26 @@ def _load_input(config):
     return make_input(config.generator, config.extents, config.seed)
 
 
-def run_transform(config):
-    """Execute one configured transform; returns (global result, report dict)."""
+def _reference(tensor, samples):
+    # looked up at call time, so a wrapper set on this module sees every call
+    if tensor.rank == 1:
+        return direct_dft(tensor, samples[0])
+    if tensor.rank == 2:
+        return direct_dft_2d(tensor, samples)
+    return direct_dft_3d(tensor, samples)
+
+
+def run_transform(config, references=None):
+    """Execute one configured transform; returns (global result, report dict).
+
+    ``references`` maps extents to oracle results already computed from the
+    same sampling, points file, generator and seed as ``config``; a miss is
+    computed and stored in it. A scaling sweep passes one dict for the whole
+    sweep, so points with the same dims pay for the oracle once.
+
+    Raises ``ProtocolError`` if the measured ledger differs from the closed
+    form in ``reports.expected_ledger``.
+    """
     config.samples = _resolve_samples(config)
     tensor = _load_input(config)
     mesh = MeshSim(config.shape)
@@ -112,13 +130,11 @@ def run_transform(config):
 
     oracle_error = oracle_max = None
     if oracle_feasible(config.extents):
-        rank = len(config.extents)
-        if rank == 1:
-            ref = direct_dft(tensor, config.samples[0])
-        elif rank == 2:
-            ref = direct_dft_2d(tensor, config.samples)
-        else:
-            ref = direct_dft_3d(tensor, config.samples)
+        if references is None:
+            references = {}
+        ref = references.get(config.extents)
+        if ref is None:
+            ref = references[config.extents] = _reference(tensor, config.samples)
         oracle_error = relative_l2_error(result, ref.values)
         oracle_max = ref.max_abs
 
@@ -133,6 +149,11 @@ def run_transform(config):
         oracle_error,
         oracle_max,
     )
+    if report["ledger"] != report["expected"]:
+        raise ProtocolError(
+            f"ledger {report['ledger']} differs from the closed form "
+            f"{report['expected']}"
+        )
     return result, report
 
 
@@ -184,6 +205,8 @@ def cmd_scaling(args):
     if not sweep:
         raise ArgumentError("--sweep must list at least one point")
     precision = PrecisionMode.parse(args.precision)
+    # every input to a reference but the extents is fixed for the whole sweep
+    references = {}
     results = []
     any_ok = False
     for point in sweep:
@@ -218,7 +241,9 @@ def cmd_scaling(args):
                 seed=args.seed,
                 workers=args.workers,
             )
-            _, report = run_transform(config)
+            _, report = run_transform(config, references)
+        except ProtocolError:
+            raise
         except MeshDftError as exc:
             row["status"] = f"skipped: {exc}"
             results.append(row)

@@ -8,6 +8,7 @@ three-term bfloat16 emulation.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -260,9 +261,8 @@ def _split3(values):
 _SPLIT_PRODUCT_ORDER = ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1))
 
 
-def _matmul_split3(a, b):
-    a_terms = _split3(a)
-    b_terms = _split3(b)
+def _matmul_terms(a_terms, b_terms):
+    """Split-3 matrix product of two operands already split by :func:`_split3`."""
     acc = None
     for i, j in _SPLIT_PRODUCT_ORDER:
         part = np.einsum("ij,jk->ik", a_terms[i], b_terms[j], optimize=False)
@@ -311,7 +311,7 @@ def matmul_mixed(a, b, mode=PrecisionMode.F64_REFERENCE):
     b32 = b.astype(np.float32, copy=False)
     if mode is PrecisionMode.F32:
         return np.einsum("ij,jk->ik", a32, b32, optimize=False)
-    return _matmul_split3(a32, b32)
+    return _matmul_terms(_split3(a32), _split3(b32))
 
 
 def _real_product(x, y, mode):
@@ -325,8 +325,9 @@ def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
     """Apply a complex matrix (its conjugate if ``conjugate``) along one axis.
 
     The contraction runs as four real matrix products recombined into the
-    complex result; each product goes through :func:`matmul_mixed` so the
-    precision mode applies uniformly. The conjugate flips the signs of the
+    complex result, each with :func:`matmul_mixed`'s arithmetic for the
+    precision mode; under bf16split3 each plane is split once and its terms
+    serve both products it takes part in. The conjugate flips the signs of the
     recombination instead of negating the matrix: every mode rounds
     symmetrically, so the bits match a product with ``-matrix.im``.
     """
@@ -350,10 +351,16 @@ def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
     x_re = np.moveaxis(tensor.re, axis, 0).reshape(k, -1).astype(dtype, copy=False)
     x_im = np.moveaxis(tensor.im, axis, 0).reshape(k, -1).astype(dtype, copy=False)
 
-    rr = matmul_mixed(m_re, x_re, mode)
-    ii = matmul_mixed(m_im, x_im, mode)
-    ri = matmul_mixed(m_re, x_im, mode)
-    ir = matmul_mixed(m_im, x_re, mode)
+    if mode is PrecisionMode.BF16_SPLIT3:
+        # each plane takes part in two of the four products: split it once
+        m_re, m_im, x_re, x_im = map(_split3, (m_re, m_im, x_re, x_im))
+        product = _matmul_terms
+    else:
+        product = partial(matmul_mixed, mode=mode)
+    rr = product(m_re, x_re)
+    ii = product(m_im, x_im)
+    ri = product(m_re, x_im)
+    ir = product(m_im, x_re)
     if conjugate:
         out_re = rr + ii
         out_im = ri - ir

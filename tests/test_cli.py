@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft import cli, tensorio
+from meshdft import cli, reports, tensorio
 from helpers import rand_tensor
 
 
@@ -205,3 +205,135 @@ def test_scaling_strong_report_keeps_default_shape(tmp_path):
     assert code == 0
     doc = json.loads(open(base + ".json").read())
     assert doc["base"]["shape"] == "1"
+
+
+# -- oracle reuse within one sweep ---------------------------------------------
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Count calls to the 1-D oracle as the CLI looks it up."""
+    calls = []
+    real = cli.direct_dft
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "direct_dft", counting)
+    return calls
+
+
+def _sweep_rows(tmp_path, *argv):
+    base = str(tmp_path / "sweep")
+    assert cli.main(["scaling", *argv, "--report", base]) == 0
+    with open(base + ".json") as fh:
+        return json.load(fh)["rows"]
+
+
+def _standalone_error(algo, dims, shape, precision="f64", seed=0):
+    config = cli.RunConfig(
+        algorithm=algo,
+        extents=cli.parse_dims(dims),
+        shape=md.ComputationShape.parse(shape),
+        precision=md.PrecisionMode.parse(precision),
+        generator="random",
+        seed=seed,
+    )
+    _, report = cli.run_transform(config)
+    return report["oracle"]["relative_l2_error"]
+
+
+def test_strong_sweep_evaluates_the_oracle_once(tmp_path, oracle_calls):
+    rows = _sweep_rows(
+        tmp_path, "--algo", "fft", "--mode", "strong", "--dims", "64",
+        "--sweep", "1,2,4,8,16,32,64", "--precision", "f32", "--seed", "5",
+    )
+    assert oracle_calls == [(64,)]
+    assert [r["status"] for r in rows] == ["ok"] * 7
+    for row in rows:
+        assert row["max_rel_error_vs_oracle"] == _standalone_error(
+            "fft", "64", row["shape"], "f32", seed=5
+        )
+
+
+def test_weak_sweep_evaluates_the_oracle_once_per_dims(tmp_path, oracle_calls):
+    rows = _sweep_rows(
+        tmp_path, "--algo", "kdft", "--mode", "weak", "--shape", "2",
+        "--sweep", "16,32,16",
+    )
+    assert oracle_calls == [(16,), (32,)]
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    assert rows[0]["max_rel_error_vs_oracle"] == rows[2]["max_rel_error_vs_oracle"]
+    for row in rows:
+        assert row["max_rel_error_vs_oracle"] == _standalone_error(
+            "kdft", row["dims"], "2"
+        )
+
+
+def test_skipped_point_stores_no_reference(tmp_path, oracle_calls):
+    rows = _sweep_rows(
+        tmp_path, "--algo", "fft", "--mode", "strong", "--dims", "64",
+        "--sweep", "3,2,4",
+    )
+    assert oracle_calls == [(64,)]
+    assert rows[0]["status"].startswith("skipped:")
+    assert rows[0]["max_rel_error_vs_oracle"] == ""
+    without_skip = _sweep_rows(
+        tmp_path, "--algo", "fft", "--mode", "strong", "--dims", "64",
+        "--sweep", "2,4",
+    )
+    assert [r["max_rel_error_vs_oracle"] for r in rows[1:]] == [
+        r["max_rel_error_vs_oracle"] for r in without_skip
+    ]
+
+
+def test_each_invocation_pays_for_its_own_oracle(oracle_calls, capsys):
+    argv = ["scaling", "--algo", "fft", "--mode", "strong", "--dims", "32",
+            "--sweep", "1,2"]
+    assert cli.main(argv) == 0
+    assert cli.main(argv) == 0
+    assert oracle_calls == [(32,), (32,)]
+    for _ in range(2):
+        assert cli.main(["transform", "--algo", "fft", "--dims", "32",
+                         "--shape", "2", "--gen", "random"]) == 0
+    assert len(oracle_calls) == 4
+
+
+# -- ledger invariant ------------------------------------------------------------
+
+
+@pytest.fixture
+def perturbed_closed_form(monkeypatch):
+    real = reports.expected_ledger
+
+    def perturbed(*args, **kwargs):
+        expected = real(*args, **kwargs)
+        expected["bytes_moved"] += 1
+        return expected
+
+    monkeypatch.setattr(reports, "expected_ledger", perturbed)
+
+
+def test_transform_ledger_mismatch_exits_3(tmp_path, capsys, perturbed_closed_form):
+    rep_path = tmp_path / "rep.json"
+    code = cli.main([
+        "transform", "--algo", "kdft", "--dims", "8", "--shape", "2",
+        "--gen", "delta", "--report", str(rep_path),
+    ])
+    assert code == 3
+    assert "protocol error: ledger" in capsys.readouterr().err
+    assert not rep_path.exists()
+
+
+def test_scaling_ledger_mismatch_exits_3(tmp_path, capsys, perturbed_closed_form):
+    base = tmp_path / "sweep"
+    code = cli.main([
+        "scaling", "--algo", "fft", "--mode", "strong", "--dims", "16",
+        "--sweep", "1,2", "--report", str(base),
+    ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "protocol error: ledger" in captured.err
+    assert "skipped" not in captured.out
+    assert not (tmp_path / "sweep.json").exists()

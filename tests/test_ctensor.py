@@ -172,6 +172,63 @@ def test_contract_conjugate_matches_conjugated_matrix(mode, axis):
     assert np.array_equal(got.re, ref.re) and np.array_equal(got.im, ref.im)
 
 
+def _contract_split_per_product(matrix, tensor, axis, conjugate):
+    """bf16split3 contraction as four ``matmul_mixed`` calls, each splitting both operands."""
+    k = tensor.shape[axis]
+    m_re = matrix.re.astype(np.float32)
+    m_im = matrix.im.astype(np.float32)
+    moved_shape = np.moveaxis(tensor.re, axis, 0).shape
+    x_re = np.moveaxis(tensor.re, axis, 0).reshape(k, -1).astype(np.float32)
+    x_im = np.moveaxis(tensor.im, axis, 0).reshape(k, -1).astype(np.float32)
+    rr = md.matmul_mixed(m_re, x_re, BF16)
+    ii = md.matmul_mixed(m_im, x_im, BF16)
+    ri = md.matmul_mixed(m_re, x_im, BF16)
+    ir = md.matmul_mixed(m_im, x_re, BF16)
+    if conjugate:
+        out_re, out_im = rr + ii, ri - ir
+    else:
+        out_re, out_im = rr - ii, ri + ir
+    out_shape = (matrix.shape[0],) + moved_shape[1:]
+    return (np.moveaxis(out_re.reshape(out_shape), 0, axis),
+            np.moveaxis(out_im.reshape(out_shape), 0, axis))
+
+
+@pytest.mark.parametrize("saturating", [False, True])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_bf16_contract_matches_split_per_product(conjugate, axis, saturating):
+    rng = np.random.default_rng(37)
+    x = rand_tensor((5, 6, 7), seed=38)
+    if saturating:
+        # planes between the largest finite bf16 (3.3895e38) and the f32
+        # limit, where the leading term saturates; a small matrix keeps
+        # the sums finite
+        x = md.ComplexTensor(
+            rng.choice([-1.0, 1.0], x.shape) * rng.uniform(3.38e38, 3.40e38, x.shape),
+            rng.choice([-1.0, 1.0], x.shape) * rng.uniform(3.38e38, 3.40e38, x.shape),
+        )
+    k = x.shape[axis]
+    scale = 1e-3 if saturating else 1.0
+    m = md.ComplexTensor(rng.uniform(-scale, scale, (4, k)),
+                         rng.uniform(-scale, scale, (4, k)))
+    got = md.contract(m, x, axis=axis, mode=BF16, conjugate=conjugate)
+    ref_re, ref_im = _contract_split_per_product(m, x, axis, conjugate)
+    assert np.array_equal(got.re, ref_re) and np.array_equal(got.im, ref_im)
+
+
+def test_bf16_contract_splits_each_plane_once(monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(values.shape)
+        return _split3(values)
+
+    monkeypatch.setattr("meshdft.ctensor._split3", counting)
+    m = md.ComplexTensor(np.eye(4), np.eye(4))
+    md.contract(m, rand_tensor((4, 3), seed=39), mode=BF16)
+    assert len(calls) == 4
+
+
 def test_contract_composes_like_matrix_product():
     rng = np.random.default_rng(41)
     a = md.ComplexTensor(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
