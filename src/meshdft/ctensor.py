@@ -1,9 +1,9 @@
 """Complex tensors as split real/imaginary planes, plus the mixed-precision kernels.
 
 Everything downstream (transform engines, collectives, oracles) moves data
-around as pairs of real arrays. Complex arithmetic is spelled out as four
-real products so the same code path can run in float64, float32, or the
-three-term bfloat16 emulation.
+around as pairs of real arrays. Complex arithmetic is spelled out as real
+products so the same code path can run in float64, float32, or the
+three-term bfloat16 emulation; matrix products run through BLAS.
 """
 
 from dataclasses import dataclass
@@ -261,23 +261,20 @@ def _split3(values):
 _SPLIT_PRODUCT_ORDER = ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1))
 
 
-def _matmul_terms(a_terms, b_terms):
-    """Split-3 matrix product of two operands already split by :func:`_split3`."""
+def _split_products(a_terms, b_terms, product):
+    """Sum of the split-3 partial products of two operands split by :func:`_split3`.
+
+    ``product`` is ``np.matmul`` for matrix products or ``np.multiply`` for
+    elementwise (broadcasting) ones; the partial products are accumulated in
+    :data:`_SPLIT_PRODUCT_ORDER`.
+    """
     acc = None
     for i, j in _SPLIT_PRODUCT_ORDER:
-        part = np.einsum("ij,jk->ik", a_terms[i], b_terms[j], optimize=False)
-        acc = part if acc is None else acc + part
-    return acc
-
-
-def _mul_split3(x, y):
-    """Elementwise (broadcasting) version of the split-product scheme."""
-    x_terms = _split3(x)
-    y_terms = _split3(y)
-    acc = None
-    for i, j in _SPLIT_PRODUCT_ORDER:
-        part = x_terms[i] * y_terms[j]
-        acc = part if acc is None else acc + part
+        part = product(a_terms[i], b_terms[j])
+        if acc is None:
+            acc = part
+        else:
+            acc += part
     return acc
 
 
@@ -289,8 +286,11 @@ def _mul_split3(x, y):
 def matmul_mixed(a, b, mode=PrecisionMode.F64_REFERENCE):
     """Real matrix product under the given precision mode.
 
-    All modes use a fixed-order accumulation (no BLAS dispatch), so results
-    are bit-reproducible for a given configuration.
+    Every product runs through BLAS (``a @ b``); bf16split3 keeps its six
+    partial products and their order of accumulation, and only the sum inside
+    each product moves to BLAS. The bits are reproducible for a given
+    numpy/BLAS build and CPU, independent of ``workers`` and of the BLAS
+    thread count.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -300,36 +300,24 @@ def matmul_mixed(a, b, mode=PrecisionMode.F64_REFERENCE):
         raise DimensionError(f"inner dimensions differ: {a.shape} @ {b.shape}")
     if not isinstance(mode, PrecisionMode):
         raise ArgumentError(f"mode must be a PrecisionMode, got {mode!r}")
-    if mode is PrecisionMode.F64_REFERENCE:
-        return np.einsum(
-            "ij,jk->ik",
-            a.astype(np.float64, copy=False),
-            b.astype(np.float64, copy=False),
-            optimize=False,
-        )
-    a32 = a.astype(np.float32, copy=False)
-    b32 = b.astype(np.float32, copy=False)
-    if mode is PrecisionMode.F32:
-        return np.einsum("ij,jk->ik", a32, b32, optimize=False)
-    return _matmul_terms(_split3(a32), _split3(b32))
-
-
-def _real_product(x, y, mode):
+    a = a.astype(mode.real_dtype, copy=False)
+    b = b.astype(mode.real_dtype, copy=False)
     if mode is PrecisionMode.BF16_SPLIT3:
-        return _mul_split3(x, y)
-    return x * y
+        return _split_products(_split3(a), _split3(b), np.matmul)
+    return a @ b
 
 
 def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
              conjugate=False):
     """Apply a complex matrix (its conjugate if ``conjugate``) along one axis.
 
-    The contraction runs as four real matrix products recombined into the
-    complex result, each with :func:`matmul_mixed`'s arithmetic for the
-    precision mode; under bf16split3 each plane is split once and its terms
-    serve both products it takes part in. The conjugate flips the signs of the
-    recombination instead of negating the matrix: every mode rounds
-    symmetrically, so the bits match a product with ``-matrix.im``.
+    The tensor's real and imaginary planes sit side by side in one
+    ``(k, 2*rest)`` operand, so each matrix plane takes part in one real
+    product with :func:`matmul_mixed`'s arithmetic for the precision mode:
+    ``m_re @ x`` gives ``rr|ri`` and ``m_im @ x`` gives ``ir|ii``. Under
+    bf16split3 each of the three operands is split once. The conjugate flips
+    the signs of the recombination instead of negating the matrix: every mode
+    rounds symmetrically, so the bits match a product with ``-matrix.im``.
     """
     if not isinstance(matrix, ComplexTensor) or not isinstance(tensor, ComplexTensor):
         raise ArgumentError("contract expects ComplexTensor operands")
@@ -347,20 +335,20 @@ def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
     dtype = mode.real_dtype
     m_re = matrix.re.astype(dtype, copy=False)
     m_im = matrix.im.astype(dtype, copy=False)
-    moved_shape = np.moveaxis(tensor.re, axis, 0).shape
-    x_re = np.moveaxis(tensor.re, axis, 0).reshape(k, -1).astype(dtype, copy=False)
-    x_im = np.moveaxis(tensor.im, axis, 0).reshape(k, -1).astype(dtype, copy=False)
+    rest_shape = np.moveaxis(tensor.re, axis, 0).shape[1:]
+    # each plane is moved, cast and stacked as re|im in one copy
+    x = np.empty((k, 2) + rest_shape, dtype)
+    x[:, 0] = np.moveaxis(tensor.re, axis, 0)
+    x[:, 1] = np.moveaxis(tensor.im, axis, 0)
+    x = x.reshape(k, -1)
 
     if mode is PrecisionMode.BF16_SPLIT3:
-        # each plane takes part in two of the four products: split it once
-        m_re, m_im, x_re, x_im = map(_split3, (m_re, m_im, x_re, x_im))
-        product = _matmul_terms
+        m_re, m_im, x = map(_split3, (m_re, m_im, x))
+        product = partial(_split_products, product=np.matmul)
     else:
-        product = partial(matmul_mixed, mode=mode)
-    rr = product(m_re, x_re)
-    ii = product(m_im, x_im)
-    ri = product(m_re, x_im)
-    ir = product(m_im, x_re)
+        product = np.matmul
+    rr, ri = np.split(product(m_re, x), 2, axis=1)
+    ir, ii = np.split(product(m_im, x), 2, axis=1)
     if conjugate:
         out_re = rr + ii
         out_im = ri - ir
@@ -368,7 +356,7 @@ def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
         out_re = rr - ii
         out_im = ri + ir
 
-    out_shape = (matrix.shape[0],) + moved_shape[1:]
+    out_shape = (matrix.shape[0],) + rest_shape
     out_re = np.moveaxis(out_re.reshape(out_shape), 0, axis)
     out_im = np.moveaxis(out_im.reshape(out_shape), 0, axis)
     return ComplexTensor._own_checked(out_re, out_im)
@@ -394,8 +382,14 @@ def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
     f_im = factors.im.astype(dtype, copy=False).reshape(bshape)
     x_re = tensor.re.astype(dtype, copy=False)
     x_im = tensor.im.astype(dtype, copy=False)
-    out_re = _real_product(x_re, f_re, mode) - _real_product(x_im, f_im, mode)
-    out_im = _real_product(x_re, f_im, mode) + _real_product(x_im, f_re, mode)
+    if mode is PrecisionMode.BF16_SPLIT3:
+        # each plane takes part in two of the four products: split it once
+        x_re, x_im, f_re, f_im = map(_split3, (x_re, x_im, f_re, f_im))
+        product = partial(_split_products, product=np.multiply)
+    else:
+        product = np.multiply
+    out_re = product(x_re, f_re) - product(x_im, f_im)
+    out_im = product(x_re, f_im) + product(x_im, f_re)
     return ComplexTensor._own_checked(out_re, out_im)
 
 

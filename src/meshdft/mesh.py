@@ -5,13 +5,21 @@ AllToAll) and receive the incoming payload back at the yield point. The
 coordinator advances every core one step, checks that all cores agreed on
 the same collective, performs the exchange, and resumes them. Worker threads
 only run the per-core compute between collectives, so results and ledgers
-are bit-identical for any worker count.
+are bit-identical for any worker count. While a program runs, BLAS runs
+single-threaded: the simulated cores are the source of parallelism, and a
+second BLAS pool would compete with them (and with anything else on the host)
+for the same cores.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+import ctypes
 from dataclasses import dataclass, field
+from functools import lru_cache
+import glob
 from inspect import isgenerator
 import json
+import os
 
 import numpy as np
 
@@ -209,6 +217,47 @@ def _split_chunks(value, axis, n):
     return out
 
 
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Run BLAS on one thread inside the block; restore its count on exit."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 class MeshSim:
     """A simulated core grid with one shared communication ledger."""
 
@@ -283,7 +332,8 @@ class MeshSim:
         ``program`` may return a value directly or be a generator that yields
         Permute/AllToAll requests. Returns the per-core results in rank order.
         Disagreement between cores about the next collective raises
-        ProtocolError; the ledger on this mesh accumulates all traffic.
+        ProtocolError; the ledger on this mesh accumulates all traffic. BLAS
+        runs single-threaded until the run ends, for any ``workers``.
         """
         if not isinstance(workers, int) or workers < 1:
             raise ArgumentError(f"workers must be a positive int, got {workers!r}")
@@ -319,12 +369,12 @@ class MeshSim:
                     "expected Permute or AllToAll"
                 )
 
-        executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-        try:
-            self._run_rounds(start, _advance, entries, executor)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
+        with _single_threaded_blas():
+            if workers == 1:
+                self._run_rounds(start, _advance, entries, None)
+            else:
+                with ThreadPoolExecutor(workers) as executor:
+                    self._run_rounds(start, _advance, entries, executor)
 
         for core in cores:
             for kind, count, tag in core._flops:

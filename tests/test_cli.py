@@ -337,3 +337,25 @@ def test_scaling_ledger_mismatch_exits_3(tmp_path, capsys, perturbed_closed_form
     assert "protocol error: ledger" in captured.err
     assert "skipped" not in captured.out
     assert not (tmp_path / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32", "bf16split3"])
+def test_kdft_bytes_do_not_depend_on_workers_at_blas_sizes(tmp_path, precision):
+    # 128x128 blocks: large enough that BLAS splits products across threads
+    # at workers=1 and runs single-threaded in the worker pool
+    payloads = []
+    for workers in (1, 2, 4):
+        out = tmp_path / f"{workers}.bin"
+        rep = tmp_path / f"{workers}.json"
+        code = cli.main([
+            "transform", "--algo", "kdft", "--dims", "256x256", "--shape", "2x2",
+            "--precision", precision, "--gen", "random", "--seed", "11",
+            "--workers", str(workers), "--output", str(out), "--report", str(rep),
+        ])
+        assert code == 0
+        payloads.append((
+            out.read_bytes(),
+            (tmp_path / f"{workers}.bin.json").read_bytes(),
+            rep.read_bytes(),
+        ))
+    assert payloads[0] == payloads[1] == payloads[2]

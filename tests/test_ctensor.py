@@ -217,16 +217,19 @@ def test_bf16_contract_matches_split_per_product(conjugate, axis, saturating):
 
 
 def test_bf16_contract_splits_each_plane_once(monkeypatch):
-    calls = []
+    # counted in elements, not calls: how the planes are grouped into
+    # operands does not matter, only that each element is split once
+    split_elements = []
 
     def counting(values):
-        calls.append(values.shape)
+        split_elements.append(values.size)
         return _split3(values)
 
     monkeypatch.setattr("meshdft.ctensor._split3", counting)
     m = md.ComplexTensor(np.eye(4), np.eye(4))
-    md.contract(m, rand_tensor((4, 3), seed=39), mode=BF16)
-    assert len(calls) == 4
+    x = rand_tensor((4, 3), seed=39)
+    md.contract(m, x, mode=BF16)
+    assert sum(split_elements) == 2 * m.size + 2 * x.size
 
 
 def test_contract_composes_like_matrix_product():
@@ -250,6 +253,61 @@ def test_scale_along_axis_matches_broadcast():
         md.scale_along_axis(x, 0, f)
     with pytest.raises(md.DimensionError):
         md.scale_along_axis(x, 1, rand_tensor((3, 3), seed=53))
+
+
+def _scale_split_per_product(tensor, axis, factors):
+    """bf16split3 ``scale_along_axis`` as four products, each splitting both factors."""
+
+    def mul_split3(x, y):
+        x_terms = _split3(x)
+        y_terms = _split3(y)
+        acc = None
+        for i, j in ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1)):
+            part = x_terms[i] * y_terms[j]
+            acc = part if acc is None else acc + part
+        return acc
+
+    bshape = [1] * tensor.rank
+    bshape[axis] = factors.shape[0]
+    f_re = factors.re.astype(np.float32).reshape(bshape)
+    f_im = factors.im.astype(np.float32).reshape(bshape)
+    x_re = tensor.re.astype(np.float32)
+    x_im = tensor.im.astype(np.float32)
+    return (mul_split3(x_re, f_re) - mul_split3(x_im, f_im),
+            mul_split3(x_re, f_im) + mul_split3(x_im, f_re))
+
+
+@pytest.mark.parametrize("saturating", [False, True])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_bf16_scale_matches_split_per_product(axis, saturating):
+    rng = np.random.default_rng(54)
+    x = rand_tensor((5, 6, 7), seed=55)
+    if saturating:
+        # planes between the largest finite bf16 and the f32 limit, where the
+        # leading term saturates; small factors keep the sums finite
+        x = md.ComplexTensor(
+            rng.choice([-1.0, 1.0], x.shape) * rng.uniform(3.38e38, 3.40e38, x.shape),
+            rng.choice([-1.0, 1.0], x.shape) * rng.uniform(3.38e38, 3.40e38, x.shape),
+        )
+    scale = 1e-3 if saturating else 1.0
+    n = x.shape[axis]
+    f = md.ComplexTensor(rng.uniform(-scale, scale, n), rng.uniform(-scale, scale, n))
+    got = md.scale_along_axis(x, axis, f, mode=BF16)
+    ref_re, ref_im = _scale_split_per_product(x, axis, f)
+    assert np.array_equal(got.re, ref_re) and np.array_equal(got.im, ref_im)
+
+
+def test_bf16_scale_splits_each_plane_once(monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(values.shape)
+        return _split3(values)
+
+    monkeypatch.setattr("meshdft.ctensor._split3", counting)
+    md.scale_along_axis(rand_tensor((4, 3), seed=56), 1, rand_tensor((3,), seed=57),
+                        mode=BF16)
+    assert len(calls) == 4
 
 
 # -- reorder -----------------------------------------------------------------

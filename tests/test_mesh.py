@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.mesh import LEDGER_FIELDS
-from helpers import rand_tensor
+from meshdft.mesh import LEDGER_FIELDS, _openblas_threads
+from helpers import F32, F64, BF16, rand_tensor
 
 
 def vec(*values):
@@ -299,3 +299,71 @@ def test_spmd_input_validation():
         mesh.run_spmd(lambda core, x: x, [vec(0.0), vec(1.0)], workers=0)
     with pytest.raises(md.ArgumentError):
         md.MeshSim("2x2")
+
+
+# -- BLAS threads ------------------------------------------------------------
+
+needs_openblas = pytest.mark.skipif(
+    _openblas_threads() is None, reason="numpy's bundled OpenBLAS not found"
+)
+
+
+@pytest.fixture
+def blas_threads():
+    """Set OpenBLAS to 2 threads for the test; yields (get, set)."""
+    get, set_ = _openblas_threads()
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+def _reads_blas_threads(get):
+    def program(core, x):
+        seen = [get()]
+        x = yield md.Permute(md.ring_pairs(list(range(core.num_cores))), x)
+        seen.append(get())
+        return seen
+
+    return program
+
+
+@needs_openblas
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blas_runs_single_threaded_inside_a_run(blas_threads, workers):
+    get, _ = blas_threads
+    mesh = md.MeshSim(4)
+    seen = mesh.run_spmd(_reads_blas_threads(get), [vec(0.0)] * 4, workers=workers)
+    assert seen == [[1, 1]] * 4
+    assert get() == 2
+
+
+@needs_openblas
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blas_threads_restored_after_a_core_raises(blas_threads, workers):
+    get, _ = blas_threads
+
+    def program(core, x):
+        assert get() == 1
+        raise RuntimeError("core failed")
+
+    with pytest.raises(RuntimeError, match="core failed"):
+        md.MeshSim(2).run_spmd(program, workers=workers)
+    assert get() == 2
+
+
+@needs_openblas
+@pytest.mark.parametrize("mode", [F64, F32, BF16])
+@pytest.mark.parametrize("extents", [(512,), (128, 256)])
+def test_contract_bits_do_not_depend_on_blas_threads(blas_threads, mode, extents):
+    # sizes above OpenBLAS's threshold for splitting a product across threads
+    _, set_ = blas_threads
+    k = extents[0]
+    matrix = rand_tensor((k, k), seed=90)
+    x = rand_tensor(extents, seed=91)
+    outs = []
+    for threads in (1, 2):
+        set_(threads)
+        outs.append(md.contract(matrix, x, mode=mode))
+    assert np.array_equal(outs[0].re, outs[1].re)
+    assert np.array_equal(outs[0].im, outs[1].im)
