@@ -61,7 +61,7 @@ from .mesh import (
     CommLedger,
     Core,
     MeshSim,
-    Permute,
+    Ring,
     SourceTargetPairs,
     line_ring_pairs,
     ring_pairs,
@@ -103,10 +103,10 @@ __all__ = [
     "MeshDftError",
     "MeshSim",
     "OracleResult",
-    "Permute",
     "PlanError",
     "PrecisionMode",
     "ProtocolError",
+    "Ring",
     "SamplePoints",
     "SourceTargetPairs",
     "UnsupportedOperationError",

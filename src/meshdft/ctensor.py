@@ -341,14 +341,17 @@ def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
     x[:, 0] = np.moveaxis(tensor.re, axis, 0)
     x[:, 1] = np.moveaxis(tensor.im, axis, 0)
     x = x.reshape(k, -1)
+    half = x.shape[1] // 2
 
     if mode is PrecisionMode.BF16_SPLIT3:
         m_re, m_im, x = map(_split3, (m_re, m_im, x))
         product = partial(_split_products, product=np.matmul)
     else:
         product = np.matmul
-    rr, ri = np.split(product(m_re, x), 2, axis=1)
-    ir, ii = np.split(product(m_im, x), 2, axis=1)
+    r_x = product(m_re, x)
+    i_x = product(m_im, x)
+    rr, ri = r_x[:, :half], r_x[:, half:]
+    ir, ii = i_x[:, :half], i_x[:, half:]
     if conjugate:
         out_re = rr + ii
         out_im = ri - ir
@@ -385,12 +388,25 @@ def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
     if mode is PrecisionMode.BF16_SPLIT3:
         # each plane takes part in two of the four products: split it once
         x_re, x_im, f_re, f_im = map(_split3, (x_re, x_im, f_re, f_im))
+    return ComplexTensor._own_checked(*_complex_product(x_re, x_im, f_re, f_im, mode))
+
+
+def _complex_product(x_re, x_im, f_re, f_im, mode):
+    """Elementwise (broadcasting) complex product of planes in the mode's dtype.
+
+    Under bf16split3 every operand is already split by :func:`_split3`.
+    Returns the fresh (re, im) planes; each difference and sum is taken in
+    its first product's plane.
+    """
+    if mode is PrecisionMode.BF16_SPLIT3:
         product = partial(_split_products, product=np.multiply)
     else:
         product = np.multiply
-    out_re = product(x_re, f_re) - product(x_im, f_im)
-    out_im = product(x_re, f_im) + product(x_im, f_re)
-    return ComplexTensor._own_checked(out_re, out_im)
+    out_re = product(x_re, f_re)
+    np.subtract(out_re, product(x_im, f_im), out=out_re)
+    out_im = product(x_re, f_im)
+    np.add(out_im, product(x_im, f_re), out=out_im)
+    return out_re, out_im
 
 
 def reorder(tensor, axis, permutation):

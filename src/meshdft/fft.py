@@ -8,7 +8,10 @@ decimated subsequences, recombined with per-frequency phase factors:
 
 Per distributed dimension the engine does exactly one all_to_all (moving
 contiguous blocks into decimated subsequences), one local in-order radix-2
-FFT, and a shift-by-one phase combination costing P-1 permutes.
+FFT, and a shift-by-one phase combination costing P-1 permutes. Each core
+yields the phase combination as one Ring request; each ring step reads the
+phase factors of every core at once from the length-N unit-root table, so
+no plan holds per-core phase blocks.
 """
 
 from dataclasses import dataclass
@@ -17,11 +20,13 @@ import math
 
 import numpy as np
 
-from .ctensor import ComplexTensor, PrecisionMode, reorder, scale_along_axis
+from .ctensor import ComplexTensor, PrecisionMode, _complex_product, _split3, reorder
 from .decomposition import ComputationShape
 from .errors import ArgumentError, DimensionError, PlanError
-from .mesh import AllToAll, MeshSim, Permute, line_ring_pairs, ring_pairs
-from .vandermonde import build_phase_slice
+from .mesh import (
+    AllToAll, Ring, _check_blocks, _check_plan, _mesh_group, line_ring_pairs, ring_pairs
+)
+from .vandermonde import _unit_roots
 
 
 def _is_pow2(n):
@@ -155,12 +160,11 @@ def _gather_reorder_perm(parts, m):
 
 @dataclass(frozen=True)
 class FftPlan:
-    """Twiddle/phase tables and decimation layout for each dimension."""
+    """Decimation layout for each dimension; phase factors come from a unit-root table."""
 
     shape: ComputationShape
     extents: tuple
     precision: PrecisionMode
-    phase_blocks: dict
     beta_maps: dict
 
     @property
@@ -170,22 +174,10 @@ class FftPlan:
 
 def create_fft_plan(shape, extents, precision=PrecisionMode.F64_REFERENCE):
     """Plan a power-of-two transform over the core grid."""
-    if not isinstance(shape, ComputationShape):
-        raise ArgumentError("shape must be a ComputationShape")
-    if not isinstance(precision, PrecisionMode):
-        raise ArgumentError("precision must be a PrecisionMode")
     extents = tuple(int(n) for n in extents)
-    rank = len(extents)
-    if not 1 <= rank <= 3:
-        raise PlanError(f"need 1..3 dimensions, got {rank}")
-    for d in range(rank, 3):
-        if shape.dims[d] != 1:
-            raise PlanError(
-                f"rank-{rank} transform cannot use {shape.dims[d]} cores on dim {d}"
-            )
-    phase_blocks = {}
+    _check_plan(shape, precision, len(extents))
     beta_maps = {}
-    for d in range(rank):
+    for d in range(len(extents)):
         n, p = extents[d], shape.dims[d]
         if not _is_pow2(n):
             raise PlanError(f"extent {n} on dim {d} must be a power of two")
@@ -193,54 +185,78 @@ def create_fft_plan(shape, extents, precision=PrecisionMode.F64_REFERENCE):
             raise PlanError(
                 f"core count {p} on dim {d} must be a power of two dividing {n}"
             )
-        for pos in range(p):
-            phase_blocks[(d, pos)] = build_phase_slice(n, p, pos)
         beta_maps[d] = gather_positions(p, n // p)
     return FftPlan(
         shape=shape,
         extents=extents,
         precision=precision,
-        phase_blocks=phase_blocks,
         beta_maps=beta_maps,
     )
 
 
-def _phase_column(phase, b):
-    return ComplexTensor._own(phase.re[:, b], phase.im[:, b])
+def _factor_table(re, im, mode):
+    """Per-position (f_re, f_im) phase factors of one ring step, from their exact values.
+
+    ``re`` and ``im`` have ring positions on axis 0 and broadcast along the
+    transform axis. They are cast to the mode's dtype and, under bf16split3,
+    split once for all positions (:func:`scale_along_axis` splits the same
+    values per core).
+    """
+    planes = [p.astype(mode.real_dtype, copy=False) for p in (re, im)]
+    if mode is PrecisionMode.BF16_SPLIT3:
+        planes = [np.stack(_split3(p), axis=1) for p in planes]
+    return list(zip(*planes))
 
 
-def _phase_steps(core, x, axis, parts, pos, beta_map, phase, pairs, mode, tag):
-    """Shift-by-one phase combination (generator); P-1 permutes."""
-    held = beta_map[pos]
-    acc = scale_along_axis(x, axis, _phase_column(phase, held), mode)
-    core.add_flops("einsum", 4 * x.size, tag)
-    # the first term's planes are fresh and referenced nowhere else, so the
-    # other terms are summed into them; a non-finite partial sum stays
-    # non-finite, so one scan at the end catches any overflow
-    acc_re, acc_im = acc.re, acc.im
-    acc_re.setflags(write=True)
-    acc_im.setflags(write=True)
-    for s in range(1, parts):
-        x = yield Permute(pairs, x, tag=tag)
-        held = beta_map[(pos + s) % parts]
-        term = scale_along_axis(x, axis, _phase_column(phase, held), mode)
-        np.add(acc_re, term.re, out=acc_re)
-        np.add(acc_im, term.im, out=acc_im)
-        core.add_flops("einsum", 4 * x.size, tag)
-    return ComplexTensor._own_checked(acc_re, acc_im)
+def _unit_root_factors(n, parts, beta_map, axis, rank, mode):
+    """Each step's phase factors for one dimension: one read of the unit-root table.
+
+    At ring step s, position p holds the subsequence of offset
+    b = beta_map[(p + s) % parts], whose row r (frequency k = p*m + r) takes
+    exp(-2j*pi*b*k/n): entry [r, b] of ``build_phase_slice(n, parts, p)``,
+    bit for bit.
+    """
+    cos, neg_sin = _unit_roots(n)
+    k = np.arange(n, dtype=np.int64).reshape((parts,) + _bshape(axis, rank))
+    beta = np.asarray(beta_map, dtype=np.int64).reshape((parts,) + (1,) * rank)
+
+    def factors(step):
+        exponents = k * np.roll(beta, -step, axis=0)
+        np.mod(exponents, n, out=exponents)
+        return _factor_table(cos[exponents], neg_sin[exponents], mode)
+
+    return factors
 
 
-def _check_blocks(plan, blocks):
-    if len(blocks) != plan.shape.num_cores:
-        raise DimensionError(
-            f"expected {plan.shape.num_cores} blocks, got {len(blocks)}"
-        )
-    expected = tuple(
-        n // p for n, p in zip(plan.extents, plan.shape.dims[: plan.rank])
-    )
-    for i, b in enumerate(blocks):
-        if not isinstance(b, ComplexTensor) or b.shape != expected:
-            raise DimensionError(f"block {i} must have shape {expected}")
+def _bshape(axis, rank):
+    return tuple(-1 if a == axis else 1 for a in range(rank))
+
+
+def _phase_ring(core, pos, x, axis, parts, pairs, factors, mode, tag):
+    """The shift-by-one phase combination for one core, as a Ring request.
+
+    Each step multiplies the held subsequence FFT by this position's phase
+    factors, with :func:`scale_along_axis`'s arithmetic, and sums the terms
+    in ring order. The first term's planes are fresh, so the others are
+    summed into them; a non-finite partial sum stays non-finite, so one scan
+    at the last step catches any overflow.
+    """
+    core.add_flops("einsum", 4 * x.size * parts, tag)
+    split = mode is PrecisionMode.BF16_SPLIT3
+
+    def kernel(step, held, acc, table):
+        f_re, f_im = table[pos]
+        x_re, x_im = held.re, held.im
+        if split:
+            x_re, x_im = _split3(x_re), _split3(x_im)
+        term = _complex_product(x_re, x_im, f_re, f_im, mode)
+        if acc is not None:
+            np.add(acc[0], term[0], out=acc[0])
+            np.add(acc[1], term[1], out=acc[1])
+            term = acc
+        return ComplexTensor._own_checked(*term) if step == parts - 1 else term
+
+    return Ring(pairs, x, kernel, parts - 1, tag, factors)
 
 
 def fft_forward(mesh, plan, blocks, workers=1):
@@ -249,30 +265,31 @@ def fft_forward(mesh, plan, blocks, workers=1):
     Output distribution matches the direct engine: block p covers contiguous
     frequency rows [p*N/P, (p+1)*N/P) along each distributed dimension.
     """
-    if not isinstance(mesh, MeshSim) or mesh.shape != plan.shape:
-        raise ArgumentError("mesh and plan must share the same computation shape")
-    _check_blocks(plan, blocks)
+    _check_blocks(mesh, plan, blocks)
     mode = plan.precision
-    dtype = mode.real_dtype
+    # the per-dimension schedule, built once and shared by every core
+    schedule = []
+    for d in range(plan.rank):
+        n, parts = plan.extents[d], plan.shape.dims[d]
+        m = n // parts
+        lines = plan.shape.lines(d)
+        perm = _gather_reorder_perm(parts, m) if parts > 1 and m >= parts else None
+        schedule.append((
+            parts, m, perm, _gather_groups(lines, parts, m), line_ring_pairs(lines),
+            _unit_root_factors(n, parts, plan.beta_maps[d], d, plan.rank, mode),
+        ))
 
     def program(core, x):
-        x = x.astype(dtype)
-        for d in range(plan.rank):
-            parts = plan.shape.dims[d]
-            n = plan.extents[d]
-            m = n // parts
-            pos = core.coords[d]
+        x = x.astype(mode.real_dtype)
+        for d, (parts, m, perm, groups, pairs, factors) in enumerate(schedule):
             tag = f"dim{d + 1}"
-            groups = _gather_groups(plan.shape.lines(d), parts, m)
-            if parts > 1 and m >= parts:
-                x = reorder(x, d, _gather_reorder_perm(parts, m))
+            if perm is not None:
+                x = reorder(x, d, perm)
             x = yield AllToAll(groups, x, split_axis=d, tag=tag)
             x = local_fft(x, axis=d, mode=mode)
             core.add_flops("local_fft", local_fft_flops(m, x.size // m), tag)
-            x = yield from _phase_steps(
-                core, x, d, parts, pos, plan.beta_maps[d],
-                plan.phase_blocks[(d, pos)], line_ring_pairs(plan.shape, d),
-                mode, tag,
+            x = yield _phase_ring(
+                core, core.coords[d], x, d, parts, pairs, factors, mode, tag
             )
         return x
 
@@ -287,11 +304,7 @@ def strided_gather(mesh, blocks, group=None, axis=0, tag="gather"):
     ``gather_positions(P, M)[i]`` with local slots in transform order.
     Counts one all_to_all on the mesh ledger.
     """
-    if group is None:
-        group = list(range(mesh.num_cores))
-    group = [int(c) for c in group]
-    if sorted(group) != list(range(mesh.num_cores)):
-        raise ArgumentError("group must enumerate every core of the mesh exactly once")
+    group = _mesh_group(mesh, group)
     parts = len(group)
     if len(blocks) != parts:
         raise DimensionError("need one block per group member")
@@ -321,28 +334,34 @@ def phase_adjust(mesh, blocks, phase_slices, group=None, axis=0,
     Returns per-core combined frequency blocks aligned with ``group``;
     costs P-1 permutes.
     """
-    if group is None:
-        group = list(range(mesh.num_cores))
-    group = [int(c) for c in group]
-    if sorted(group) != list(range(mesh.num_cores)):
-        raise ArgumentError("group must enumerate every core of the mesh exactly once")
+    group = _mesh_group(mesh, group)
     parts = len(group)
     if len(blocks) != parts or len(phase_slices) != parts:
         raise DimensionError("need one block and one phase slice per group member")
-    beta_map = tuple(range(parts))
+    rank = blocks[0].rank
+    if not -rank <= axis < rank:
+        raise DimensionError(f"axis {axis} out of range for rank {rank}")
+    axis %= rank
+    if any(ph.shape != (blocks[0].shape[axis], parts) for ph in phase_slices):
+        raise DimensionError(f"each phase slice must be (block extent, {parts})")
+    # member i at ring step s takes column (i + s) mod P of its own slice
+    shape = (parts, parts) + _bshape(axis, rank)
+    re = np.stack([ph.re.T for ph in phase_slices]).reshape(shape)
+    im = np.stack([ph.im.T for ph in phase_slices]).reshape(shape)
+    idx = np.arange(parts)
     pairs = ring_pairs(group)
     pos_of = {core: i for i, core in enumerate(group)}
     blocks_by_core = dict(zip(group, blocks))
-    phase_by_core = dict(zip(group, phase_slices))
+
+    def factors(step):
+        cols = (idx + step) % parts
+        return _factor_table(re[idx, cols], im[idx, cols], mode)
 
     def program(core, _):
-        pos = pos_of[core.rank]
         x = blocks_by_core[core.rank].astype(mode.real_dtype)
-        result = yield from _phase_steps(
-            core, x, axis, parts, pos, beta_map,
-            phase_by_core[core.rank].astype(mode.real_dtype), pairs, mode, tag,
-        )
-        return result
+        return (yield _phase_ring(
+            core, pos_of[core.rank], x, axis, parts, pairs, factors, mode, tag
+        ))
 
     results = mesh.run_spmd(program, [None] * parts)
     return [results[core] for core in group]

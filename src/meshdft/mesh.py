@@ -1,31 +1,37 @@
 """Deterministic simulator for a grid of cores exchanging tensors collectively.
 
-Core programs are generators: they yield a collective request (Permute or
-AllToAll) and receive the incoming payload back at the yield point. The
-coordinator advances every core one step, checks that all cores agreed on
-the same collective, performs the exchange, and resumes them. Worker threads
-only run the per-core compute between collectives, so results and ledgers
-are bit-identical for any worker count. While a program runs, BLAS runs
-single-threaded: the simulated cores are the source of parallelism, and a
-second BLAS pool would compete with them (and with anything else on the host)
-for the same cores.
+Core programs are generators: they yield a collective request (AllToAll or
+Ring) and receive the result back at the yield point. The coordinator
+advances every core one step, checks that all cores agreed on the same
+collective, performs the exchange, and resumes them. A Ring is a run of
+permutes, such as one dimension's whole shift-by-one ring: the coordinator
+records its P-1 permutes and runs every step's kernel for all cores itself,
+so a core is resumed once per dimension, not once per step. Worker threads
+run the per-core compute (between collectives, and the ring kernels in slabs
+of cores), so results and ledgers are bit-identical for any worker count.
+While a program runs, BLAS runs single-threaded: the simulated cores are the
+source of parallelism, and a second BLAS pool would compete with them (and
+with anything else on the host) for the same cores.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 import glob
 from inspect import isgenerator
 import json
 import os
+from typing import Callable, Optional
 
 import numpy as np
 
-from .ctensor import ComplexTensor
+from .ctensor import ComplexTensor, PrecisionMode
 from .decomposition import ComputationShape
-from .errors import ArgumentError, CommunicationError, ProtocolError
+from .errors import (
+    ArgumentError, CommunicationError, DimensionError, PlanError, ProtocolError
+)
 
 LEDGER_FIELDS = (
     "permute_count",
@@ -52,19 +58,18 @@ class CommLedger:
             self._per_tag[tag] = {name: 0 for name in LEDGER_FIELDS}
         return self._per_tag[tag]
 
-    def record_permute(self, nbytes, tag=""):
-        self.permute_count += 1
+    def _record(self, count_field, nbytes, tag):
+        setattr(self, count_field, getattr(self, count_field) + 1)
         self.bytes_moved += int(nbytes)
         bucket = self._tag_bucket(tag)
-        bucket["permute_count"] += 1
+        bucket[count_field] += 1
         bucket["bytes_moved"] += int(nbytes)
 
+    def record_permute(self, nbytes, tag=""):
+        self._record("permute_count", nbytes, tag)
+
     def record_all_to_all(self, nbytes, tag=""):
-        self.all_to_all_count += 1
-        self.bytes_moved += int(nbytes)
-        bucket = self._tag_bucket(tag)
-        bucket["all_to_all_count"] += 1
-        bucket["bytes_moved"] += int(nbytes)
+        self._record("all_to_all_count", nbytes, tag)
 
     def add_flops(self, kind, count, tag=""):
         if kind == "einsum":
@@ -120,24 +125,12 @@ def ring_pairs(group):
     return SourceTargetPairs(tuple((group[(i + 1) % n], group[i]) for i in range(n)))
 
 
-def line_ring_pairs(shape, dim):
-    """One permute op whose pairs serve every grid line along ``dim`` at once."""
+def line_ring_pairs(lines):
+    """One permute op whose pairs serve every line (``shape.lines(dim)``) at once."""
     pairs = []
-    for line in shape.lines(dim):
+    for line in lines:
         pairs.extend(ring_pairs(line).pairs)
     return SourceTargetPairs(tuple(pairs))
-
-
-@dataclass(frozen=True)
-class Permute:
-    """SPMD request: exchange payloads according to source-target pairs."""
-
-    pairs: SourceTargetPairs
-    value: ComplexTensor
-    tag: str = ""
-
-    def meta(self):
-        return ("permute", self.pairs.pairs, self.tag)
 
 
 @dataclass(frozen=True)
@@ -156,6 +149,30 @@ class AllToAll:
 
     def meta(self):
         return ("all_to_all", self.groups, self.split_axis, self.tag)
+
+
+@dataclass(frozen=True)
+class Ring:
+    """SPMD request: ``steps`` permutes by ``pairs``, each followed by a compute step.
+
+    The coordinator records ``steps`` permutes tagged ``tag`` and folds this
+    core's ``kernel`` over the payloads it holds in turn, ``acc =
+    kernel(step, held, acc, table)`` for step 0..steps, starting from ``acc
+    = None`` with ``held = value``; the last ``acc`` comes back at the yield
+    point. ``table``, if given, is called once per step and its result goes
+    to every core's kernel, so every core must pass the same one. A single
+    permute is ``steps=1`` with a kernel that returns ``held``.
+    """
+
+    pairs: SourceTargetPairs
+    value: ComplexTensor
+    kernel: Callable
+    steps: int
+    tag: str = ""
+    table: Optional[Callable] = None
+
+    def meta(self):
+        return ("ring", self.pairs.pairs, self.steps, self.table, self.tag)
 
 
 class Core:
@@ -190,6 +207,55 @@ class _Entry:
 def _check_payload(value, context):
     if not isinstance(value, ComplexTensor):
         raise CommunicationError(f"{context}: payload must be a ComplexTensor")
+
+
+def _check_plan(shape, precision, rank):
+    """The checks both engines' plans make on their grid, precision and rank."""
+    if not isinstance(shape, ComputationShape):
+        raise ArgumentError("shape must be a ComputationShape")
+    if not isinstance(precision, PrecisionMode):
+        raise ArgumentError("precision must be a PrecisionMode")
+    if not 1 <= rank <= 3:
+        raise PlanError(f"need 1..3 dimensions, got {rank}")
+    for d in range(rank, 3):
+        if shape.dims[d] != 1:
+            raise PlanError(
+                f"rank-{rank} transform cannot use {shape.dims[d]} cores on dim {d}"
+            )
+
+
+def _check_blocks(mesh, plan, blocks):
+    """Reject a mesh or per-core block list that does not fit an engine's plan."""
+    if not isinstance(mesh, MeshSim) or mesh.shape != plan.shape:
+        raise ArgumentError("mesh and plan must share the same computation shape")
+    if len(blocks) != plan.shape.num_cores:
+        raise DimensionError(
+            f"expected {plan.shape.num_cores} blocks, got {len(blocks)}"
+        )
+    expected = tuple(
+        n // p for n, p in zip(plan.extents, plan.shape.dims[: plan.rank])
+    )
+    for i, b in enumerate(blocks):
+        if not isinstance(b, ComplexTensor) or b.shape != expected:
+            raise DimensionError(f"block {i} must have shape {expected}")
+
+
+def _mesh_group(mesh, group):
+    """``group`` as a list of ints, which must enumerate every core of ``mesh`` once.
+
+    ``None`` stands for every core in rank order.
+    """
+    if group is None:
+        return list(range(mesh.num_cores))
+    group = [int(c) for c in group]
+    if sorted(group) != list(range(mesh.num_cores)):
+        raise ArgumentError("group must enumerate every core of the mesh exactly once")
+    return group
+
+
+def _run_slab(fn, args_list):
+    for args in args_list:
+        fn(*args)
 
 
 def _concat(blocks, axis):
@@ -270,68 +336,14 @@ class MeshSim:
         self.num_cores = shape.num_cores
         self.ledger = CommLedger()
 
-    # -- direct collectives ------------------------------------------------
-
-    def _check_group(self, group):
-        group = [int(c) for c in group]
-        if not group or len(set(group)) != len(group):
-            raise CommunicationError(f"group must be non-empty distinct cores: {group}")
-        for c in group:
-            if not 0 <= c < self.num_cores:
-                raise CommunicationError(f"core {c} outside mesh of {self.num_cores}")
-        return group
-
-    def collective_permute(self, group, pairs, payloads, tag=""):
-        """Permute payloads among ``group`` (list aligned with ``group``)."""
-        group = self._check_group(group)
-        if not isinstance(pairs, SourceTargetPairs):
-            pairs = SourceTargetPairs(tuple(pairs))
-        if len(payloads) != len(group):
-            raise CommunicationError("one payload per group member required")
-        for v in payloads:
-            _check_payload(v, "collective_permute")
-        shapes = {(v.shape, v.dtype) for v in payloads}
-        if len(shapes) != 1:
-            raise CommunicationError("payload shapes/dtypes differ across the group")
-        members = set(group)
-        for s, _ in pairs.pairs:
-            if s not in members:
-                raise CommunicationError(f"pair core {s} not in group {group}")
-        by_core = dict(zip(group, payloads))
-        source_of = pairs.source_of()
-        out = [
-            by_core[source_of[c]] if c in source_of else by_core[c] for c in group
-        ]
-        self.ledger.record_permute(len(group) * payloads[0].nbytes, tag=tag)
-        return out
-
-    def all_to_all(self, group, payloads, split_axis=0, tag=""):
-        """Chunk-transpose payloads within one group (list aligned with ``group``)."""
-        group = self._check_group(group)
-        if len(payloads) != len(group):
-            raise CommunicationError("one payload per group member required")
-        for v in payloads:
-            _check_payload(v, "all_to_all")
-        shapes = {(v.shape, v.dtype) for v in payloads}
-        if len(shapes) != 1:
-            raise CommunicationError("payload shapes/dtypes differ across the group")
-        n = len(group)
-        chunks = [_split_chunks(v, split_axis, n) for v in payloads]
-        out = [
-            _concat([chunks[j][i] for j in range(n)], split_axis % payloads[0].rank)
-            for i in range(n)
-        ]
-        self.ledger.record_all_to_all(n * payloads[0].nbytes, tag=tag)
-        return out
-
     # -- SPMD execution ----------------------------------------------------
 
     def run_spmd(self, program, inputs=None, workers=1):
         """Run ``program(core, value)`` on every core to completion.
 
         ``program`` may return a value directly or be a generator that yields
-        Permute/AllToAll requests. Returns the per-core results in rank order.
-        Disagreement between cores about the next collective raises
+        AllToAll/Ring requests. Returns the per-core results in rank
+        order. Disagreement between cores about the next collective raises
         ProtocolError; the ledger on this mesh accumulates all traffic. BLAS
         runs single-threaded until the run ends, for any ``workers``.
         """
@@ -363,34 +375,34 @@ class MeshSim:
                 e.result, e.done = stop.value, True
                 e.request = None
                 return
-            if not isinstance(e.request, (Permute, AllToAll)):
+            if not isinstance(e.request, (AllToAll, Ring)):
                 raise ProtocolError(
                     f"core {rank} yielded {type(e.request).__name__}, "
-                    "expected Permute or AllToAll"
+                    "expected AllToAll or Ring"
                 )
 
-        with _single_threaded_blas():
-            if workers == 1:
-                self._run_rounds(start, _advance, entries, None)
-            else:
-                with ThreadPoolExecutor(workers) as executor:
-                    self._run_rounds(start, _advance, entries, executor)
+        with _single_threaded_blas(), ThreadPoolExecutor(workers) as pool:
+
+            def run_all(fn, args_list):
+                """``fn(*args)`` for every args, in one contiguous slab per worker."""
+                if workers == 1:
+                    return _run_slab(fn, args_list)
+                cuts = [i * len(args_list) // workers for i in range(workers + 1)]
+                futures = [
+                    pool.submit(_run_slab, fn, args_list[a:b])
+                    for a, b in zip(cuts, cuts[1:])
+                ]
+                for f in futures:
+                    f.result()
+
+            self._run_rounds(start, _advance, entries, run_all)
 
         for core in cores:
             for kind, count, tag in core._flops:
                 self.ledger.add_flops(kind, count, tag=tag)
         return [e.result for e in entries]
 
-    def _run_rounds(self, start, advance, entries, executor):
-        def run_all(fn, args_list):
-            if executor is None:
-                for args in args_list:
-                    fn(*args)
-            else:
-                futures = [executor.submit(fn, *args) for args in args_list]
-                for f in futures:
-                    f.result()
-
+    def _run_rounds(self, start, advance, entries, run_all):
         run_all(start, [(rank,) for rank in range(len(entries))])
         while True:
             pending = [rank for rank, e in enumerate(entries) if not e.done]
@@ -403,37 +415,53 @@ class MeshSim:
             metas = {entries[rank].request.meta() for rank in pending}
             if len(metas) != 1:
                 raise ProtocolError(
-                    f"cores disagree on the next collective: {sorted(metas)}"
+                    f"cores disagree on the next collective: {sorted(metas, key=repr)}"
                 )
-            responses = self._exchange(entries)
-            run_all(advance, [(rank, responses[rank]) for rank in pending])
+            # every core is pending here; no reference to the requests or the
+            # responses outlives the round, so the cores free them as they go
+            responses = self._exchange([e.request for e in entries], run_all)
+            run_all(advance, list(enumerate(responses)))
+            responses = None
 
-    def _exchange(self, entries):
-        requests = [e.request for e in entries]
+    def _exchange(self, requests, run_all):
+        for r in requests:
+            _check_payload(r.value, "spmd collective")
         first = requests[0]
-        values = [r.value for r in requests]
-        for v in values:
-            _check_payload(v, "spmd collective")
-        if isinstance(first, Permute):
-            source_of = first.pairs.source_of()
-            for c in source_of:
-                if not 0 <= c < self.num_cores:
-                    raise CommunicationError(f"pair core {c} outside mesh")
-            participants = first.pairs.participants
-            shapes = {(values[c].shape, values[c].dtype) for c in participants}
-            if len(shapes) != 1:
-                raise CommunicationError("payload shapes/dtypes differ across pairs")
-            nbytes = sum(values[c].nbytes for c in participants)
-            self.ledger.record_permute(nbytes, tag=first.tag)
-            return [
-                values[source_of[c]] if c in source_of else values[c]
-                for c in range(self.num_cores)
-            ]
-        if isinstance(first, AllToAll):
-            return self.all_to_all_groups(
-                first.groups, values, first.split_axis, tag=first.tag
-            )
-        raise ProtocolError(f"unknown collective request {type(first).__name__}")
+        if isinstance(first, Ring):
+            return self._ring(requests, run_all)
+        return self.all_to_all_groups(
+            first.groups, [r.value for r in requests], first.split_axis, tag=first.tag
+        )
+
+    def _ring(self, requests, run_all):
+        """Run a Ring: every step's permute and every core's kernel.
+
+        The payloads only move, so their shapes are checked once and every
+        step records the same bytes. Each step's kernels run over the worker
+        pool in slabs of cores.
+        """
+        first = requests[0]
+        held = [r.value for r in requests]
+        source_of = first.pairs.source_of()
+        for c in source_of:
+            if not 0 <= c < self.num_cores:
+                raise CommunicationError(f"pair core {c} outside mesh")
+        participants = first.pairs.participants
+        if len({(held[c].shape, held[c].dtype) for c in participants}) != 1:
+            raise CommunicationError("payload shapes/dtypes differ across pairs")
+        nbytes = sum(held[c].nbytes for c in participants)
+        accs = [None] * self.num_cores
+
+        def step_core(step, c, table):
+            accs[c] = requests[c].kernel(step, held[c], accs[c], table)
+
+        for step in range(first.steps + 1):
+            if step:
+                self.ledger.record_permute(nbytes, tag=first.tag)
+                held = [held[source_of.get(c, c)] for c in range(self.num_cores)]
+            table = None if first.table is None else first.table(step)
+            run_all(step_core, [(step, c, table) for c in range(self.num_cores)])
+        return accs
 
     def all_to_all_groups(self, groups, values, split_axis=0, tag=""):
         """One all_to_all invocation spanning several disjoint groups.

@@ -16,7 +16,7 @@ def rand_tensor(extents, seed, scale=1.0):
     return md.ComplexTensor(re, im)
 
 
-def run_kdft(x, dims, samples=None, mode=F64, workers=1, trace=None):
+def run_kdft(x, dims, samples=None, mode=F64, workers=1):
     """Decompose, transform, reassemble. Returns (global result, blocks, mesh)."""
     shape = md.ComputationShape(*dims)
     if samples is None:
@@ -24,7 +24,7 @@ def run_kdft(x, dims, samples=None, mode=F64, workers=1, trace=None):
     plan = md.create_kdft_plan(shape, samples, mode)
     blocks, assignment = md.decompose(x, shape)
     mesh = md.MeshSim(shape)
-    out = md.kdft_forward(mesh, plan, blocks, workers=workers, trace=trace)
+    out = md.kdft_forward(mesh, plan, blocks, workers=workers)
     return md.gather_to_host(out, assignment), out, mesh
 
 

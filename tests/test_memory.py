@@ -1,4 +1,4 @@
-"""Memory bounds on the kdft plan build and inverse, one contraction, and the fft path.
+"""Memory bounds on plan builds, the kdft inverse, one contraction, and the fft path.
 
 numpy reports its array allocations to tracemalloc, so the traced peak
 covers every temporary plane a call makes.
@@ -72,3 +72,12 @@ def test_fft_forward_peak():
     blocks, _ = md.decompose(x, shape)
     _, peak = _peak_bytes(lambda: md.fft_forward(md.MeshSim(shape), plan, blocks))
     assert peak <= 3.3 * x.nbytes
+
+
+def test_fft_plan_is_linear_in_n():
+    # phase factors come from the length-N unit-root table at run time; a plan
+    # of per-core phase blocks would hold 16*N*P bytes (256 MiB here)
+    n, parts = 65536, 256
+    shape = md.ComputationShape(parts, 1, 1)
+    _, peak = _peak_bytes(lambda: md.create_fft_plan(shape, (n,)))
+    assert peak <= 16 * n

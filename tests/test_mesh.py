@@ -76,19 +76,32 @@ def test_ring_pairs_shift_by_one():
 
 def test_line_ring_pairs_cover_every_line():
     shape = md.ComputationShape(2, 2, 2)
-    pairs = md.line_ring_pairs(shape, 2)
+    pairs = md.line_ring_pairs(shape.lines(2))
     assert pairs.pairs == ((1, 0), (0, 1), (3, 2), (2, 3), (5, 4), (4, 5), (7, 6), (6, 7))
     assert pairs.participants == list(range(8))
 
 
-# -- collective_permute ------------------------------------------------------
+# -- permutes (one-step rings) -----------------------------------------------
+
+
+def keep_held(step, held, acc, table):
+    return held
+
+
+def permute(pairs, x, tag=""):
+    """One permute: a one-step Ring whose kernel keeps the payload it receives."""
+    return md.Ring(pairs, x, keep_held, 1, tag)
+
+
+def run_permutes(mesh, pairs, payloads, times=1):
+    return mesh.run_spmd(lambda core, x: (yield md.Ring(pairs, x, keep_held, times)), payloads)
 
 
 def test_permute_three_cycle():
     mesh = md.MeshSim(3)
     pairs = md.SourceTargetPairs(((1, 0), (2, 1), (0, 2)))
     payloads = [vec(0.0), vec(1.0), vec(2.0)]
-    out = mesh.collective_permute([0, 1, 2], pairs, payloads)
+    out = run_permutes(mesh, pairs, payloads)
     assert [p.re[0] for p in out] == [1.0, 2.0, 0.0]
     assert mesh.ledger.permute_count == 1
     assert mesh.ledger.bytes_moved == 3 * payloads[0].nbytes
@@ -98,21 +111,18 @@ def test_permute_identity_and_cycle_order():
     mesh = md.MeshSim(3)
     identity = md.SourceTargetPairs(((0, 0), (1, 1), (2, 2)))
     payloads = [vec(float(i)) for i in range(3)]
-    out = mesh.collective_permute([0, 1, 2], identity, payloads)
+    out = run_permutes(mesh, identity, payloads)
     assert [p.re[0] for p in out] == [0.0, 1.0, 2.0]
     # a 3-cycle applied three times restores the original assignment
-    cycle = md.ring_pairs([0, 1, 2])
-    state = payloads
-    for _ in range(3):
-        state = mesh.collective_permute([0, 1, 2], cycle, state)
+    state = run_permutes(mesh, md.ring_pairs([0, 1, 2]), payloads, times=3)
     assert [p.re[0] for p in state] == [0.0, 1.0, 2.0]
+    assert mesh.ledger.permute_count == 4
 
 
 def test_permute_preserves_payload_multiset():
     mesh = md.MeshSim(4)
-    rng = np.random.default_rng(3)
     payloads = [rand_tensor((2,), seed=i) for i in range(4)]
-    out = mesh.collective_permute([0, 1, 2, 3], md.ring_pairs([0, 1, 2, 3]), payloads)
+    out = run_permutes(mesh, md.ring_pairs([0, 1, 2, 3]), payloads)
     before = sorted(tuple(p.re) for p in payloads)
     after = sorted(tuple(p.re) for p in out)
     assert before == after
@@ -122,13 +132,13 @@ def test_permute_validation():
     mesh = md.MeshSim(3)
     pairs = md.ring_pairs([0, 1, 2])
     with pytest.raises(md.CommunicationError):
-        mesh.collective_permute([0, 1], pairs, [vec(0.0), vec(1.0)])
+        run_permutes(mesh, pairs, [vec(0.0), vec(1.0), vec(2.0, 3.0)])
     with pytest.raises(md.CommunicationError):
-        mesh.collective_permute([0, 1, 2], pairs, [vec(0.0), vec(1.0)])
+        run_permutes(mesh, md.ring_pairs([0, 1, 5]), [vec(0.0)] * 3)
     with pytest.raises(md.CommunicationError):
-        mesh.collective_permute([0, 1, 2], pairs, [vec(0.0), vec(1.0), vec(2.0, 3.0)])
-    with pytest.raises(md.CommunicationError):
-        mesh.collective_permute([0, 1, 5], md.ring_pairs([0, 1, 5]), [vec(0.0)] * 3)
+        run_permutes(mesh, pairs, [vec(0.0), vec(1.0), np.zeros(1)])
+    with pytest.raises(md.ArgumentError):
+        run_permutes(mesh, pairs, [vec(0.0), vec(1.0)])
 
 
 # -- all_to_all --------------------------------------------------------------
@@ -137,14 +147,14 @@ def test_permute_validation():
 def test_all_to_all_single_core_is_identity():
     mesh = md.MeshSim(1)
     x = vec(1.0, 2.0)
-    out = mesh.all_to_all([0], [x])
+    out = mesh.all_to_all_groups(((0,),), [x])
     assert np.array_equal(out[0].re, x.re)
     assert mesh.ledger.all_to_all_count == 1
 
 
 def test_all_to_all_two_core_transpose():
     mesh = md.MeshSim(2)
-    out = mesh.all_to_all([0, 1], [vec(10.0, 11.0), vec(20.0, 21.0)])
+    out = mesh.all_to_all_groups(((0, 1),), [vec(10.0, 11.0), vec(20.0, 21.0)])
     assert np.array_equal(out[0].re, [10.0, 20.0])
     assert np.array_equal(out[1].re, [11.0, 21.0])
     assert mesh.ledger.bytes_moved == 2 * vec(0.0, 0.0).nbytes
@@ -153,8 +163,8 @@ def test_all_to_all_two_core_transpose():
 def test_all_to_all_is_an_involution():
     mesh = md.MeshSim(4)
     payloads = [rand_tensor((8,), seed=i) for i in range(4)]
-    once = mesh.all_to_all([0, 1, 2, 3], payloads)
-    twice = mesh.all_to_all([0, 1, 2, 3], once)
+    once = mesh.all_to_all_groups(((0, 1, 2, 3),), payloads)
+    twice = mesh.all_to_all_groups(((0, 1, 2, 3),), once)
     for a, b in zip(twice, payloads):
         assert np.array_equal(a.to_complex(), b.to_complex())
 
@@ -162,9 +172,9 @@ def test_all_to_all_is_an_involution():
 def test_all_to_all_validation():
     mesh = md.MeshSim(2)
     with pytest.raises(md.CommunicationError):
-        mesh.all_to_all([0, 1], [vec(1.0, 2.0, 3.0), vec(4.0, 5.0, 6.0)])
+        mesh.all_to_all_groups(((0, 1),), [vec(1.0, 2.0, 3.0), vec(4.0, 5.0, 6.0)])
     with pytest.raises(md.CommunicationError):
-        mesh.all_to_all([0, 1], [vec(1.0, 2.0), vec(3.0)])
+        mesh.all_to_all_groups(((0, 1),), [vec(1.0, 2.0), vec(3.0)])
 
 
 def test_all_to_all_groups_one_ledger_record():
@@ -201,8 +211,8 @@ def test_spmd_generator_ring_program():
     pairs = md.ring_pairs([0, 1, 2])
 
     def program(core, x):
-        x = yield md.Permute(pairs, x, tag="step")
-        x = yield md.Permute(pairs, x, tag="step")
+        x = yield permute(pairs, x, tag="step")
+        x = yield permute(pairs, x, tag="step")
         return x
 
     out = mesh.run_spmd(program, [vec(float(i)) for i in range(3)])
@@ -241,7 +251,7 @@ def test_spmd_detects_disagreeing_collectives():
     pairs = md.ring_pairs([0, 1])
 
     def program(core, x):
-        x = yield md.Permute(pairs, x, tag=f"tag{core.rank}")
+        x = yield permute(pairs, x, tag=f"tag{core.rank}")
         return x
 
     with pytest.raises(md.ProtocolError):
@@ -255,7 +265,7 @@ def test_spmd_detects_early_finisher():
     def program(core, x):
         if core.rank == 0:
             return x
-        x = yield md.Permute(pairs, x)
+        x = yield permute(pairs, x)
         return x
 
     with pytest.raises(md.ProtocolError):
@@ -275,9 +285,9 @@ def test_spmd_rejects_non_collective_yield():
 def test_spmd_worker_count_does_not_change_anything():
     def program(core, x):
         pairs = md.ring_pairs(list(range(core.num_cores)))
-        x = yield md.Permute(pairs, x, tag="a")
+        x = yield permute(pairs, x, tag="a")
         core.add_flops("einsum", core.rank + 1)
-        x = yield md.Permute(pairs, x, tag="b")
+        x = yield permute(pairs, x, tag="b")
         return x.scaled(2.0)
 
     results = []
@@ -321,7 +331,7 @@ def blas_threads():
 def _reads_blas_threads(get):
     def program(core, x):
         seen = [get()]
-        x = yield md.Permute(md.ring_pairs(list(range(core.num_cores))), x)
+        x = yield permute(md.ring_pairs(list(range(core.num_cores))), x)
         seen.append(get())
         return seen
 
