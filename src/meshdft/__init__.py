@@ -23,9 +23,6 @@ from .decomposition import (
     ComputationShape,
     decompose,
     gather_to_host,
-    global_to_local,
-    local_to_global,
-    slices_for_shape,
 )
 from .errors import (
     ArgumentError,
@@ -66,20 +63,12 @@ from .mesh import (
     line_ring_pairs,
     ring_pairs,
 )
-from .oracle import (
-    OracleResult,
-    direct_dft,
-    direct_dft_2d,
-    direct_dft_3d,
-    relative_l2_error,
-)
+from .oracle import direct_dft, relative_l2_error
 from .vandermonde import (
     SamplePoints,
-    VandermondeSlice,
     build_nonuniform,
     build_phase_slice,
     build_uniform,
-    matrix_for,
     slice_rows,
 )
 
@@ -102,7 +91,6 @@ __all__ = [
     "KdftPlan",
     "MeshDftError",
     "MeshSim",
-    "OracleResult",
     "PlanError",
     "PrecisionMode",
     "ProtocolError",
@@ -110,7 +98,6 @@ __all__ = [
     "SamplePoints",
     "SourceTargetPairs",
     "UnsupportedOperationError",
-    "VandermondeSlice",
     "bf16_array",
     "bf16_split",
     "bit_reversal_permutation",
@@ -122,20 +109,15 @@ __all__ = [
     "create_kdft_plan",
     "decompose",
     "direct_dft",
-    "direct_dft_2d",
-    "direct_dft_3d",
     "fft_forward",
     "gather_positions",
     "gather_to_host",
-    "global_to_local",
     "kdft_forward",
     "kdft_inverse_uniform",
     "line_ring_pairs",
     "local_fft",
     "local_fft_flops",
-    "local_to_global",
     "matmul_mixed",
-    "matrix_for",
     "one_shuffle",
     "phase_adjust",
     "relative_l2_error",
@@ -143,6 +125,5 @@ __all__ = [
     "ring_pairs",
     "scale_along_axis",
     "slice_rows",
-    "slices_for_shape",
     "strided_gather",
 ]

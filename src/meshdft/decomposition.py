@@ -1,9 +1,7 @@
 """Core grids and block decomposition of global tensors.
 
 A computation shape (P1, P2, P3) arranges cores in a (possibly degenerate)
-3-D grid. Tensors are split into equal contiguous blocks, one per core;
-frequency-domain indices map to (core position, local offset) by the
-decimation rule n = P*l + beta.
+3-D grid. Tensors are split into equal contiguous blocks, one per core.
 """
 
 from dataclasses import dataclass
@@ -17,7 +15,6 @@ from .errors import (
     DecompositionError,
     DimensionError,
 )
-from .vandermonde import slice_rows
 
 
 @dataclass(frozen=True)
@@ -88,23 +85,6 @@ class ComputationShape:
         return cls(*parts)
 
 
-def global_to_local(n, parts):
-    """Frequency index -> (core position, local offset) under decimation n = P*l + b."""
-    if not isinstance(parts, int) or parts < 1:
-        raise ArgumentError(f"parts must be a positive int, got {parts!r}")
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ArgumentError(f"index must be a non-negative int, got {n!r}")
-    return int(n) % parts, int(n) // parts
-
-
-def local_to_global(beta, offset, parts):
-    if not 0 <= beta < parts:
-        raise ArgumentError(f"position {beta} out of range for {parts} parts")
-    if offset < 0:
-        raise ArgumentError(f"offset must be non-negative, got {offset!r}")
-    return parts * int(offset) + int(beta)
-
-
 @dataclass(frozen=True)
 class BlockAssignment:
     """How a global tensor is split into per-core contiguous blocks."""
@@ -165,38 +145,6 @@ def decompose(tensor, shape):
         # views of the input's frozen planes
         blocks.append(ComplexTensor._own(tensor.re[sl], tensor.im[sl]))
     return blocks, assignment
-
-
-def slices_for_shape(matrices, shape):
-    """Row-partition one transform matrix per dimension across the core grid.
-
-    Returns a list indexed by flat core id; entry ``core`` is a tuple of
-    VandermondeSlice, one per dimension, where the slice along dimension d
-    depends only on the core's grid position along d. Cores that share a
-    position hold identical slices.
-    """
-    if not isinstance(shape, ComputationShape):
-        raise ArgumentError("slices_for_shape expects a ComputationShape")
-    matrices = tuple(matrices)
-    rank = len(matrices)
-    if not 1 <= rank <= 3:
-        raise DimensionError(f"expected 1..3 matrices, got {rank}")
-    for d in range(rank, 3):
-        if shape.dims[d] != 1:
-            raise DecompositionError(
-                f"rank-{rank} transform cannot be spread over {shape.dims[d]} cores on dim {d}"
-            )
-    per_dim = []
-    for d, matrix in enumerate(matrices):
-        try:
-            per_dim.append(slice_rows(matrix, shape.dims[d], dim_index=d))
-        except DimensionError as exc:
-            raise DecompositionError(str(exc)) from exc
-    out = []
-    for core in range(shape.num_cores):
-        coords = shape.coords(core)
-        out.append(tuple(per_dim[d][coords[d]] for d in range(rank)))
-    return out
 
 
 def gather_to_host(blocks, assignment):

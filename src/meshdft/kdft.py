@@ -151,8 +151,9 @@ def one_shuffle(mesh, v_slices, x_blocks, group=None, axis=0,
                 mode=PrecisionMode.F64_REFERENCE, trace=None):
     """Standalone shift-by-one contraction over one core group.
 
-    ``v_slices[i]`` and ``x_blocks[i]`` belong to core ``group[i]``; the
-    slice of each core is split into len(group) column blocks internally.
+    ``v_slices[i]`` (a rank-2 row block, as from ``slice_rows``) and
+    ``x_blocks[i]`` belong to core ``group[i]``; the slice of each core is
+    split into len(group) column blocks internally.
     Returns per-core partial-sum results aligned with ``group``.
     """
     group = _mesh_group(mesh, group)
@@ -161,9 +162,8 @@ def one_shuffle(mesh, v_slices, x_blocks, group=None, axis=0,
         raise DimensionError("need one slice and one block per group member")
     pos_of = {core: i for i, core in enumerate(group)}
     cols_by_core = {}
-    for i, (sl, x) in enumerate(zip(v_slices, x_blocks)):
-        rows = sl.rows if hasattr(sl, "rows") else sl
-        if rows.rank != 2:
+    for i, (rows, x) in enumerate(zip(v_slices, x_blocks)):
+        if not isinstance(rows, ComplexTensor) or rows.rank != 2:
             raise DimensionError("each slice must be a rank-2 ComplexTensor")
         r, n = rows.shape
         if n != r * parts:

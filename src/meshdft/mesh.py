@@ -258,31 +258,6 @@ def _run_slab(fn, args_list):
         fn(*args)
 
 
-def _concat(blocks, axis):
-    re = np.concatenate([b.re for b in blocks], axis=axis)
-    im = np.concatenate([b.im for b in blocks], axis=axis)
-    return ComplexTensor._own(re, im)
-
-
-def _split_chunks(value, axis, n):
-    if not -value.rank <= axis < value.rank:
-        raise CommunicationError(f"split axis {axis} out of range for rank {value.rank}")
-    axis %= value.rank
-    extent = value.shape[axis]
-    if extent % n != 0:
-        raise CommunicationError(
-            f"extent {extent} along axis {axis} does not split into {n} equal chunks"
-        )
-    step = extent // n
-    out = []
-    for i in range(n):
-        idx = [slice(None)] * value.rank
-        idx[axis] = slice(i * step, (i + 1) * step)
-        idx = tuple(idx)
-        out.append(ComplexTensor._own(value.re[idx], value.im[idx]))
-    return out
-
-
 _OPENBLAS_THREAD_CALLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
@@ -488,11 +463,27 @@ class MeshSim:
             shapes = {(values[c].shape, values[c].dtype) for c in g}
             if len(shapes) != 1:
                 raise CommunicationError("payload shapes/dtypes differ in group")
+            first = values[g[0]]
+            if not -first.rank <= split_axis < first.rank:
+                raise CommunicationError(
+                    f"split axis {split_axis} out of range for rank {first.rank}"
+                )
+            axis = split_axis % first.rank
             n = len(g)
-            chunks = [_split_chunks(values[c], split_axis, n) for c in g]
-            axis = split_axis % values[g[0]].rank
+            extent = first.shape[axis]
+            if extent % n != 0:
+                raise CommunicationError(
+                    f"extent {extent} along axis {axis} does not split into "
+                    f"{n} equal chunks"
+                )
+            step = extent // n
+            # member i receives chunk i of every member's payload, in group order
             for i, c in enumerate(g):
-                responses[c] = _concat([chunks[j][i] for j in range(n)], axis)
-            nbytes += n * values[g[0]].nbytes
+                idx = (slice(None),) * axis + (slice(i * step, (i + 1) * step),)
+                responses[c] = ComplexTensor._own(
+                    np.concatenate([values[s].re[idx] for s in g], axis=axis),
+                    np.concatenate([values[s].im[idx] for s in g], axis=axis),
+                )
+            nbytes += n * first.nbytes
         self.ledger.record_all_to_all(nbytes, tag=tag)
         return responses

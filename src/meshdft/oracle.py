@@ -1,9 +1,9 @@
-"""Brute-force reference transforms and error metrics.
+"""Brute-force reference transform and error metrics.
 
 This module is the measuring stick for everything else: it evaluates
-X_k = sum_n x_n * z_k**(-n) one output at a time in float64, building the
-power sequence per output point rather than any transform matrix, and it
-deliberately imports nothing from the engine modules.
+X_k = sum_n x_n * z_k**(-n) one output at a time in float64, for any rank,
+building the power sequence per output point rather than any transform
+matrix, and it deliberately imports nothing from the engine modules.
 """
 
 from dataclasses import dataclass
@@ -40,67 +40,43 @@ def _power_row(z_k, n):
 
 
 def direct_dft(x, samples=None):
-    """O(n^2) reference transform of a rank-1 tensor."""
-    if not isinstance(x, ComplexTensor) or x.rank != 1:
-        raise DimensionError("direct_dft expects a rank-1 ComplexTensor")
-    n = x.shape[0]
-    z = _as_points(samples, n)
-    if z.size != n:
-        raise ArgumentError(f"need {n} sample points, got {z.size}")
-    xc = x.to_complex()
-    out = np.empty(n, dtype=np.complex128)
-    for k in range(n):
-        out[k] = np.sum(xc * _power_row(z[k], n))
-    values = ComplexTensor(out.real, out.imag)
-    return OracleResult(values=values, max_abs=float(np.max(np.abs(out))))
+    """O(N^2) reference transform of a rank-1..3 tensor of N elements.
 
-
-def direct_dft_2d(x, samples=None):
-    """Reference transform of a rank-2 tensor, one output point at a time."""
-    if not isinstance(x, ComplexTensor) or x.rank != 2:
-        raise DimensionError("direct_dft_2d expects a rank-2 ComplexTensor")
-    n1, n2 = x.shape
-    samples = samples or (None, None)
-    z1 = _as_points(samples[0], n1)
-    z2 = _as_points(samples[1], n2)
-    if z1.size != n1 or z2.size != n2:
-        raise ArgumentError("sample point counts must match tensor extents")
-    xc = x.to_complex()
-    out = np.empty((n1, n2), dtype=np.complex128)
-    for k1 in range(n1):
-        row1 = _power_row(z1[k1], n1)
-        for k2 in range(n2):
-            row2 = _power_row(z2[k2], n2)
-            out[k1, k2] = np.sum(xc * row1[:, None] * row2[None, :])
-    values = ComplexTensor(out.real, out.imag)
-    return OracleResult(values=values, max_abs=float(np.max(np.abs(out))))
-
-
-def direct_dft_3d(x, samples=None):
-    """Reference transform of a rank-3 tensor.
-
-    The full sum over all inputs runs per output point, so cost is O(n^2)
-    in the total element count; intended for extents up to about 32.
+    ``samples`` holds one entry per dimension (None for uniform points); a
+    rank-1 tensor also takes its one SamplePoints bare. Each output point is
+    a full sum over the inputs, each input scaled by one power row per
+    dimension in dimension order.
     """
-    if not isinstance(x, ComplexTensor) or x.rank != 3:
-        raise DimensionError("direct_dft_3d expects a rank-3 ComplexTensor")
-    n1, n2, n3 = x.shape
-    samples = samples or (None, None, None)
-    z1 = _as_points(samples[0], n1)
-    z2 = _as_points(samples[1], n2)
-    z3 = _as_points(samples[2], n3)
-    if z1.size != n1 or z2.size != n2 or z3.size != n3:
-        raise ArgumentError("sample point counts must match tensor extents")
-    xc = x.to_complex()
-    out = np.empty((n1, n2, n3), dtype=np.complex128)
-    for k1 in range(n1):
-        row1 = _power_row(z1[k1], n1)
-        for k2 in range(n2):
-            row2 = _power_row(z2[k2], n2)
-            partial = xc * row1[:, None, None] * row2[None, :, None]
-            for k3 in range(n3):
-                row3 = _power_row(z3[k3], n3)
-                out[k1, k2, k3] = np.sum(partial * row3[None, None, :])
+    if not isinstance(x, ComplexTensor):
+        raise DimensionError("direct_dft expects a ComplexTensor")
+    if samples is None:
+        samples = (None,) * x.rank
+    elif isinstance(samples, SamplePoints):
+        samples = (samples,)
+    if len(samples) != x.rank:
+        raise ArgumentError(
+            f"need one sample set per dimension ({x.rank}), got {len(samples)}"
+        )
+    points = [_as_points(s, n) for s, n in zip(samples, x.shape)]
+    for d, (z, n) in enumerate(zip(points, x.shape)):
+        if z.size != n:
+            raise ArgumentError(f"dim {d}: need {n} sample points, got {z.size}")
+    # each dimension's power rows broadcast along that dimension only
+    row_shapes = [
+        tuple(n if a == d else 1 for a in range(x.rank)) for d, n in enumerate(x.shape)
+    ]
+    out = np.empty(x.shape, dtype=np.complex128)
+
+    def fill(partial, index):
+        d = len(index)
+        for k, z_k in enumerate(points[d]):
+            term = partial * _power_row(z_k, x.shape[d]).reshape(row_shapes[d])
+            if d + 1 == x.rank:
+                out[index + (k,)] = np.sum(term)
+            else:
+                fill(term, index + (k,))
+
+    fill(x.to_complex(), ())
     values = ComplexTensor(out.real, out.imag)
     return OracleResult(values=values, max_abs=float(np.max(np.abs(out))))
 

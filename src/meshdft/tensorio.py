@@ -47,8 +47,10 @@ def read_tensor(path):
     try:
         with open(sidecar_path(path)) as fh:
             header = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"malformed sidecar for {path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ArgumentError(f"sidecar for {path} is not a JSON object")
     for key in ("dims", "dtype", "layout"):
         if key not in header:
             raise ArgumentError(f"sidecar for {path} missing field {key!r}")
@@ -57,7 +59,11 @@ def read_tensor(path):
     dtype = header["dtype"]
     if dtype not in _DTYPES:
         raise ArgumentError(f"unsupported dtype {dtype!r} in sidecar")
-    dims = [int(n) for n in header["dims"]]
+    dims = header["dims"]
+    if not isinstance(dims, list) or not all(isinstance(n, int) for n in dims):
+        raise ArgumentError(
+            f"sidecar for {path}: dims must be a list of ints, got {dims!r}"
+        )
     count = 2 * int(np.prod(dims))
     raw = np.fromfile(path, dtype=_DTYPES[dtype])
     if raw.size != count:
@@ -70,9 +76,12 @@ def read_tensor(path):
 
 def read_points_file(path):
     """Load per-dimension sample points from JSON: {"dims": [[[re, im], ...], ...]}."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "dims" not in data:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ArgumentError(f"malformed points file {path}: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("dims"), list):
         raise ArgumentError(f"{path}: expected an object with a 'dims' list")
     out = []
     for d, entries in enumerate(data["dims"]):

@@ -5,8 +5,6 @@ z_k, so ``V @ x`` evaluates X_k = sum_n x_n * z_k**(-n). On the unit circle
 with uniformly spaced points this is exactly the DFT matrix.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ctensor import ComplexTensor
@@ -47,19 +45,6 @@ class SamplePoints:
     @classmethod
     def explicit(cls, values):
         return cls(values, is_uniform=False)
-
-
-@dataclass(frozen=True)
-class VandermondeSlice:
-    """A contiguous row block of a transform matrix owned by one core."""
-
-    rows: ComplexTensor
-    core_index: int
-    dim_index: int = 0
-
-    @property
-    def row_count(self):
-        return self.rows.shape[0]
 
 
 def _unit_roots(n):
@@ -110,20 +95,14 @@ def build_nonuniform(samples, cols):
     return ComplexTensor(v.real, v.imag)
 
 
-def matrix_for(samples, cols):
-    """Build the transform matrix for the given sample points."""
-    if samples.is_uniform and len(samples) == cols:
-        return build_uniform(cols)
-    return build_nonuniform(samples, cols)
-
-
 def column_blocks(samples, parts, pos, dtype=np.float64):
     """Core ``pos``'s row slice of the n x n transform matrix, as ``parts`` column blocks.
 
     ``parts`` must divide n = len(samples) and 0 <= pos < parts. Block j
     holds rows [pos*w, (pos+1)*w) and columns [j*w, (j+1)*w) of
-    :func:`matrix_for` ``(samples, n)`` with w = n/parts, bit for bit, cast
-    to ``dtype``. Only this core's rows are ever built: uniform entries are
+    :func:`build_uniform` ``(n)`` for uniform samples, else of
+    :func:`build_nonuniform` ``(samples, n)``, with w = n/parts, bit for bit,
+    cast to ``dtype``. Only this core's rows are ever built: uniform entries are
     looked up in the length-n table one block at a time, nonuniform rows
     come from this core's points alone.
     """
@@ -150,7 +129,7 @@ def column_blocks(samples, parts, pos, dtype=np.float64):
     )
 
 
-def slice_rows(matrix, parts, dim_index=0):
+def slice_rows(matrix, parts):
     """Partition a matrix into ``parts`` contiguous row blocks, one per core."""
     if not isinstance(matrix, ComplexTensor) or matrix.rank != 2:
         raise ArgumentError("slice_rows expects a rank-2 ComplexTensor")
@@ -160,14 +139,13 @@ def slice_rows(matrix, parts, dim_index=0):
     if n % parts != 0:
         raise DimensionError(f"{n} rows do not split into {parts} equal blocks")
     rows_per = n // parts
-    out = []
-    for p in range(parts):
-        block = ComplexTensor(
+    return [
+        ComplexTensor(
             matrix.re[p * rows_per : (p + 1) * rows_per],
             matrix.im[p * rows_per : (p + 1) * rows_per],
         )
-        out.append(VandermondeSlice(rows=block, core_index=p, dim_index=dim_index))
-    return out
+        for p in range(parts)
+    ]
 
 
 def build_phase_slice(n, parts, part_index):

@@ -1,4 +1,4 @@
-"""Small shared helpers: random inputs, end-to-end engine runs, oracle dispatch."""
+"""Small shared helpers: random inputs, end-to-end engine runs, error metric."""
 
 import numpy as np
 
@@ -35,14 +35,6 @@ def run_fft(x, dims, mode=F64, workers=1):
     mesh = md.MeshSim(shape)
     out = md.fft_forward(mesh, plan, blocks, workers=workers)
     return md.gather_to_host(out, assignment), out, mesh
-
-
-def oracle(x, samples=None):
-    if x.rank == 1:
-        return md.direct_dft(x, samples[0] if samples else None)
-    if x.rank == 2:
-        return md.direct_dft_2d(x, samples)
-    return md.direct_dft_3d(x, samples)
 
 
 def err_vs(result, reference):

@@ -47,14 +47,7 @@ class _RunCache:
     def oracle(self, extents, idx):
         key = (extents, idx)
         if key not in self.oracles:
-            x = self.input(extents, idx)
-            rank = len(extents)
-            if rank == 1:
-                self.oracles[key] = md.direct_dft(x)
-            elif rank == 2:
-                self.oracles[key] = md.direct_dft_2d(x)
-            else:
-                self.oracles[key] = md.direct_dft_3d(x)
+            self.oracles[key] = md.direct_dft(self.input(extents, idx))
         return self.oracles[key]
 
     def run(self, algo, extents, dims, idx, mode):

@@ -106,6 +106,30 @@ def test_kdft_nonuniform_points_file(tmp_path):
     assert report["oracle"]["relative_l2_error"] < 1e-10
 
 
+@pytest.mark.parametrize("text", ['{"dims": ', '{"dims": 5}'])
+def test_malformed_points_file_exits_2(tmp_path, capsys, text):
+    pts_path = tmp_path / "pts.json"
+    pts_path.write_text(text)
+    code = cli.main([
+        "transform", "--algo", "kdft", "--dims", "8", "--gen", "delta",
+        "--sampling", "nonuniform", "--points-file", str(pts_path),
+    ])
+    assert code == 2
+    assert "pts.json" in capsys.readouterr().err
+
+
+def test_malformed_sidecar_dims_exits_2(tmp_path, capsys):
+    in_path = tmp_path / "in.bin"
+    tensorio.write_tensor(in_path, rand_tensor((8,), seed=31))
+    side = tmp_path / "in.bin.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), "dims": "ab"}))
+    code = cli.main([
+        "transform", "--algo", "kdft", "--dims", "8", "--input", str(in_path),
+    ])
+    assert code == 2
+    assert "dims must be a list of ints" in capsys.readouterr().err
+
+
 def test_nonuniform_requires_points_file(capsys):
     code = cli.main([
         "transform", "--algo", "kdft", "--dims", "8", "--gen", "delta",
@@ -212,7 +236,7 @@ def test_scaling_strong_report_keeps_default_shape(tmp_path):
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Count calls to the 1-D oracle as the CLI looks it up."""
+    """Count calls to the oracle as the CLI looks it up."""
     calls = []
     real = cli.direct_dft
 
@@ -359,3 +383,10 @@ def test_kdft_bytes_do_not_depend_on_workers_at_blas_sizes(tmp_path, precision):
             rep.read_bytes(),
         ))
     assert payloads[0] == payloads[1] == payloads[2]
+
+
+def test_every_rank_calls_the_one_oracle(oracle_calls):
+    for dims in ("8", "4x4", "2x2x2"):
+        assert cli.main(["transform", "--algo", "kdft", "--dims", dims,
+                         "--gen", "random"]) == 0
+    assert oracle_calls == [(8,), (4, 4), (2, 2, 2)]

@@ -1,4 +1,4 @@
-"""Core grids, block decomposition, and the strided index maps."""
+"""Core grids, block decomposition, the strided index maps and per-core row slices."""
 
 import numpy as np
 import pytest
@@ -45,26 +45,33 @@ def test_shape_lines_group_cores_along_one_dim():
         s.lines(3)
 
 
+def _cvec(values):
+    values = np.asarray(values, dtype=np.float64)
+    return md.ComplexTensor(values, np.zeros_like(values))
+
+
 def test_global_to_local_examples():
-    assert md.global_to_local(0, 2) == (0, 0)
-    assert md.global_to_local(5, 2) == (1, 2)  # 5 = 2*2 + 1
-    assert md.local_to_global(0, 0, 4) == 0
-    assert md.local_to_global(1, 2, 2) == 5
-    with pytest.raises(md.ArgumentError):
-        md.global_to_local(-1, 2)
-    with pytest.raises(md.ArgumentError):
-        md.local_to_global(4, 0, 4)
+    """The decimation rule n = P*l + beta, as strided_gather applies it."""
+    x = np.arange(8, dtype=np.float64)
+    out = md.strided_gather(md.MeshSim(2), [_cvec(x[:4]), _cvec(x[4:])])
+    assert out[0].re[0] == 0  # index 0: position 0, offset 0
+    assert out[1].re[2] == 5  # index 5 = 2*2 + 1: position 1, offset 2
 
 
 @pytest.mark.parametrize("parts", [2, 4, 8])
 def test_strided_maps_are_mutually_inverse(parts):
-    for n in range(64):
-        beta, offset = md.global_to_local(n, parts)
-        assert md.local_to_global(beta, offset, parts) == n
-    # bijectivity onto {0..15} for N=16, P=4
-    if parts == 4:
-        images = {md.local_to_global(b, l, 4) for b in range(4) for l in range(4)}
-        assert images == set(range(16))
+    n = 64
+    x = np.arange(n, dtype=np.float64)
+    m = n // parts
+    blocks = [_cvec(x[i * m : (i + 1) * m]) for i in range(parts)]
+    out = md.strided_gather(md.MeshSim(parts), blocks)
+    # member beta's offset l holds global index P*l + beta, and every index
+    # lands exactly once
+    images = []
+    for beta in range(parts):
+        assert np.array_equal(out[beta].re, parts * np.arange(m) + beta)
+        images.extend(out[beta].re)
+    assert sorted(images) == list(range(n))
 
 
 def test_decompose_single_core_holds_everything():
@@ -124,40 +131,45 @@ def test_gather_rejects_bad_blocks():
         md.gather_to_host([blocks[0], blocks[1].astype(np.float32)], assignment)
 
 
+def _row_slice(plan, d, pos):
+    """Core position ``pos``'s row slice along ``d``, its column blocks rejoined."""
+    blocks = plan.col_blocks[(d, pos)]
+    return np.concatenate([b.to_complex() for b in blocks], axis=1)
+
+
 def test_slices_for_shape_single_core():
-    v = md.build_uniform(8)
-    out = md.slices_for_shape([v], md.ComputationShape(1, 1, 1))
-    assert len(out) == 1
-    assert np.array_equal(out[0][0].rows.to_complex(), v.to_complex())
+    plan = md.create_kdft_plan(md.ComputationShape(1, 1, 1), (8,))
+    assert list(plan.col_blocks) == [(0, 0)]
+    assert np.array_equal(_row_slice(plan, 0, 0), md.build_uniform(8).to_complex())
 
 
 def test_slices_for_shape_shares_rows_along_other_dims():
     v1, v2 = md.build_uniform(8), md.build_uniform(4)
     shape = md.ComputationShape(2, 2, 1)
-    out = md.slices_for_shape([v1, v2], shape)
+    plan = md.create_kdft_plan(shape, (8, 4))
+    # one slice per (dimension, grid position): cores with the same position
+    # along a dimension share its slice
+    assert sorted(plan.col_blocks) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for core in range(shape.num_cores):
         c1, c2, _ = shape.coords(core)
-        s1, s2 = out[core]
-        assert np.array_equal(s1.rows.re, v1.re[c1 * 4 : (c1 + 1) * 4])
-        assert np.array_equal(s2.rows.re, v2.re[c2 * 2 : (c2 + 1) * 2])
-    # cores with the same position along dim 0 hold identical dim-0 slices
-    assert np.array_equal(out[0][0].rows.re, out[1][0].rows.re)
+        rows1, rows2 = slice(c1 * 4, (c1 + 1) * 4), slice(c2 * 2, (c2 + 1) * 2)
+        assert np.array_equal(_row_slice(plan, 0, c1), v1.to_complex()[rows1])
+        assert np.array_equal(_row_slice(plan, 1, c2), v2.to_complex()[rows2])
 
 
 def test_slices_for_shape_union_reconstructs_nonuniform_matrix():
     rng = np.random.default_rng(9)
-    z = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
-    v = md.build_nonuniform(md.SamplePoints.explicit(z), 8)
-    out = md.slices_for_shape([v], md.ComputationShape(4, 1, 1))
-    rebuilt = np.concatenate([out[i][0].rows.to_complex() for i in range(4)], axis=0)
+    samples = md.SamplePoints.explicit(np.exp(1j * rng.uniform(0, 2 * np.pi, 8)))
+    v = md.build_nonuniform(samples, 8)
+    plan = md.create_kdft_plan(md.ComputationShape(4, 1, 1), (samples,))
+    rebuilt = np.concatenate([_row_slice(plan, 0, i) for i in range(4)], axis=0)
     assert np.array_equal(rebuilt, v.to_complex())
 
 
 def test_slices_for_shape_errors():
-    v = md.build_uniform(8)
-    with pytest.raises(md.DecompositionError):
-        md.slices_for_shape([v], md.ComputationShape(3, 1, 1))
-    with pytest.raises(md.DecompositionError):
-        md.slices_for_shape([v], md.ComputationShape(1, 2, 1))
+    with pytest.raises(md.PlanError):
+        md.create_kdft_plan(md.ComputationShape(3, 1, 1), (8,))
+    with pytest.raises(md.PlanError):
+        md.create_kdft_plan(md.ComputationShape(1, 2, 1), (8,))
     with pytest.raises(md.ArgumentError):
-        md.slices_for_shape([v], (1, 1, 1))
+        md.create_kdft_plan((1, 1, 1), (8,))

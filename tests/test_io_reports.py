@@ -65,6 +65,10 @@ def test_read_tensor_bad_sidecars(tmp_path):
     with pytest.raises(md.ArgumentError):
         tensorio.read_tensor(path)
 
+    side.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(md.ArgumentError, match="malformed sidecar"):
+        tensorio.read_tensor(path)
+
     side.write_text(json.dumps({"dims": [4], "dtype": "float64"}))
     with pytest.raises(md.ArgumentError, match="layout"):
         tensorio.read_tensor(path)
@@ -77,6 +81,19 @@ def test_read_tensor_bad_sidecars(tmp_path):
     side.write_text(json.dumps(
         {"dims": [4], "dtype": "float16", "layout": tensorio.LAYOUT}))
     with pytest.raises(md.ArgumentError, match="dtype"):
+        tensorio.read_tensor(path)
+
+
+@pytest.mark.parametrize("sidecar", ['{"dims": "ab"}', '{"dims": 4}', "[4]"])
+def test_read_tensor_malformed_dims_is_an_argument_error(tmp_path, sidecar):
+    path = tmp_path / "t.bin"
+    tensorio.write_tensor(path, rand_tensor((4,), seed=3))
+    header = json.loads((tmp_path / "t.bin.json").read_text())
+    doc = json.loads(sidecar)
+    if isinstance(doc, dict):
+        doc = {**header, **doc}
+    (tmp_path / "t.bin.json").write_text(json.dumps(doc))
+    with pytest.raises(md.ArgumentError, match="sidecar"):
         tensorio.read_tensor(path)
 
 
@@ -128,6 +145,16 @@ def test_points_file_malformed(tmp_path):
         tensorio.read_points_file(path)
     path.write_text(json.dumps({"dims": []}))
     with pytest.raises(md.ArgumentError):
+        tensorio.read_points_file(path)
+
+
+@pytest.mark.parametrize(
+    "raw", [b'{"dims": ', b'{"dims": 5}', b'{"dims": "ab"}', b"\xff\xfe{}"]
+)
+def test_points_file_malformed_json_is_an_argument_error(tmp_path, raw):
+    path = tmp_path / "pts.json"
+    path.write_bytes(raw)
+    with pytest.raises(md.ArgumentError, match="pts.json"):
         tensorio.read_points_file(path)
 
 

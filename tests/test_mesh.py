@@ -172,9 +172,30 @@ def test_all_to_all_is_an_involution():
 def test_all_to_all_validation():
     mesh = md.MeshSim(2)
     with pytest.raises(md.CommunicationError):
-        mesh.all_to_all_groups(((0, 1),), [vec(1.0, 2.0, 3.0), vec(4.0, 5.0, 6.0)])
-    with pytest.raises(md.CommunicationError):
         mesh.all_to_all_groups(((0, 1),), [vec(1.0, 2.0), vec(3.0)])
+    with pytest.raises(md.CommunicationError, match="split axis 1 out of range"):
+        mesh.all_to_all_groups(((0, 1),), [vec(1.0, 2.0), vec(3.0, 4.0)], split_axis=1)
+    with pytest.raises(md.CommunicationError, match="does not split into 2"):
+        mesh.all_to_all_groups(((0, 1),), [vec(1.0, 2.0, 3.0), vec(4.0, 5.0, 6.0)])
+
+
+@pytest.mark.parametrize("split_axis", [0, 1, 2, -1])
+def test_all_to_all_groups_matches_chunk_transpose(split_axis):
+    """Member i of a group gets chunk i of every member, joined in group order."""
+    mesh = md.MeshSim(8)
+    values = [rand_tensor((4, 8, 4), seed=i) for i in range(8)]
+    groups = ((0, 1, 2, 3), (5, 7), (4,), (6,))
+    out = mesh.all_to_all_groups(groups, values, split_axis=split_axis, tag="t")
+    for g in groups:
+        chunks = [np.split(values[c].to_complex(), len(g), axis=split_axis) for c in g]
+        for i, c in enumerate(g):
+            want = np.concatenate([ch[i] for ch in chunks], axis=split_axis)
+            assert np.array_equal(out[c].to_complex(), want)
+    nbytes = sum(len(g) * values[g[0]].nbytes for g in groups)
+    assert mesh.ledger.per_tag() == {"t": {
+        "permute_count": 0, "all_to_all_count": 1, "bytes_moved": nbytes,
+        "einsum_flops": 0, "local_fft_flops": 0,
+    }}
 
 
 def test_all_to_all_groups_one_ledger_record():

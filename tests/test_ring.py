@@ -185,7 +185,7 @@ def test_standalone_rings_match_per_core_loops(mode):
 
     def shuffle_program(core, _):
         i = pos_of[core.rank]
-        rows = slices[i].rows
+        rows = slices[i]
         cols = [md.ComplexTensor(rows.re[:, j * r:(j + 1) * r], rows.im[:, j * r:(j + 1) * r])
                 for j in range(parts)]
         return (yield from _shift_steps_reference(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
+from meshdft.vandermonde import column_blocks
 
 
 def test_build_uniform_smallest_cases():
@@ -77,23 +78,23 @@ def test_build_nonuniform_overflow_is_an_error():
 
 
 def test_matrix_for_dispatch():
-    u = md.matrix_for(md.SamplePoints.uniform(8), 8)
+    """Plan blocks come from the uniform table or from the points' powers."""
+    (u,) = column_blocks(md.SamplePoints.uniform(8), 1, 0)
     assert np.array_equal(u.to_complex(), md.build_uniform(8).to_complex())
-    nu = md.matrix_for(md.SamplePoints.explicit([2.0, 4.0]), 2)
+    (nu,) = column_blocks(md.SamplePoints.explicit([2.0, 4.0]), 1, 0)
     assert np.allclose(nu.to_complex(), [[1.0, 0.5], [1.0, 0.25]])
 
 
 def test_slice_rows_partition():
     v = md.build_uniform(4)
     whole = md.slice_rows(v, 1)
-    assert len(whole) == 1 and whole[0].rows.shape == (4, 4)
-    halves = md.slice_rows(v, 2, dim_index=1)
-    assert [s.core_index for s in halves] == [0, 1]
-    assert all(s.dim_index == 1 for s in halves)
-    assert np.array_equal(halves[1].rows.re, v.re[2:4])
-    rebuilt = np.concatenate([s.rows.to_complex() for s in halves], axis=0)
+    assert len(whole) == 1 and whole[0].shape == (4, 4)
+    halves = md.slice_rows(v, 2)
+    assert all(isinstance(s, md.ComplexTensor) for s in halves)
+    assert np.array_equal(halves[1].re, v.re[2:4])
+    rebuilt = np.concatenate([s.to_complex() for s in halves], axis=0)
     assert np.array_equal(rebuilt, v.to_complex())
-    assert halves[0].row_count == 2
+    assert halves[0].shape == (2, 4)
 
 
 def test_slice_rows_errors():
