@@ -42,8 +42,7 @@ local = [md.local_fft(g) for g in gathered]
 # with M >= P the gather leaves position i holding subsequence i, which is
 # exactly the layout the standalone phase helper expects
 assert offsets == tuple(range(parts))
-combined = md.phase_adjust(
-    mesh, local, [md.build_phase_slice(n, parts, p) for p in range(parts)])
+combined = md.phase_adjust(mesh, local)
 
 print("stage 4, phase combination; compare with numpy:")
 full = np.fft.fft(x.to_complex())

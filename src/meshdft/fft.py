@@ -24,7 +24,7 @@ from .ctensor import ComplexTensor, PrecisionMode, _complex_product, _split3, re
 from .decomposition import ComputationShape
 from .errors import ArgumentError, DimensionError, PlanError
 from .mesh import (
-    AllToAll, Ring, _check_blocks, _check_plan, _mesh_group, line_ring_pairs, ring_pairs
+    AllToAll, Ring, _check_blocks, _check_plan, _check_tensors, line_ring_pairs, ring_pairs
 )
 from .vandermonde import _unit_roots
 
@@ -296,72 +296,43 @@ def fft_forward(mesh, plan, blocks, workers=1):
     return mesh.run_spmd(program, blocks, workers=workers)
 
 
-def strided_gather(mesh, blocks, group=None, axis=0, tag="gather"):
-    """Standalone block-to-subsequence exchange over one ordered group.
+def strided_gather(mesh, blocks):
+    """Standalone block-to-subsequence exchange along axis 0 of every core's block.
 
-    ``blocks[i]`` belongs to core ``group[i]`` and holds the i-th contiguous
-    input block; afterwards member i holds the decimated subsequence
+    ``blocks[i]`` is core i's contiguous input block, in rank order;
+    afterwards core i holds the decimated subsequence
     ``gather_positions(P, M)[i]`` with local slots in transform order.
     Counts one all_to_all on the mesh ledger.
     """
-    group = _mesh_group(mesh, group)
-    parts = len(group)
-    if len(blocks) != parts:
-        raise DimensionError("need one block per group member")
-    first = blocks[0]
-    if not -first.rank <= axis < first.rank:
-        raise DimensionError(f"axis {axis} out of range for rank {first.rank}")
-    axis %= first.rank
-    m = first.shape[axis]
+    parts = mesh.num_cores
+    _check_tensors(blocks, parts)
+    m = blocks[0].shape[0]
     if parts > 1 and not (_is_pow2(parts) and _is_pow2(m)):
-        raise DimensionError("group size and block extent must be powers of two")
-    groups = _gather_groups([group], parts, m)
-    values = [None] * mesh.num_cores
-    for i, core in enumerate(group):
-        b = blocks[i]
-        if parts > 1 and m >= parts:
-            b = reorder(b, axis, _gather_reorder_perm(parts, m))
-        values[core] = b
-    out = mesh.all_to_all_groups(groups, values, split_axis=axis, tag=tag)
-    return [out[core] for core in group]
+        raise DimensionError("core count and block extent must be powers of two")
+    if parts > 1 and m >= parts:
+        blocks = [reorder(b, 0, _gather_reorder_perm(parts, m)) for b in blocks]
+    groups = _gather_groups([range(parts)], parts, m)
+    return mesh.all_to_all_groups(groups, blocks, tag="gather")
 
 
-def phase_adjust(mesh, blocks, phase_slices, group=None, axis=0,
-                 mode=PrecisionMode.F64_REFERENCE, tag="phase"):
-    """Standalone phase combination: member i holds subsequence i's local FFT.
+def phase_adjust(mesh, blocks, mode=PrecisionMode.F64_REFERENCE):
+    """Standalone phase combination along axis 0: core i holds subsequence i's local FFT.
 
-    ``phase_slices[i]`` is the (M, P) phase block for member i's output rows.
-    Returns per-core combined frequency blocks aligned with ``group``;
-    costs P-1 permutes.
+    With M-point blocks on P cores, core p ends with output rows
+    [p*M, (p+1)*M) of the N = M*P-point transform, its phase factors read
+    from the unit-root table as :func:`fft_forward` reads them. Returns the
+    per-core combined blocks in rank order; costs P-1 permutes.
     """
-    group = _mesh_group(mesh, group)
-    parts = len(group)
-    if len(blocks) != parts or len(phase_slices) != parts:
-        raise DimensionError("need one block and one phase slice per group member")
-    rank = blocks[0].rank
-    if not -rank <= axis < rank:
-        raise DimensionError(f"axis {axis} out of range for rank {rank}")
-    axis %= rank
-    if any(ph.shape != (blocks[0].shape[axis], parts) for ph in phase_slices):
-        raise DimensionError(f"each phase slice must be (block extent, {parts})")
-    # member i at ring step s takes column (i + s) mod P of its own slice
-    shape = (parts, parts) + _bshape(axis, rank)
-    re = np.stack([ph.re.T for ph in phase_slices]).reshape(shape)
-    im = np.stack([ph.im.T for ph in phase_slices]).reshape(shape)
-    idx = np.arange(parts)
-    pairs = ring_pairs(group)
-    pos_of = {core: i for i, core in enumerate(group)}
-    blocks_by_core = dict(zip(group, blocks))
+    parts = mesh.num_cores
+    _check_tensors(blocks, parts)
+    m, rank = blocks[0].shape[0], blocks[0].rank
+    factors = _unit_root_factors(m * parts, parts, tuple(range(parts)), 0, rank, mode)
+    pairs = ring_pairs(range(parts))
 
-    def factors(step):
-        cols = (idx + step) % parts
-        return _factor_table(re[idx, cols], im[idx, cols], mode)
-
-    def program(core, _):
-        x = blocks_by_core[core.rank].astype(mode.real_dtype)
+    def program(core, x):
+        x = x.astype(mode.real_dtype)
         return (yield _phase_ring(
-            core, pos_of[core.rank], x, axis, parts, pairs, factors, mode, tag
+            core, core.rank, x, 0, parts, pairs, factors, mode, "phase"
         ))
 
-    results = mesh.run_spmd(program, [None] * parts)
-    return [results[core] for core in group]
+    return mesh.run_spmd(program, blocks)

@@ -17,7 +17,7 @@ from .ctensor import ComplexTensor, PrecisionMode, contract
 from .decomposition import ComputationShape
 from .errors import DimensionError, PlanError, UnsupportedOperationError
 from .mesh import (
-    Ring, _check_blocks, _check_plan, _mesh_group, line_ring_pairs, ring_pairs
+    Ring, _check_blocks, _check_plan, _check_tensors, line_ring_pairs, ring_pairs
 )
 from .vandermonde import SamplePoints, column_blocks
 
@@ -147,22 +147,19 @@ def kdft_inverse_uniform(mesh, plan, blocks, workers=1):
     return mesh.run_spmd(program, blocks, workers=workers)
 
 
-def one_shuffle(mesh, v_slices, x_blocks, group=None, axis=0,
-                mode=PrecisionMode.F64_REFERENCE, trace=None):
-    """Standalone shift-by-one contraction over one core group.
+def one_shuffle(mesh, v_slices, x_blocks, mode=PrecisionMode.F64_REFERENCE, trace=None):
+    """Standalone shift-by-one contraction along axis 0 on every core of the mesh.
 
     ``v_slices[i]`` (a rank-2 row block, as from ``slice_rows``) and
-    ``x_blocks[i]`` belong to core ``group[i]``; the slice of each core is
-    split into len(group) column blocks internally.
-    Returns per-core partial-sum results aligned with ``group``.
+    ``x_blocks[i]`` belong to core i; each slice is split into P column
+    blocks internally. Returns the per-core partial-sum results in rank order.
     """
-    group = _mesh_group(mesh, group)
-    parts = len(group)
-    if len(v_slices) != parts or len(x_blocks) != parts:
-        raise DimensionError("need one slice and one block per group member")
-    pos_of = {core: i for i, core in enumerate(group)}
-    cols_by_core = {}
-    for i, (rows, x) in enumerate(zip(v_slices, x_blocks)):
+    parts = mesh.num_cores
+    if len(v_slices) != parts:
+        raise DimensionError(f"expected {parts} slices, got {len(v_slices)}")
+    _check_tensors(x_blocks, parts)
+    cols = []
+    for rows, x in zip(v_slices, x_blocks):
         if not isinstance(rows, ComplexTensor) or rows.rank != 2:
             raise DimensionError("each slice must be a rank-2 ComplexTensor")
         r, n = rows.shape
@@ -170,28 +167,23 @@ def one_shuffle(mesh, v_slices, x_blocks, group=None, axis=0,
             raise DimensionError(
                 f"slice {rows.shape} does not split into {parts} square column blocks"
             )
-        if not -x.rank <= axis < x.rank or x.shape[axis % x.rank] != r:
-            raise DimensionError(
-                f"block extent along axis {axis} must be {r}, got {x.shape}"
-            )
-        cols_by_core[group[i]] = tuple(
+        if x.shape[0] != r:
+            raise DimensionError(f"block extent along axis 0 must be {r}, got {x.shape}")
+        cols.append(tuple(
             ComplexTensor(rows.re[:, j * r : (j + 1) * r], rows.im[:, j * r : (j + 1) * r])
             for j in range(parts)
-        )
-    pairs = ring_pairs(group)
+        ))
+    pairs = ring_pairs(range(parts))
     trace_logs = [[] for _ in range(parts)] if trace is not None else None
-    blocks_by_core = dict(zip(group, x_blocks))
 
-    def program(core, _):
-        pos = pos_of[core.rank]
-        x = blocks_by_core[core.rank].astype(mode.real_dtype)
+    def program(core, x):
         log = trace_logs[core.rank] if trace_logs is not None else None
         return (yield _shift_ring(
-            core, cols_by_core[core.rank], x, axis, parts, pos, pairs, mode,
-            "one_shuffle", log
+            core, cols[core.rank], x.astype(mode.real_dtype), 0, parts, core.rank,
+            pairs, mode, "one_shuffle", log
         ))
 
-    results = mesh.run_spmd(program, [None] * parts)
+    results = mesh.run_spmd(program, x_blocks)
     if trace is not None:
         # one record per step: every core's operand, then the permute after it
         trace.extend(
@@ -199,4 +191,4 @@ def one_shuffle(mesh, v_slices, x_blocks, group=None, axis=0,
              "pairs": pairs.pairs if s < parts - 1 else None}
             for s in range(parts)
         )
-    return [results[core] for core in group]
+    return results

@@ -142,11 +142,6 @@ class AllToAll:
     split_axis: int = 0
     tag: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "groups", tuple(tuple(int(c) for c in g) for g in self.groups)
-        )
-
     def meta(self):
         return ("all_to_all", self.groups, self.split_axis, self.tag)
 
@@ -224,33 +219,26 @@ def _check_plan(shape, precision, rank):
             )
 
 
+def _check_tensors(blocks, num_cores):
+    """Reject anything but one ComplexTensor block per core."""
+    if len(blocks) != num_cores:
+        raise DimensionError(f"expected {num_cores} blocks, got {len(blocks)}")
+    for i, b in enumerate(blocks):
+        if not isinstance(b, ComplexTensor):
+            raise DimensionError(f"block {i} must be a ComplexTensor")
+
+
 def _check_blocks(mesh, plan, blocks):
     """Reject a mesh or per-core block list that does not fit an engine's plan."""
     if not isinstance(mesh, MeshSim) or mesh.shape != plan.shape:
         raise ArgumentError("mesh and plan must share the same computation shape")
-    if len(blocks) != plan.shape.num_cores:
-        raise DimensionError(
-            f"expected {plan.shape.num_cores} blocks, got {len(blocks)}"
-        )
+    _check_tensors(blocks, plan.shape.num_cores)
     expected = tuple(
         n // p for n, p in zip(plan.extents, plan.shape.dims[: plan.rank])
     )
     for i, b in enumerate(blocks):
-        if not isinstance(b, ComplexTensor) or b.shape != expected:
+        if b.shape != expected:
             raise DimensionError(f"block {i} must have shape {expected}")
-
-
-def _mesh_group(mesh, group):
-    """``group`` as a list of ints, which must enumerate every core of ``mesh`` once.
-
-    ``None`` stands for every core in rank order.
-    """
-    if group is None:
-        return list(range(mesh.num_cores))
-    group = [int(c) for c in group]
-    if sorted(group) != list(range(mesh.num_cores)):
-        raise ArgumentError("group must enumerate every core of the mesh exactly once")
-    return group
 
 
 def _run_slab(fn, args_list):
@@ -319,11 +307,13 @@ class MeshSim:
         ``program`` may return a value directly or be a generator that yields
         AllToAll/Ring requests. Returns the per-core results in rank
         order. Disagreement between cores about the next collective raises
-        ProtocolError; the ledger on this mesh accumulates all traffic. BLAS
-        runs single-threaded until the run ends, for any ``workers``.
+        ProtocolError; the ledger on this mesh accumulates all traffic. At
+        most one worker thread runs per core. BLAS runs single-threaded until
+        the run ends, for any ``workers``.
         """
         if not isinstance(workers, int) or workers < 1:
             raise ArgumentError(f"workers must be a positive int, got {workers!r}")
+        workers = min(workers, self.num_cores)
         if inputs is None:
             inputs = [None] * self.num_cores
         if len(inputs) != self.num_cores:
@@ -379,18 +369,18 @@ class MeshSim:
 
     def _run_rounds(self, start, advance, entries, run_all):
         run_all(start, [(rank,) for rank in range(len(entries))])
-        while True:
-            pending = [rank for rank, e in enumerate(entries) if not e.done]
-            if not pending:
-                return
+        while not all(e.done for e in entries):
             if any(e.done for e in entries):
                 raise ProtocolError(
                     "some cores finished while others still wait on a collective"
                 )
-            metas = {entries[rank].request.meta() for rank in pending}
-            if len(metas) != 1:
+            # engines share one groups/pairs/table object across cores, so
+            # comparing with the first request mostly compares by identity
+            metas = [e.request.meta() for e in entries]
+            if any(meta != metas[0] for meta in metas):
+                distinct = [meta for i, meta in enumerate(metas) if meta not in metas[:i]]
                 raise ProtocolError(
-                    f"cores disagree on the next collective: {sorted(metas, key=repr)}"
+                    f"cores disagree on the next collective: {sorted(distinct, key=repr)}"
                 )
             # every core is pending here; no reference to the requests or the
             # responses outlives the round, so the cores free them as they go

@@ -139,8 +139,12 @@ def test_strided_gather_validation():
     blocks = [cvec([0.0, 1.0, 2.0]), cvec([3.0, 4.0, 5.0])]
     with pytest.raises(md.DimensionError):
         md.strided_gather(mesh, blocks)  # extent 3 is not a power of two
-    with pytest.raises(md.ArgumentError):
-        md.strided_gather(mesh, blocks[:1], group=[0])
+
+
+def test_strided_gather_rejects_non_tensor_blocks():
+    blocks = [np.arange(4.0), np.arange(4.0)]
+    with pytest.raises(md.DimensionError):
+        md.strided_gather(md.MeshSim(2), blocks)
 
 
 def test_phase_adjust_recombines_subsequence_ffts():
@@ -150,8 +154,7 @@ def test_phase_adjust_recombines_subsequence_ffts():
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     mesh = md.MeshSim(parts)
     sub_ffts = [md.local_fft(cvec(x[b::parts])) for b in range(parts)]
-    phases = [md.build_phase_slice(n, parts, p) for p in range(parts)]
-    out = md.phase_adjust(mesh, sub_ffts, phases)
+    out = md.phase_adjust(mesh, sub_ffts)
     ref = np.fft.fft(x)
     for p in range(parts):
         assert np.max(np.abs(out[p].to_complex() - ref[p * m : (p + 1) * m])) < 1e-12
@@ -161,8 +164,14 @@ def test_phase_adjust_recombines_subsequence_ffts():
 def test_phase_adjust_single_core_is_identity():
     mesh = md.MeshSim(1)
     x = rand_tensor((4,), seed=81)
-    out = md.phase_adjust(mesh, [x], [md.build_phase_slice(4, 1, 0)])
+    out = md.phase_adjust(mesh, [x])
     assert np.max(np.abs(out[0].to_complex() - x.to_complex())) < 1e-15
+
+
+def test_phase_adjust_rejects_non_tensor_blocks():
+    blocks = [rand_tensor((4,), seed=82), np.arange(4.0)]
+    with pytest.raises(md.DimensionError):
+        md.phase_adjust(md.MeshSim(2), blocks)
 
 
 def test_plan_validation():
@@ -284,10 +293,9 @@ def test_f32_overflow_raises(dims):
 def test_phase_sum_overflow_raises():
     # each phase term is finite; only their sum at frequency 0 overflows
     blocks = [md.ComplexTensor(np.full(4, 3e38, np.float32), np.zeros(4, np.float32))] * 2
-    phases = [md.build_phase_slice(8, 2, p) for p in range(2)]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(md.ArgumentError):
-            md.phase_adjust(md.MeshSim(2), blocks, phases, mode=F32)
+            md.phase_adjust(md.MeshSim(2), blocks, mode=F32)
 
 
 def _local_fft_copy_per_stage(tensor, axis, mode):

@@ -207,17 +207,16 @@ def test_one_shuffle_matches_dense_product():
     assert mesh.ledger.permute_count == 2
 
 
-def test_one_shuffle_accepts_raw_tensors_and_group_order():
+def test_one_shuffle_accepts_raw_tensors():
     mesh = md.MeshSim(3)
     rng = np.random.default_rng(61)
     v = md.ComplexTensor(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
     slices = md.slice_rows(v, 3)
     x = rand_tensor((6,), seed=62)
     x_blocks, _ = md.decompose(x, md.ComputationShape(3, 1, 1))
-    group = [2, 0, 1]
-    out = md.one_shuffle(mesh, slices, x_blocks, group=group)
+    out = md.one_shuffle(mesh, slices, x_blocks)
     dense = v.to_complex() @ np.concatenate([b.to_complex() for b in x_blocks])
-    # results align with the group order: out[i] is group[i]'s partial sums
+    # results are in rank order: out[i] is core i's partial sums
     for i in range(3):
         assert np.max(np.abs(out[i].to_complex() - dense[2 * i : 2 * i + 2])) < 1e-13
 
@@ -227,14 +226,18 @@ def test_one_shuffle_validation():
     v = md.build_uniform(4)
     slices = md.slice_rows(v, 2)
     x_blocks, _ = md.decompose(rand_tensor((4,), seed=63), md.ComputationShape(2, 1, 1))
-    with pytest.raises(md.ArgumentError):
-        md.one_shuffle(mesh, slices, x_blocks, group=[0])
     with pytest.raises(md.DimensionError):
         md.one_shuffle(mesh, slices[:1], x_blocks)
     with pytest.raises(md.DimensionError):
         md.one_shuffle(mesh, md.slice_rows(md.build_uniform(6), 2), x_blocks)
     with pytest.raises(md.DimensionError):
         md.one_shuffle(mesh, [v.re[:2], v.re[2:]], x_blocks)
+
+
+def test_one_shuffle_rejects_non_tensor_blocks():
+    slices = md.slice_rows(md.build_uniform(4), 2)
+    with pytest.raises(md.DimensionError):
+        md.one_shuffle(md.MeshSim(2), slices, [np.arange(2.0), np.arange(2.0)])
 
 
 def test_f32_partial_sum_overflow_raises():

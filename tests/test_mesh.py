@@ -1,11 +1,13 @@
 """Collectives, the communication ledger, and SPMD execution."""
 
+from concurrent.futures import ThreadPoolExecutor
 import json
 
 import numpy as np
 import pytest
 
 import meshdft as md
+from meshdft import mesh as mesh_module
 from meshdft.mesh import LEDGER_FIELDS, _openblas_threads
 from helpers import F32, F64, BF16, rand_tensor
 
@@ -320,6 +322,32 @@ def test_spmd_worker_count_does_not_change_anything():
         ledgers.append(mesh.ledger.as_dict())
     assert results[0] == results[1] == results[2]
     assert ledgers[0] == ledgers[1] == ledgers[2]
+
+
+def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
+    # a recording stand-in shows the pool size and the slabs without ever
+    # starting more threads than the test asks for
+    pools, slabs = [], []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+        def submit(self, fn, *args):
+            slabs.append(len(args[-1]))
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(mesh_module, "ThreadPoolExecutor", RecordingPool)
+    mesh = md.MeshSim(2)
+    out = mesh.run_spmd(
+        lambda core, x: (yield md.AllToAll(((0, 1),), x)), [vec(0.0, 1.0), vec(2.0, 3.0)],
+        workers=8,
+    )
+    assert [tuple(o.re) for o in out] == [(0.0, 2.0), (1.0, 3.0)]
+    # two rounds (start, and resume after the all_to_all), one core per slab
+    assert pools == [2]
+    assert slabs == [1, 1, 1, 1]
 
 
 def test_spmd_input_validation():

@@ -159,42 +159,40 @@ def test_kdft_ring_matches_per_core_loop(extents, grid, mode, workers, inverse):
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 def test_standalone_rings_match_per_core_loops(mode):
-    n, parts, group = 16, 4, [2, 0, 3, 1]
-    mesh, ref_mesh = md.MeshSim(parts), md.MeshSim(parts)
-    pairs = md.ring_pairs(group)
-    pos_of = {c: i for i, c in enumerate(group)}
+    # m >= P, then m < P: core i holds subsequence i either way
+    for n, parts in [(16, 4), (16, 8)]:
+        pairs = md.ring_pairs(range(parts))
+        blocks = [rand_tensor((n // parts, 3), seed=70 + i) for i in range(parts)]
 
-    blocks = [rand_tensor((n // parts, 3), seed=70 + i) for i in range(parts)]
-    phases = [md.build_phase_slice(n, parts, p) for p in range(parts)]
-    out = md.phase_adjust(mesh, blocks, phases, group=group, mode=mode)
+        mesh, ref_mesh = md.MeshSim(parts), md.MeshSim(parts)
+        out = md.phase_adjust(mesh, blocks, mode)
+        phases = [md.build_phase_slice(n, parts, p) for p in range(parts)]
 
-    def phase_program(core, _):
-        i = pos_of[core.rank]
-        return (yield from _phase_steps_reference(
-            core, blocks[i].astype(mode.real_dtype), 0, parts, i, tuple(range(parts)),
-            phases[i], pairs, mode, "phase",
-        ))
+        def phase_program(core, x):
+            return (yield from _phase_steps_reference(
+                core, x.astype(mode.real_dtype), 0, parts, core.rank, tuple(range(parts)),
+                phases[core.rank], pairs, mode, "phase",
+            ))
 
-    ref = ref_mesh.run_spmd(phase_program)
-    assert_same_run(out, mesh, [ref[c] for c in group], ref_mesh)
+        ref = ref_mesh.run_spmd(phase_program, blocks)
+        assert_same_run(out, mesh, ref, ref_mesh)
 
-    mesh, ref_mesh = md.MeshSim(parts), md.MeshSim(parts)
-    slices = md.slice_rows(md.build_uniform(n), parts)
-    out = md.one_shuffle(mesh, slices, blocks, group=group, mode=mode)
-    r = n // parts
+        mesh, ref_mesh = md.MeshSim(parts), md.MeshSim(parts)
+        slices = md.slice_rows(md.build_uniform(n), parts)
+        out = md.one_shuffle(mesh, slices, blocks, mode)
+        r = n // parts
 
-    def shuffle_program(core, _):
-        i = pos_of[core.rank]
-        rows = slices[i]
-        cols = [md.ComplexTensor(rows.re[:, j * r:(j + 1) * r], rows.im[:, j * r:(j + 1) * r])
-                for j in range(parts)]
-        return (yield from _shift_steps_reference(
-            core, cols, blocks[i].astype(mode.real_dtype), 0, parts, i, pairs, mode,
-            "one_shuffle", False,
-        ))
+        def shuffle_program(core, x):
+            rows = slices[core.rank]
+            cols = [md.ComplexTensor(rows.re[:, j * r:(j + 1) * r], rows.im[:, j * r:(j + 1) * r])
+                    for j in range(parts)]
+            return (yield from _shift_steps_reference(
+                core, cols, x.astype(mode.real_dtype), 0, parts, core.rank, pairs, mode,
+                "one_shuffle", False,
+            ))
 
-    ref = ref_mesh.run_spmd(shuffle_program)
-    assert_same_run(out, mesh, [ref[c] for c in group], ref_mesh)
+        ref = ref_mesh.run_spmd(shuffle_program, blocks)
+        assert_same_run(out, mesh, ref, ref_mesh)
 
 
 @pytest.mark.parametrize("n,parts", [(64, 1), (64, 8), (64, 64), (4096, 64), (65536, 16)])
@@ -273,14 +271,6 @@ def test_ring_runs_every_step_kernel_with_its_table():
     assert tables == [0, 1, 2]
     assert mesh.ledger.per_tag()["r"]["permute_count"] == 2
     assert mesh.ledger.bytes_moved == 2 * 3 * 16
-
-
-def test_phase_adjust_rejects_misshapen_phase_slices():
-    blocks = [rand_tensor((4,), seed=i) for i in range(2)]
-    with pytest.raises(md.DimensionError):
-        md.phase_adjust(md.MeshSim(2), blocks, [md.build_phase_slice(8, 4, 0)] * 2)
-    with pytest.raises(md.DimensionError):
-        md.phase_adjust(md.MeshSim(2), blocks, [md.build_phase_slice(16, 2, 0)] * 2)
 
 
 def test_ring_accumulators_survive_thread_switching():
