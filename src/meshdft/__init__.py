@@ -15,7 +15,6 @@ from .ctensor import (
     bf16_split,
     contract,
     matmul_mixed,
-    reorder,
     scale_along_axis,
 )
 from .decomposition import (
@@ -121,7 +120,6 @@ __all__ = [
     "one_shuffle",
     "phase_adjust",
     "relative_l2_error",
-    "reorder",
     "ring_pairs",
     "scale_along_axis",
     "slice_rows",

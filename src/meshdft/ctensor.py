@@ -408,20 +408,3 @@ def _complex_product(x_re, x_im, f_re, f_im, mode):
     np.add(out_im, product(x_im, f_re), out=out_im)
     return out_re, out_im
 
-
-def reorder(tensor, axis, permutation):
-    """Permute slices along one axis; ``permutation[i]`` is the source index."""
-    if not isinstance(tensor, ComplexTensor):
-        raise ArgumentError("reorder expects a ComplexTensor")
-    if not -tensor.rank <= axis < tensor.rank:
-        raise DimensionError(f"axis {axis} out of range for rank {tensor.rank}")
-    axis %= tensor.rank
-    perm = np.asarray(permutation)
-    n = tensor.shape[axis]
-    if perm.shape != (n,) or not np.issubdtype(perm.dtype, np.integer):
-        raise ArgumentError(f"permutation must be {n} integers")
-    if not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ArgumentError("permutation is not a bijection")
-    return ComplexTensor._own(
-        np.take(tensor.re, perm, axis=axis), np.take(tensor.im, perm, axis=axis)
-    )

@@ -59,19 +59,8 @@ class ComputationShape:
         """Groups of flat core ids that vary only along ``dim``, ordered by position."""
         if dim not in (0, 1, 2):
             raise ArgumentError(f"dim must be 0, 1, or 2, got {dim!r}")
-        out = []
-        fixed_dims = [d for d in range(3) if d != dim]
-        for a in range(self.dims[fixed_dims[0]]):
-            for b in range(self.dims[fixed_dims[1]]):
-                line = []
-                for pos in range(self.dims[dim]):
-                    coords = [0, 0, 0]
-                    coords[dim] = pos
-                    coords[fixed_dims[0]] = a
-                    coords[fixed_dims[1]] = b
-                    line.append(self.flat_id(coords))
-                out.append(line)
-        return out
+        ids = np.arange(self.num_cores).reshape(self.dims)
+        return np.moveaxis(ids, dim, -1).reshape(-1, self.dims[dim]).tolist()
 
     @classmethod
     def parse(cls, text):

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .ctensor import ComplexTensor, PrecisionMode, _complex_product, _split3, reorder
+from .ctensor import ComplexTensor, PrecisionMode, _complex_product, _split3
 from .decomposition import ComputationShape
 from .errors import ArgumentError, DimensionError, PlanError
 from .mesh import (
@@ -126,36 +126,26 @@ def local_fft_flops(m, rest=1):
     return 5 * m * int(math.log2(m)) * int(rest)
 
 
+def _stride(parts, m):
+    # max(1, P // m) for the powers of two the engine takes; 1 on one core
+    return parts // math.gcd(parts, m)
+
+
 def gather_positions(parts, block_extent):
     """Which decimation offset each line position holds after the gather."""
-    if parts == 1:
-        return (0,)
-    m = block_extent
-    if m >= parts:
-        return tuple(range(parts))
-    stride = parts // m
+    m, stride = block_extent, _stride(parts, block_extent)
     return tuple((pos % stride) * m + pos // stride for pos in range(parts))
 
 
 def _gather_groups(lines, parts, m):
-    """all_to_all groups implementing the block-to-subsequence exchange."""
-    groups = []
-    for line in lines:
-        if parts == 1 or m >= parts:
-            groups.append(tuple(line))
-        else:
-            stride = parts // m
-            for r in range(stride):
-                groups.append(tuple(line[q * stride + r] for q in range(m)))
-    return tuple(groups)
+    """all_to_all groups implementing the block-to-subsequence exchange.
 
-
-def _gather_reorder_perm(parts, m):
-    # block slot s receives element P*(s mod M/P) + s div (M/P); after the
-    # equal-chunk exchange, position q then holds subsequence q in order l
-    step = m // parts
-    s = np.arange(m, dtype=np.int64)
-    return parts * (s % step) + s // step
+    Each group is every ``stride``-th core of a line. After the strided
+    all_to_all, the core at line position pos holds, in order, the elements
+    whose global index is ``gather_positions(P, m)[pos]`` mod P.
+    """
+    stride = _stride(parts, m)
+    return tuple(tuple(line[r::stride]) for line in lines for r in range(stride))
 
 
 @dataclass(frozen=True)
@@ -273,18 +263,15 @@ def fft_forward(mesh, plan, blocks, workers=1):
         n, parts = plan.extents[d], plan.shape.dims[d]
         m = n // parts
         lines = plan.shape.lines(d)
-        perm = _gather_reorder_perm(parts, m) if parts > 1 and m >= parts else None
         schedule.append((
-            parts, m, perm, _gather_groups(lines, parts, m), line_ring_pairs(lines),
+            parts, m, _gather_groups(lines, parts, m), line_ring_pairs(lines),
             _unit_root_factors(n, parts, plan.beta_maps[d], d, plan.rank, mode),
         ))
 
     def program(core, x):
         x = x.astype(mode.real_dtype)
-        for d, (parts, m, perm, groups, pairs, factors) in enumerate(schedule):
+        for d, (parts, m, groups, pairs, factors) in enumerate(schedule):
             tag = f"dim{d + 1}"
-            if perm is not None:
-                x = reorder(x, d, perm)
             x = yield AllToAll(groups, x, split_axis=d, tag=tag)
             x = local_fft(x, axis=d, mode=mode)
             core.add_flops("local_fft", local_fft_flops(m, x.size // m), tag)
@@ -301,16 +288,15 @@ def strided_gather(mesh, blocks):
 
     ``blocks[i]`` is core i's contiguous input block, in rank order;
     afterwards core i holds the decimated subsequence
-    ``gather_positions(P, M)[i]`` with local slots in transform order.
-    Counts one all_to_all on the mesh ledger.
+    ``gather_positions(P, M)[i]`` with local slots in transform order. The
+    all_to_all's strided slices do the decimation, so no block is permuted
+    first. Counts one all_to_all on the mesh ledger.
     """
     parts = mesh.num_cores
     _check_tensors(blocks, parts)
     m = blocks[0].shape[0]
     if parts > 1 and not (_is_pow2(parts) and _is_pow2(m)):
         raise DimensionError("core count and block extent must be powers of two")
-    if parts > 1 and m >= parts:
-        blocks = [reorder(b, 0, _gather_reorder_perm(parts, m)) for b in blocks]
     groups = _gather_groups([range(parts)], parts, m)
     return mesh.all_to_all_groups(groups, blocks, tag="gather")
 

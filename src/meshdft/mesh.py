@@ -135,7 +135,7 @@ def line_ring_pairs(lines):
 
 @dataclass(frozen=True)
 class AllToAll:
-    """SPMD request: within each group, transpose equal chunks of the payload."""
+    """SPMD request: within each group, member i gets every member's slices i, i+n, ..."""
 
     groups: tuple
     value: ComplexTensor
@@ -431,9 +431,16 @@ class MeshSim:
     def all_to_all_groups(self, groups, values, split_axis=0, tag=""):
         """One all_to_all invocation spanning several disjoint groups.
 
-        ``values`` is indexed by flat core id; cores outside every group keep
-        their payload. Counts as a single ledger entry.
+        ``values`` holds one payload per core, by flat core id. Member i of an
+        n-member group receives slices i, i+n, i+2n, ... along ``split_axis``
+        of every member's payload, joined in group order; when the extent is
+        n this is the transpose of single slices. Cores outside every group
+        keep their payload. Counts as a single ledger entry.
         """
+        if len(values) != self.num_cores:
+            raise CommunicationError(
+                f"expected {self.num_cores} payloads, got {len(values)}"
+            )
         groups = tuple(tuple(int(c) for c in g) for g in groups)
         seen = set()
         for g in groups:
@@ -466,10 +473,8 @@ class MeshSim:
                     f"extent {extent} along axis {axis} does not split into "
                     f"{n} equal chunks"
                 )
-            step = extent // n
-            # member i receives chunk i of every member's payload, in group order
             for i, c in enumerate(g):
-                idx = (slice(None),) * axis + (slice(i * step, (i + 1) * step),)
+                idx = (slice(None),) * axis + (slice(i, None, n),)
                 responses[c] = ComplexTensor._own(
                     np.concatenate([values[s].re[idx] for s in g], axis=axis),
                     np.concatenate([values[s].im[idx] for s in g], axis=axis),

@@ -155,16 +155,27 @@ def make_input(spec, extents, seed=0):
     name, _, arg = str(spec).partition(":")
     if name == "delta":
         return gen_delta(extents)
+
+    def number(convert, text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ArgumentError(
+                f"malformed generator {spec!r}: cannot read {text!r} as {convert.__name__}"
+            ) from None
+
     if name == "constant":
-        return gen_constant(extents, float(arg) if arg else 1.0)
+        return gen_constant(extents, number(float, arg) if arg else 1.0)
     if name == "tone":
         if not arg:
             raise ArgumentError("tone generator needs frequencies, e.g. tone:3")
-        freqs = [int(f) for f in arg.split(",")]
+        freqs = [number(int, f) for f in arg.split(",")]
         if len(freqs) == 1:
             freqs = freqs * len(extents)
         return gen_tone(extents, freqs)
     if name == "random":
+        if not isinstance(seed, int) or seed < 0:
+            raise ArgumentError(f"seed must be a non-negative int, got {seed!r}")
         return gen_random(extents, seed)
     raise ArgumentError(
         f"unknown generator {spec!r}; expected delta, constant, tone:<f>, random"

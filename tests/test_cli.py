@@ -130,6 +130,29 @@ def test_malformed_sidecar_dims_exits_2(tmp_path, capsys):
     assert "dims must be a list of ints" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gen", [
+    ["--gen", "tone:abc"], ["--gen", "tone:1.5"], ["--gen", "constant:abc"],
+    ["--gen", "random", "--seed", "-1"],
+])
+def test_malformed_generator_exits_2(capsys, gen):
+    code = cli.main(["transform", "--algo", "fft", "--dims", "8"] + gen)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_scaling_skips_points_with_malformed_generator(capsys):
+    code = cli.main([
+        "scaling", "--algo", "fft", "--mode", "strong", "--dims", "16",
+        "--sweep", "1,2", "--gen", "tone:abc",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("skipped: malformed generator 'tone:abc'") == 2
+    assert "every sweep point failed" in captured.err
+
+
 def test_nonuniform_requires_points_file(capsys):
     code = cli.main([
         "transform", "--algo", "kdft", "--dims", "8", "--gen", "delta",

@@ -310,32 +310,6 @@ def test_bf16_scale_splits_each_plane_once(monkeypatch):
     assert len(calls) == 4
 
 
-# -- reorder -----------------------------------------------------------------
-
-
-def test_reorder_identity_and_involution():
-    x = rand_tensor((4, 2), seed=61)
-    same = md.reorder(x, 0, [0, 1, 2, 3])
-    assert np.array_equal(same.to_complex(), x.to_complex())
-    swap = [0, 2, 1, 3]
-    twice = md.reorder(md.reorder(x, 0, swap), 0, swap)
-    assert np.array_equal(twice.to_complex(), x.to_complex())
-
-
-def test_reorder_bit_reversal_eight():
-    x = md.ComplexTensor(np.arange(8, dtype=np.float64), np.zeros(8))
-    out = md.reorder(x, 0, [0, 4, 2, 6, 1, 5, 3, 7])
-    assert np.array_equal(out.re, [0, 4, 2, 6, 1, 5, 3, 7])
-
-
-def test_reorder_rejects_non_bijection():
-    x = rand_tensor((4,), seed=62)
-    with pytest.raises(md.ArgumentError):
-        md.reorder(x, 0, [0, 0, 1, 2])
-    with pytest.raises(md.ArgumentError):
-        md.reorder(x, 0, [0, 1, 2])
-
-
 # -- matmul ------------------------------------------------------------------
 
 

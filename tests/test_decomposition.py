@@ -45,6 +45,29 @@ def test_shape_lines_group_cores_along_one_dim():
         s.lines(3)
 
 
+def _lines_by_coordinates(shape, dim):
+    fixed = [d for d in range(3) if d != dim]
+    out = []
+    for a in range(shape.dims[fixed[0]]):
+        for b in range(shape.dims[fixed[1]]):
+            line = []
+            for pos in range(shape.dims[dim]):
+                coords = [0, 0, 0]
+                coords[dim], coords[fixed[0]], coords[fixed[1]] = pos, a, b
+                line.append(shape.flat_id(coords))
+            out.append(line)
+    return out
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (4, 1, 1), (1, 3, 1), (2, 3, 4), (4, 2, 2), (3, 1, 5)])
+def test_shape_lines_match_coordinate_loop(dims):
+    shape = md.ComputationShape(*dims)
+    for d in range(3):
+        lines = shape.lines(d)
+        assert lines == _lines_by_coordinates(shape, d)
+        assert all(type(c) is int for line in lines for c in line)
+
+
 def _cvec(values):
     values = np.asarray(values, dtype=np.float64)
     return md.ComplexTensor(values, np.zeros_like(values))

@@ -202,6 +202,17 @@ def test_make_input_specs():
         tensorio.make_input("chirp", (4,))
 
 
+@pytest.mark.parametrize("spec", ["tone:abc", "tone:1.5", "tone:1,,2", "constant:abc"])
+def test_make_input_rejects_malformed_spec(spec):
+    with pytest.raises(md.ArgumentError, match=f"malformed generator '{spec}'"):
+        tensorio.make_input(spec, (8,))
+
+
+def test_make_input_rejects_negative_seed():
+    with pytest.raises(md.ArgumentError, match="seed must be a non-negative int, got -1"):
+        tensorio.make_input("random", (8,), seed=-1)
+
+
 # -- work model and reports ---------------------------------------------------
 
 

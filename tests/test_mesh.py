@@ -162,13 +162,14 @@ def test_all_to_all_two_core_transpose():
     assert mesh.ledger.bytes_moved == 2 * vec(0.0, 0.0).nbytes
 
 
-def test_all_to_all_is_an_involution():
+def test_all_to_all_hands_out_strided_slices():
+    # 8-element payloads on 4 members: member i gets [p0[i], p0[i+4], p1[i], p1[i+4], ...]
     mesh = md.MeshSim(4)
-    payloads = [rand_tensor((8,), seed=i) for i in range(4)]
-    once = mesh.all_to_all_groups(((0, 1, 2, 3),), payloads)
-    twice = mesh.all_to_all_groups(((0, 1, 2, 3),), once)
-    for a, b in zip(twice, payloads):
-        assert np.array_equal(a.to_complex(), b.to_complex())
+    payloads = [vec(*(10.0 * s + j for j in range(8))) for s in range(4)]
+    out = mesh.all_to_all_groups(((0, 1, 2, 3),), payloads)
+    for i in range(4):
+        want = [10.0 * s + j for s in range(4) for j in (i, i + 4)]
+        assert np.array_equal(out[i].re, want)
 
 
 def test_all_to_all_validation():
@@ -179,19 +180,28 @@ def test_all_to_all_validation():
         mesh.all_to_all_groups(((0, 1),), [vec(1.0, 2.0), vec(3.0, 4.0)], split_axis=1)
     with pytest.raises(md.CommunicationError, match="does not split into 2"):
         mesh.all_to_all_groups(((0, 1),), [vec(1.0, 2.0, 3.0), vec(4.0, 5.0, 6.0)])
+    # one payload per core, however many cores the groups name
+    with pytest.raises(md.CommunicationError, match="expected 2 payloads, got 1"):
+        mesh.all_to_all_groups(((0, 1),), [vec(1.0, 2.0)])
+    with pytest.raises(md.CommunicationError, match="expected 2 payloads, got 3"):
+        mesh.all_to_all_groups(((0, 1),), [vec(1.0, 2.0), vec(3.0, 4.0), vec(5.0, 6.0)])
 
 
 @pytest.mark.parametrize("split_axis", [0, 1, 2, -1])
 def test_all_to_all_groups_matches_chunk_transpose(split_axis):
-    """Member i of a group gets chunk i of every member, joined in group order."""
+    """Member i of a group gets slices i, i+n, ... of every member, joined in group order."""
     mesh = md.MeshSim(8)
     values = [rand_tensor((4, 8, 4), seed=i) for i in range(8)]
     groups = ((0, 1, 2, 3), (5, 7), (4,), (6,))
     out = mesh.all_to_all_groups(groups, values, split_axis=split_axis, tag="t")
     for g in groups:
-        chunks = [np.split(values[c].to_complex(), len(g), axis=split_axis) for c in g]
+        n, extent = len(g), values[g[0]].shape[split_axis]
         for i, c in enumerate(g):
-            want = np.concatenate([ch[i] for ch in chunks], axis=split_axis)
+            strided = np.arange(i, extent, n)
+            want = np.concatenate(
+                [np.take(values[s].to_complex(), strided, axis=split_axis) for s in g],
+                axis=split_axis,
+            )
             assert np.array_equal(out[c].to_complex(), want)
     nbytes = sum(len(g) * values[g[0]].nbytes for g in groups)
     assert mesh.ledger.per_tag() == {"t": {

@@ -72,8 +72,6 @@ def fft_forward_reference(mesh, plan, blocks, workers):
             pos = core.coords[d]
             tag = f"dim{d + 1}"
             lines = plan.shape.lines(d)
-            if parts > 1 and m >= parts:
-                x = md.reorder(x, d, fft._gather_reorder_perm(parts, m))
             x = yield md.AllToAll(fft._gather_groups(lines, parts, m), x, split_axis=d, tag=tag)
             x = md.local_fft(x, axis=d, mode=mode)
             core.add_flops("local_fft", md.local_fft_flops(m, x.size // m), tag)
