@@ -38,15 +38,6 @@ class ComputationShape:
     def num_cores(self):
         return self.p1 * self.p2 * self.p3
 
-    def flat_id(self, coords):
-        coords = tuple(coords)
-        if len(coords) != 3:
-            raise ArgumentError(f"coords must have 3 entries, got {coords!r}")
-        for c, p in zip(coords, self.dims):
-            if not 0 <= c < p:
-                raise ArgumentError(f"coords {coords} out of range for shape {self.dims}")
-        return (coords[0] * self.p2 + coords[1]) * self.p3 + coords[2]
-
     def coords(self, flat):
         if not 0 <= flat < self.num_cores:
             raise ArgumentError(f"core id {flat} out of range")

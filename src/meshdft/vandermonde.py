@@ -12,11 +12,12 @@ from .errors import ArgumentError, DimensionError
 
 
 class SamplePoints:
-    """Evaluation points z_k for the transform; uniform or caller-supplied."""
+    """Evaluation points z_k; only :meth:`uniform` sets ``is_uniform``,
+    which engines and the oracle trust without reading the points."""
 
     __slots__ = ("points", "is_uniform")
 
-    def __init__(self, points, is_uniform=False):
+    def __init__(self, points):
         points = np.asarray(points, dtype=np.complex128)
         if points.ndim != 1 or points.size == 0:
             raise ArgumentError("points must be a non-empty 1-D sequence")
@@ -27,7 +28,7 @@ class SamplePoints:
         points = np.array(points, copy=True)
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "is_uniform", bool(is_uniform))
+        object.__setattr__(self, "is_uniform", False)
 
     def __setattr__(self, name, value):
         raise AttributeError("SamplePoints is immutable")
@@ -39,12 +40,13 @@ class SamplePoints:
     def uniform(cls, n):
         if not isinstance(n, int) or n < 1:
             raise ArgumentError(f"n must be a positive int, got {n!r}")
-        k = np.arange(n)
-        return cls(np.exp(2j * np.pi * k / n), is_uniform=True)
+        samples = cls(np.exp(2j * np.pi * np.arange(n) / n))
+        object.__setattr__(samples, "is_uniform", True)
+        return samples
 
     @classmethod
     def explicit(cls, values):
-        return cls(values, is_uniform=False)
+        return cls(values)
 
 
 def _unit_roots(n):

@@ -1,19 +1,14 @@
-"""The brute-force reference transform and the error metric."""
+"""The reference transform (FFT or direct sum) and the error metric."""
 
 import numpy as np
 import pytest
 
 import meshdft as md
+from meshdft.reports import ORACLE_ELEMENT_LIMIT
 from helpers import rand_tensor
 
 
-# -- the per-rank oracle loops that the rank-generic direct_dft replaced --------
-
-
-def _points(samples, n):
-    if samples is None:
-        samples = md.SamplePoints.uniform(n)
-    return samples.points
+# -- the per-rank direct-sum loops that the rank-generic direct_dft replaced ----
 
 
 def _power_row(z_k, n):
@@ -26,7 +21,7 @@ def _power_row(z_k, n):
 
 def _direct_dft_1d(x, samples):
     (n,) = x.shape
-    z = _points(samples[0], n)
+    z = samples[0].points
     xc = x.to_complex()
     out = np.empty(n, dtype=np.complex128)
     for k in range(n):
@@ -36,7 +31,7 @@ def _direct_dft_1d(x, samples):
 
 def _direct_dft_2d(x, samples):
     n1, n2 = x.shape
-    z1, z2 = _points(samples[0], n1), _points(samples[1], n2)
+    z1, z2 = samples[0].points, samples[1].points
     xc = x.to_complex()
     out = np.empty((n1, n2), dtype=np.complex128)
     for k1 in range(n1):
@@ -49,7 +44,7 @@ def _direct_dft_2d(x, samples):
 
 def _direct_dft_3d(x, samples):
     n1, n2, n3 = x.shape
-    z1, z2, z3 = (_points(s, n) for s, n in zip(samples, x.shape))
+    z1, z2, z3 = (s.points for s in samples)
     xc = x.to_complex()
     out = np.empty((n1, n2, n3), dtype=np.complex128)
     for k1 in range(n1):
@@ -66,26 +61,73 @@ def _direct_dft_3d(x, samples):
 _PER_RANK = {1: _direct_dft_1d, 2: _direct_dft_2d, 3: _direct_dft_3d}
 
 
+def _random_points(extents, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(
+        md.SamplePoints.explicit(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+        for n in extents
+    )
+
+
+def _explicit_roots(n):
+    """The uniform roots of unity as explicit points, which take the direct sum."""
+    return md.SamplePoints.explicit(md.SamplePoints.uniform(n).points)
+
+
 @pytest.mark.parametrize("extents", [(1,), (16,), (5, 3), (4, 2, 3)])
 @pytest.mark.parametrize("sampling", ["uniform", "nonuniform"])
 def test_generic_oracle_equals_the_per_rank_loops(extents, sampling):
     x = rand_tensor(extents, seed=sum(extents))
     if sampling == "uniform":
-        samples = (None,) * len(extents)
+        samples = tuple(_explicit_roots(n) for n in extents)
     else:
-        rng = np.random.default_rng(len(extents))
-        samples = tuple(
-            md.SamplePoints.explicit(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-            for n in extents
-        )
+        samples = _random_points(extents, seed=len(extents))
     ref = _PER_RANK[len(extents)](x, samples)
-    out = md.direct_dft(x, samples if sampling == "nonuniform" else None)
+    out = md.direct_dft(x, samples)
     assert np.array_equal(out.values.re, ref.real)
     assert np.array_equal(out.values.im, ref.imag)
     assert out.max_abs == float(np.max(np.abs(ref)))
-    if len(extents) == 1 and sampling == "nonuniform":
+    if len(extents) == 1:
         bare = md.direct_dft(x, samples[0])
         assert np.array_equal(bare.values.to_complex(), ref)
+
+
+@pytest.mark.parametrize("extents", [(5, 3), (4, 2, 3)])
+def test_mixed_sampling_takes_the_direct_sum(extents):
+    """One uniform dimension among explicit ones still takes the direct sum."""
+    x = rand_tensor(extents, seed=7)
+    for d, n in enumerate(extents):
+        samples = list(_random_points(extents, seed=d))
+        samples[d] = md.SamplePoints.uniform(n)
+        ref = _PER_RANK[len(extents)](x, samples)
+        out = md.direct_dft(x, tuple(samples))
+        assert np.array_equal(out.values.to_complex(), ref)
+        assert out.max_abs == float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("extents", [(1,), (16,), (5, 3), (4, 2, 3), (8, 8, 8)])
+@pytest.mark.parametrize("spelling", ["none", "per_dim_none", "uniform"])
+def test_uniform_oracle_is_numpy_fftn(extents, spelling):
+    x = rand_tensor(extents, seed=sum(extents) + 1)
+    samples = {
+        "none": None,
+        "per_dim_none": (None,) * len(extents),
+        "uniform": tuple(md.SamplePoints.uniform(n) for n in extents),
+    }[spelling]
+    ref = np.fft.fftn(x.to_complex())
+    out = md.direct_dft(x, samples)
+    assert np.array_equal(out.values.re, ref.real)
+    assert np.array_equal(out.values.im, ref.imag)
+    assert out.max_abs == float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("extents", [(4096,), (64, 64), (16, 16, 16)])
+def test_direct_sum_agrees_with_fft_route_at_the_cap(extents):
+    assert int(np.prod(extents)) == ORACLE_ELEMENT_LIMIT
+    x = rand_tensor(extents, seed=len(extents))
+    fft = md.direct_dft(x).values
+    direct = md.direct_dft(x, tuple(_explicit_roots(n) for n in extents)).values
+    assert md.relative_l2_error(direct, fft) < 1e-12
 
 
 def test_sample_set_count_must_match_the_rank():
@@ -117,7 +159,7 @@ def test_constant_transforms_to_scaled_delta():
 
 def test_uniform_oracle_matches_numpy_fft():
     x = rand_tensor((16,), seed=1)
-    out = md.direct_dft(x).values.to_complex()
+    out = md.direct_dft(x, _explicit_roots(16)).values.to_complex()
     assert np.max(np.abs(out - np.fft.fft(x.to_complex()))) < 1e-12
 
 
@@ -137,13 +179,13 @@ def test_nonuniform_oracle_matches_reversed_order_sum():
 
 def test_2d_oracle_matches_fft2():
     x = rand_tensor((8, 4), seed=4)
-    out = md.direct_dft(x).values.to_complex()
+    out = md.direct_dft(x, (_explicit_roots(8), _explicit_roots(4))).values.to_complex()
     assert np.max(np.abs(out - np.fft.fft2(x.to_complex()))) < 1e-12
 
 
 def test_3d_oracle_matches_fftn():
     x = rand_tensor((4, 4, 4), seed=5)
-    out = md.direct_dft(x).values.to_complex()
+    out = md.direct_dft(x, (_explicit_roots(4),) * 3).values.to_complex()
     assert np.max(np.abs(out - np.fft.fftn(x.to_complex()))) < 1e-12
 
 

@@ -47,6 +47,27 @@ def test_sample_points_validation():
         u.points = None
 
 
+def test_uniform_flag_cannot_be_set_from_outside():
+    z = np.exp(1j * np.random.default_rng(8).uniform(0, 2 * np.pi, 8))
+    with pytest.raises(TypeError):
+        md.SamplePoints(z, is_uniform=True)
+    with pytest.raises(TypeError):
+        md.SamplePoints(z, True)
+    forged = md.SamplePoints(z)
+    assert not forged.is_uniform
+    with pytest.raises(AttributeError):
+        forged.is_uniform = True
+    # the caller's points are what the plan builds on, not the uniform DFT
+    plan = md.create_kdft_plan(md.ComputationShape(2, 1, 1), (forged,))
+    assert not plan.all_uniform()
+    built = np.hstack([b.to_complex() for b in plan.col_blocks[(0, 0)]])
+    assert np.array_equal(built, md.build_nonuniform(z, 8).to_complex()[:4])
+    # explicit roots of unity stay explicit
+    roots = md.SamplePoints.explicit(md.SamplePoints.uniform(8).points)
+    assert not roots.is_uniform
+    assert not md.create_kdft_plan(md.ComputationShape(2, 1, 1), (roots,)).all_uniform()
+
+
 def test_build_nonuniform_matches_uniform_on_roots_of_unity():
     n = 4
     v_explicit = md.build_nonuniform(md.SamplePoints.uniform(n), n)
