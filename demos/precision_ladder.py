@@ -11,7 +11,7 @@ than 8 mantissa bits.
 import numpy as np
 
 import meshdft as md
-from meshdft.ctensor import bf16_split
+from meshdft.ctensor import _split3
 
 n = 64
 rng = np.random.default_rng(3)
@@ -30,9 +30,8 @@ for mode in md.PrecisionMode:
 
 print()
 print("what the 3-term split does to a single float:")
-for value in (np.float32(np.pi), np.float32(0.1), np.float32(12345.678)):
-    terms = bf16_split(value)
-    floats = [t.to_float32() for t in terms]
+values = np.array([np.pi, 0.1, 12345.678], dtype=np.float32)
+for value, *floats in zip(values, *_split3(values)):
     recon = sum(float(f) for f in floats)
     print(f"  {float(value):.9g} = {floats[0]:g} + {floats[1]:g} + {floats[2]:g}"
           f"  (residual {float(value) - recon:.3e})")

@@ -8,11 +8,9 @@ and every arithmetic operation deterministically.
 """
 
 from .ctensor import (
-    Bf16Value,
     ComplexTensor,
     PrecisionMode,
     bf16_array,
-    bf16_split,
     contract,
     matmul_mixed,
     scale_along_axis,
@@ -77,7 +75,6 @@ __all__ = [
     "AllToAll",
     "ArgumentError",
     "AssemblyError",
-    "Bf16Value",
     "BlockAssignment",
     "CommLedger",
     "CommunicationError",
@@ -98,7 +95,6 @@ __all__ = [
     "SourceTargetPairs",
     "UnsupportedOperationError",
     "bf16_array",
-    "bf16_split",
     "bit_reversal_permutation",
     "build_nonuniform",
     "build_phase_slice",

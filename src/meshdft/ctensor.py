@@ -6,9 +6,7 @@ products so the same code path can run in float64, float32, or the
 three-term bfloat16 emulation; matrix products run through BLAS.
 """
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -17,8 +15,7 @@ from .errors import ArgumentError, DimensionError
 _REAL_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # bfloat16 is the top half of an IEEE float32: 1 sign, 8 exponent, 7 mantissa bits.
-_BF16_MAX_BITS = np.uint32(0x7F7F)  # largest finite magnitude, 3.3895314e38
-_BF16_INF_PATTERN = np.uint32(0x7F80)
+_BF16_MAX_BITS = np.uint32(0x7F7F0000)  # largest finite magnitude, 3.3895314e38
 
 
 class PrecisionMode(Enum):
@@ -33,6 +30,30 @@ class PrecisionMode(Enum):
         return np.dtype(
             np.float64 if self is PrecisionMode.F64_REFERENCE else np.float32
         )
+
+    def prepare(self, plane):
+        """A real plane in this mode's product form: a tuple of terms.
+
+        The plane is cast to the mode's dtype (no copy if it has it already)
+        and is the one term; under bf16split3 the terms are its three
+        :func:`_split3` terms. An operand used many times is prepared once.
+        """
+        plane = plane.astype(self.real_dtype, copy=False)
+        if self is PrecisionMode.BF16_SPLIT3:
+            return _split3(plane)
+        return (plane,)
+
+    def product(self, a, b, op):
+        """``op(a, b)`` of prepared operands; ``op`` is ``np.matmul`` or ``np.multiply``.
+
+        Under bf16split3 it sums the six partial products of the split terms
+        in :data:`_SPLIT_PRODUCT_ORDER`. Returns a fresh array.
+        """
+        acc = op(a[0], b[0])
+        if len(a) > 1:
+            for i, j in _SPLIT_PRODUCT_ORDER[1:]:
+                acc += op(a[i], b[j])
+        return acc
 
     @classmethod
     def parse(cls, name):
@@ -108,6 +129,10 @@ class ComplexTensor:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexTensor is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the checking constructor
+        return ComplexTensor, (self.re, self.im)
+
     @classmethod
     def from_complex(cls, values, dtype=np.float64):
         values = np.asarray(values)
@@ -173,85 +198,41 @@ class ComplexTensor:
 # ---------------------------------------------------------------------------
 
 
-def _round_bits_to_bf16(bits32):
-    # Round-to-nearest-even on the top 16 bits: add 0x7FFF plus the parity of
-    # the kept LSB, then truncate. Finite inputs cannot wrap uint32.
-    lsb = (bits32 >> np.uint32(16)) & np.uint32(1)
-    return ((bits32 + np.uint32(0x7FFF) + lsb) >> np.uint32(16)).astype(np.uint16)
-
-
 def bf16_array(values, saturate=False):
     """Round a float32 array to bfloat16-representable float32 values.
 
-    With ``saturate=True`` finite inputs that would round to infinity clamp
-    to the largest finite bfloat16 instead.
+    Round-to-nearest-even on the top 16 bits: add 0x7FFF plus the kept LSB,
+    then clear the low half. Finite inputs cannot wrap uint32; inf and NaN
+    patterns keep their top half. With ``saturate=True`` finite inputs that
+    would round to infinity clamp to the largest finite bfloat16 instead.
     """
     values = np.ascontiguousarray(values, dtype=np.float32)
-    bits32 = values.view(np.uint32)
-    top = _round_bits_to_bf16(bits32)
+    bits = values.view(np.uint32)
+    out = bits >> np.uint32(16)
+    out &= np.uint32(1)
+    out += np.uint32(0x7FFF)
+    out += bits
+    out &= np.uint32(0xFFFF0000)
     if saturate:
-        overflowed = ((top & np.uint16(0x7FFF)) >= _BF16_INF_PATTERN) & np.isfinite(values)
+        overflowed = np.isinf(out.view(np.float32))
         if overflowed.any():
-            sign = top & np.uint16(0x8000)
-            top = np.where(overflowed, sign | np.uint16(_BF16_MAX_BITS), top)
-    out = (top.astype(np.uint32) << np.uint32(16)).view(np.float32)
-    return out.reshape(values.shape)
-
-
-@dataclass(frozen=True)
-class Bf16Value:
-    """A single bfloat16 value carried as its 16-bit pattern."""
-
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits <= 0xFFFF:
-            raise ArgumentError(f"bits out of range: {self.bits:#x}")
-
-    @classmethod
-    def from_float32(cls, value):
-        value = np.float32(value)
-        bits32 = np.frombuffer(value.tobytes(), dtype=np.uint32)[0]
-        if not np.isfinite(value):
-            # inf/nan already have all-ones exponents; pass the top half through
-            return cls(int(bits32 >> np.uint32(16)))
-        return cls(int(_round_bits_to_bf16(bits32)))
-
-    def to_float32(self):
-        bits32 = np.uint32(self.bits) << np.uint32(16)
-        return np.frombuffer(bits32.tobytes(), dtype=np.float32)[0]
-
-    def __float__(self):
-        return float(self.to_float32())
-
-
-def bf16_split(value, terms=3):
-    """Split a finite float32 into ``terms`` bfloat16 values summing back to it.
-
-    Each term is the saturating round of the running residual; residual
-    subtraction is exact in float32 (the operands are always within a factor
-    of two of each other), so the terms telescope.
-    """
-    if not isinstance(terms, int) or terms < 1:
-        raise ArgumentError(f"terms must be a positive int, got {terms!r}")
-    value = np.float32(value)
-    if not np.isfinite(value):
-        raise ArgumentError("cannot split a non-finite value")
-    out = []
-    residual = value
-    for _ in range(terms):
-        rounded = bf16_array(np.float32(residual).reshape(1), saturate=True)[0]
-        out.append(Bf16Value.from_float32(rounded))
-        residual = np.float32(residual - rounded)
-    return out
+            overflowed &= np.isfinite(values)
+            out[overflowed] = (out[overflowed] & np.uint32(0x80000000)) | _BF16_MAX_BITS
+    return out.view(np.float32)
 
 
 def _split3(values):
-    """Array form of the three-term split. Returns three float32 arrays."""
+    """Split a float32 array into three bfloat16 terms that sum back to it.
+
+    Each term is the saturating round of the running residual; residual
+    subtraction is exact in float32 (the operands are always within a factor
+    of two of each other), so the terms telescope. Returns three float32
+    arrays.
+    """
     t1 = bf16_array(values, saturate=True)
-    r1 = (values - t1).astype(np.float32)
+    r1 = np.subtract(values, t1).astype(np.float32, copy=False)
     t2 = bf16_array(r1, saturate=True)
-    r2 = (r1 - t2).astype(np.float32)
+    r2 = np.subtract(r1, t2).astype(np.float32, copy=False)
     t3 = bf16_array(r2, saturate=True)
     return t1, t2, t3
 
@@ -261,21 +242,47 @@ def _split3(values):
 _SPLIT_PRODUCT_ORDER = ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1))
 
 
-def _split_products(a_terms, b_terms, product):
-    """Sum of the split-3 partial products of two operands split by :func:`_split3`.
+class Prepared:
+    """A complex tensor whose planes are prepared once for a precision mode.
 
-    ``product`` is ``np.matmul`` for matrix products or ``np.multiply`` for
-    elementwise (broadcasting) ones; the partial products are accumulated in
-    :data:`_SPLIT_PRODUCT_ORDER`.
+    ``re`` and ``im`` hold :meth:`PrecisionMode.prepare`'s terms of the
+    planes: under bf16split3 three times the float32 planes' bytes, 1.5
+    times the float64 ones.
     """
-    acc = None
-    for i, j in _SPLIT_PRODUCT_ORDER:
-        part = product(a_terms[i], b_terms[j])
-        if acc is None:
-            acc = part
-        else:
-            acc += part
-    return acc
+
+    __slots__ = ("mode", "re", "im")
+
+    def __init__(self, tensor, mode):
+        self.mode = mode
+        self.re = mode.prepare(tensor.re)
+        self.im = mode.prepare(tensor.im)
+
+    @property
+    def shape(self):
+        return self.re[0].shape
+
+
+class Operand:
+    """A tensor as :func:`contract`'s right operand, prepared once for a mode.
+
+    The planes, moved so that ``axis`` leads, sit side by side as re|im in
+    one ``(k, 2*rest)`` plane whose :meth:`PrecisionMode.prepare` terms are
+    ``terms``. ``tensor`` is the tensor itself.
+    """
+
+    __slots__ = ("tensor", "axis", "mode", "rest_shape", "terms")
+
+    def __init__(self, tensor, axis, mode):
+        if not -tensor.rank <= axis < tensor.rank:
+            raise DimensionError(f"axis {axis} out of range for rank {tensor.rank}")
+        self.tensor, self.axis, self.mode = tensor, axis % tensor.rank, mode
+        k = tensor.shape[self.axis]
+        self.rest_shape = np.moveaxis(tensor.re, self.axis, 0).shape[1:]
+        # each plane is moved, cast and stacked as re|im in one copy
+        x = np.empty((k, 2) + self.rest_shape, mode.real_dtype)
+        x[:, 0] = np.moveaxis(tensor.re, self.axis, 0)
+        x[:, 1] = np.moveaxis(tensor.im, self.axis, 0)
+        self.terms = mode.prepare(x.reshape(k, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -300,56 +307,41 @@ def matmul_mixed(a, b, mode=PrecisionMode.F64_REFERENCE):
         raise DimensionError(f"inner dimensions differ: {a.shape} @ {b.shape}")
     if not isinstance(mode, PrecisionMode):
         raise ArgumentError(f"mode must be a PrecisionMode, got {mode!r}")
-    a = a.astype(mode.real_dtype, copy=False)
-    b = b.astype(mode.real_dtype, copy=False)
-    if mode is PrecisionMode.BF16_SPLIT3:
-        return _split_products(_split3(a), _split3(b), np.matmul)
-    return a @ b
+    return mode.product(mode.prepare(a), mode.prepare(b), np.matmul)
 
 
 def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
              conjugate=False):
     """Apply a complex matrix (its conjugate if ``conjugate``) along one axis.
 
-    The tensor's real and imaginary planes sit side by side in one
-    ``(k, 2*rest)`` operand, so each matrix plane takes part in one real
-    product with :func:`matmul_mixed`'s arithmetic for the precision mode:
-    ``m_re @ x`` gives ``rr|ri`` and ``m_im @ x`` gives ``ir|ii``. Under
-    bf16split3 each of the three operands is split once. The conjugate flips
-    the signs of the recombination instead of negating the matrix: every mode
+    ``matrix`` is a rank-2 :class:`ComplexTensor` or a :class:`Prepared` one,
+    and ``tensor`` a :class:`ComplexTensor` or an :class:`Operand`, both
+    prepared for ``mode`` (and ``axis``); a ring prepares each once and
+    contracts them many times. The operand holds the tensor's planes side by
+    side, so each matrix plane takes part in one real product with
+    :func:`matmul_mixed`'s arithmetic for the precision mode: ``m_re @ x``
+    gives ``rr|ri`` and ``m_im @ x`` gives ``ir|ii``. The conjugate flips the
+    signs of the recombination instead of negating the matrix: every mode
     rounds symmetrically, so the bits match a product with ``-matrix.im``.
     """
-    if not isinstance(matrix, ComplexTensor) or not isinstance(tensor, ComplexTensor):
+    if isinstance(matrix, ComplexTensor):
+        if matrix.rank != 2:
+            raise DimensionError(f"matrix must be rank 2, got rank {matrix.rank}")
+        matrix = Prepared(matrix, mode)
+    if isinstance(tensor, ComplexTensor):
+        tensor = Operand(tensor, axis, mode)
+    if not isinstance(matrix, Prepared) or not isinstance(tensor, Operand):
         raise ArgumentError("contract expects ComplexTensor operands")
-    if matrix.rank != 2:
-        raise DimensionError(f"matrix must be rank 2, got rank {matrix.rank}")
-    if not -tensor.rank <= axis < tensor.rank:
-        raise DimensionError(f"axis {axis} out of range for rank {tensor.rank}")
-    axis %= tensor.rank
-    k = tensor.shape[axis]
+    if (matrix.mode, tensor.mode) != (mode, mode) or axis % tensor.tensor.rank != tensor.axis:
+        raise ArgumentError("operands prepared for another precision mode or axis")
+    axis, k = tensor.axis, tensor.tensor.shape[tensor.axis]
     if matrix.shape[1] != k:
         raise DimensionError(
             f"matrix columns {matrix.shape[1]} != tensor extent {k} along axis {axis}"
         )
-    # planes already in the mode's dtype are used as they are, not copied
-    dtype = mode.real_dtype
-    m_re = matrix.re.astype(dtype, copy=False)
-    m_im = matrix.im.astype(dtype, copy=False)
-    rest_shape = np.moveaxis(tensor.re, axis, 0).shape[1:]
-    # each plane is moved, cast and stacked as re|im in one copy
-    x = np.empty((k, 2) + rest_shape, dtype)
-    x[:, 0] = np.moveaxis(tensor.re, axis, 0)
-    x[:, 1] = np.moveaxis(tensor.im, axis, 0)
-    x = x.reshape(k, -1)
-    half = x.shape[1] // 2
-
-    if mode is PrecisionMode.BF16_SPLIT3:
-        m_re, m_im, x = map(_split3, (m_re, m_im, x))
-        product = partial(_split_products, product=np.matmul)
-    else:
-        product = np.matmul
-    r_x = product(m_re, x)
-    i_x = product(m_im, x)
+    r_x = mode.product(matrix.re, tensor.terms, np.matmul)
+    i_x = mode.product(matrix.im, tensor.terms, np.matmul)
+    half = r_x.shape[1] // 2
     rr, ri = r_x[:, :half], r_x[:, half:]
     ir, ii = i_x[:, :half], i_x[:, half:]
     if conjugate:
@@ -359,7 +351,7 @@ def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
         out_re = rr - ii
         out_im = ri + ir
 
-    out_shape = (matrix.shape[0],) + rest_shape
+    out_shape = (matrix.shape[0],) + tensor.rest_shape
     out_re = np.moveaxis(out_re.reshape(out_shape), 0, axis)
     out_im = np.moveaxis(out_im.reshape(out_shape), 0, axis)
     return ComplexTensor._own_checked(out_re, out_im)
@@ -378,33 +370,25 @@ def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
         raise DimensionError(
             f"factor length {factors.shape[0]} != extent {tensor.shape[axis]}"
         )
-    dtype = mode.real_dtype
     bshape = [1] * tensor.rank
     bshape[axis] = factors.shape[0]
-    f_re = factors.re.astype(dtype, copy=False).reshape(bshape)
-    f_im = factors.im.astype(dtype, copy=False).reshape(bshape)
-    x_re = tensor.re.astype(dtype, copy=False)
-    x_im = tensor.im.astype(dtype, copy=False)
-    if mode is PrecisionMode.BF16_SPLIT3:
-        # each plane takes part in two of the four products: split it once
-        x_re, x_im, f_re, f_im = map(_split3, (x_re, x_im, f_re, f_im))
+    # each plane takes part in two of the four products: prepare it once
+    f_re = mode.prepare(factors.re.reshape(bshape))
+    f_im = mode.prepare(factors.im.reshape(bshape))
+    x_re = mode.prepare(tensor.re)
+    x_im = mode.prepare(tensor.im)
     return ComplexTensor._own_checked(*_complex_product(x_re, x_im, f_re, f_im, mode))
 
 
 def _complex_product(x_re, x_im, f_re, f_im, mode):
-    """Elementwise (broadcasting) complex product of planes in the mode's dtype.
+    """Elementwise (broadcasting) complex product of planes prepared for ``mode``.
 
-    Under bf16split3 every operand is already split by :func:`_split3`.
     Returns the fresh (re, im) planes; each difference and sum is taken in
     its first product's plane.
     """
-    if mode is PrecisionMode.BF16_SPLIT3:
-        product = partial(_split_products, product=np.multiply)
-    else:
-        product = np.multiply
-    out_re = product(x_re, f_re)
-    np.subtract(out_re, product(x_im, f_im), out=out_re)
-    out_im = product(x_re, f_im)
-    np.add(out_im, product(x_im, f_re), out=out_im)
+    product, mul = mode.product, np.multiply
+    out_re = product(x_re, f_re, mul)
+    np.subtract(out_re, product(x_im, f_im, mul), out=out_re)
+    out_im = product(x_re, f_im, mul)
+    np.add(out_im, product(x_im, f_re, mul), out=out_im)
     return out_re, out_im
-

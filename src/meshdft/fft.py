@@ -15,12 +15,12 @@ no plan holds per-core phase blocks.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 import math
 
 import numpy as np
 
-from .ctensor import ComplexTensor, PrecisionMode, _complex_product, _split3
+from .ctensor import ComplexTensor, PrecisionMode, Prepared, _complex_product
 from .decomposition import ComputationShape
 from .errors import ArgumentError, DimensionError, PlanError
 from .mesh import (
@@ -184,27 +184,15 @@ def create_fft_plan(shape, extents, precision=PrecisionMode.F64_REFERENCE):
     )
 
 
-def _factor_table(re, im, mode):
-    """Per-position (f_re, f_im) phase factors of one ring step, from their exact values.
-
-    ``re`` and ``im`` have ring positions on axis 0 and broadcast along the
-    transform axis. They are cast to the mode's dtype and, under bf16split3,
-    split once for all positions (:func:`scale_along_axis` splits the same
-    values per core).
-    """
-    planes = [p.astype(mode.real_dtype, copy=False) for p in (re, im)]
-    if mode is PrecisionMode.BF16_SPLIT3:
-        planes = [np.stack(_split3(p), axis=1) for p in planes]
-    return list(zip(*planes))
-
-
 def _unit_root_factors(n, parts, beta_map, axis, rank, mode):
     """Each step's phase factors for one dimension: one read of the unit-root table.
 
     At ring step s, position p holds the subsequence of offset
     b = beta_map[(p + s) % parts], whose row r (frequency k = p*m + r) takes
     exp(-2j*pi*b*k/n): entry [r, b] of ``build_phase_slice(n, parts, p)``,
-    bit for bit.
+    bit for bit. A step's factors are prepared for the mode once for all
+    positions (:func:`scale_along_axis` prepares them per core), and each
+    position's (f_re, f_im) are its rows of every term.
     """
     cos, neg_sin = _unit_roots(n)
     k = np.arange(n, dtype=np.int64).reshape((parts,) + _bshape(axis, rank))
@@ -213,7 +201,8 @@ def _unit_root_factors(n, parts, beta_map, axis, rank, mode):
     def factors(step):
         exponents = k * np.roll(beta, -step, axis=0)
         np.mod(exponents, n, out=exponents)
-        return _factor_table(cos[exponents], neg_sin[exponents], mode)
+        re, im = (mode.prepare(table[exponents]) for table in (cos, neg_sin))
+        return list(zip(zip(*re), zip(*im)))
 
     return factors
 
@@ -227,26 +216,23 @@ def _phase_ring(core, pos, x, axis, parts, pairs, factors, mode, tag):
 
     Each step multiplies the held subsequence FFT by this position's phase
     factors, with :func:`scale_along_axis`'s arithmetic, and sums the terms
-    in ring order. The first term's planes are fresh, so the others are
-    summed into them; a non-finite partial sum stays non-finite, so one scan
-    at the last step catches any overflow.
+    in ring order. Each payload's planes are prepared for the mode once,
+    when the ring starts, and travel with it. The first term's planes are
+    fresh, so the others are summed into them; a non-finite partial sum
+    stays non-finite, so one scan at the last step catches any overflow.
     """
     core.add_flops("einsum", 4 * x.size * parts, tag)
-    split = mode is PrecisionMode.BF16_SPLIT3
 
     def kernel(step, held, acc, table):
         f_re, f_im = table[pos]
-        x_re, x_im = held.re, held.im
-        if split:
-            x_re, x_im = _split3(x_re), _split3(x_im)
-        term = _complex_product(x_re, x_im, f_re, f_im, mode)
+        term = _complex_product(held.re, held.im, f_re, f_im, mode)
         if acc is not None:
             np.add(acc[0], term[0], out=acc[0])
             np.add(acc[1], term[1], out=acc[1])
             term = acc
         return ComplexTensor._own_checked(*term) if step == parts - 1 else term
 
-    return Ring(pairs, x, kernel, parts - 1, tag, factors)
+    return Ring(pairs, x, kernel, parts - 1, tag, factors, partial(Prepared, mode=mode))
 
 
 def fft_forward(mesh, plan, blocks, workers=1):

@@ -10,10 +10,11 @@ of a dimension as one Ring request, whose kernel makes one contraction.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .ctensor import ComplexTensor, PrecisionMode, contract
+from .ctensor import ComplexTensor, Operand, PrecisionMode, Prepared, contract
 from .decomposition import ComputationShape
 from .errors import DimensionError, PlanError, UnsupportedOperationError
 from .mesh import (
@@ -26,8 +27,9 @@ from .vandermonde import SamplePoints, column_blocks
 class KdftPlan:
     """Precomputed row slices (split into column blocks) for every dim and position.
 
-    Blocks are stored in the precision's real dtype, so contractions use them
-    without a cast.
+    Blocks are stored prepared for the precision (:class:`Prepared`): cast to
+    its real dtype, and under bf16split3 as their split terms only, so no
+    contraction casts or splits a plan block.
     """
 
     shape: ComputationShape
@@ -67,8 +69,9 @@ def create_kdft_plan(shape, samples_per_dim, precision=PrecisionMode.F64_REFEREN
         if n % p != 0:
             raise PlanError(f"extent {n} on dim {d} not divisible by {p} cores")
         for pos in range(p):
-            col_blocks[(d, pos)] = column_blocks(
-                samples[d], p, pos, precision.real_dtype
+            col_blocks[(d, pos)] = tuple(
+                Prepared(block, precision)
+                for block in column_blocks(samples[d], p, pos, precision.real_dtype)
             )
     return KdftPlan(
         shape=shape,
@@ -83,11 +86,12 @@ def _shift_ring(core, cols, x, axis, parts, pos, pairs, mode, tag, trace_log=Non
                 conjugate=False):
     """The shift-by-one schedule for one dimension on one core, as a Ring request.
 
-    ``cols[j]`` is this core's column block matching payloads that started
-    at ring position j; with ``conjugate`` its conjugate is applied. At ring
-    step s the core holds the payload that started at position pos + s, so
-    the payload goes around the ring parts-1 times. ``trace_log`` gets each
-    step's column block and the first element of its operand.
+    ``cols[j]`` is this core's :class:`Prepared` column block matching
+    payloads that started at ring position j; with ``conjugate`` its
+    conjugate is applied. At ring step s the core holds the payload that
+    started at position pos + s, so the payload goes around the ring parts-1
+    times, prepared once as an :class:`Operand`. ``trace_log`` gets each
+    step's column block and the first element of the payload it holds.
     """
     rows, width = cols[0].shape
     core.add_flops("einsum", 4 * rows * width * (x.size // width) * parts, tag)
@@ -95,12 +99,13 @@ def _shift_ring(core, cols, x, axis, parts, pos, pairs, mode, tag, trace_log=Non
     def kernel(step, held, acc, _):
         j = (pos + step) % parts
         if trace_log is not None:
-            first = complex(float(held.re.flat[0]), float(held.im.flat[0]))
+            first = complex(float(held.tensor.re.flat[0]), float(held.tensor.im.flat[0]))
             trace_log.append({"core": core.rank, "v_col": j, "x_first": first})
         term = contract(cols[j], held, axis=axis, mode=mode, conjugate=conjugate)
         return term if acc is None else acc.add(term)
 
-    return Ring(pairs, x, kernel, parts - 1, tag)
+    prepare = partial(Operand, axis=axis, mode=mode)
+    return Ring(pairs, x, kernel, parts - 1, tag, prepare=prepare)
 
 
 def _transform_program(plan, conjugate):
@@ -170,7 +175,9 @@ def one_shuffle(mesh, v_slices, x_blocks, mode=PrecisionMode.F64_REFERENCE, trac
         if x.shape[0] != r:
             raise DimensionError(f"block extent along axis 0 must be {r}, got {x.shape}")
         cols.append(tuple(
-            ComplexTensor(rows.re[:, j * r : (j + 1) * r], rows.im[:, j * r : (j + 1) * r])
+            Prepared(ComplexTensor(
+                rows.re[:, j * r : (j + 1) * r], rows.im[:, j * r : (j + 1) * r]
+            ), mode)
             for j in range(parts)
         ))
     pairs = ring_pairs(range(parts))

@@ -155,8 +155,11 @@ class Ring:
     kernel(step, held, acc, table)`` for step 0..steps, starting from ``acc
     = None`` with ``held = value``; the last ``acc`` comes back at the yield
     point. ``table``, if given, is called once per step and its result goes
-    to every core's kernel, so every core must pass the same one. A single
-    permute is ``steps=1`` with a kernel that returns ``held``.
+    to every core's kernel, so every core must pass the same one. With
+    ``prepare``, ``held`` is ``prepare(value)`` instead, made once on the
+    core that starts with ``value`` and moved with it until the ring ends;
+    the permutes still count the bytes of ``value``. A single permute is
+    ``steps=1`` with a kernel that returns ``held``.
     """
 
     pairs: SourceTargetPairs
@@ -165,9 +168,11 @@ class Ring:
     steps: int
     tag: str = ""
     table: Optional[Callable] = None
+    prepare: Optional[Callable] = None
 
     def meta(self):
-        return ("ring", self.pairs.pairs, self.steps, self.table, self.tag)
+        prepares = self.prepare is not None
+        return ("ring", self.pairs.pairs, self.steps, self.table, prepares, self.tag)
 
 
 class Core:
@@ -403,7 +408,8 @@ class MeshSim:
 
         The payloads only move, so their shapes are checked once and every
         step records the same bytes. Each step's kernels run over the worker
-        pool in slabs of cores.
+        pool in slabs of cores, step 0's after each core's ``prepare``; the
+        prepared payloads are dropped when the ring returns.
         """
         first = requests[0]
         held = [r.value for r in requests]
@@ -418,6 +424,8 @@ class MeshSim:
         accs = [None] * self.num_cores
 
         def step_core(step, c, table):
+            if not step and first.prepare is not None:
+                held[c] = requests[c].prepare(held[c])
             accs[c] = requests[c].kernel(step, held[c], accs[c], table)
 
         for step in range(first.steps + 1):

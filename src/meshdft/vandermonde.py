@@ -33,6 +33,13 @@ class SamplePoints:
     def __setattr__(self, name, value):
         raise AttributeError("SamplePoints is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the checking constructors, so
+        # only uniform points come back uniform
+        if self.is_uniform:
+            return SamplePoints.uniform, (len(self),)
+        return SamplePoints, (self.points,)
+
     def __len__(self):
         return self.points.size
 

@@ -3,10 +3,29 @@
 import numpy as np
 
 import meshdft as md
+from meshdft.ctensor import _split3
 
 F64 = md.PrecisionMode.F64_REFERENCE
 F32 = md.PrecisionMode.F32
 BF16 = md.PrecisionMode.BF16_SPLIT3
+
+
+def plan_block(block):
+    """An f64 or f32 plan's prepared column block as the tensor it holds (one term per plane)."""
+    (re,), (im,) = block.re, block.im
+    return md.ComplexTensor(re, im)
+
+
+def counting_split3(monkeypatch):
+    """Patch the bf16 split with one that records the shape of every plane it splits."""
+    shapes = []
+
+    def counting(values):
+        shapes.append(values.shape)
+        return _split3(values)
+
+    monkeypatch.setattr("meshdft.ctensor._split3", counting)
+    return shapes
 
 
 def rand_tensor(extents, seed, scale=1.0):

@@ -1,0 +1,86 @@
+"""Slow, obvious forms of package code, kept only to test the package against.
+
+- ``round_bits_to_bf16`` and ``bf16_array_reference``: bfloat16 rounding
+  through the 16-bit pattern, the formula ``meshdft.bf16_array`` replaced.
+- ``Bf16Value`` and ``bf16_split``: one float and its three-term split,
+  a value at a time.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+import meshdft as md
+from meshdft.errors import ArgumentError
+
+_BF16_MAX_BITS = np.uint32(0x7F7F)  # largest finite magnitude, 3.3895314e38
+_BF16_INF_PATTERN = np.uint32(0x7F80)
+
+
+def round_bits_to_bf16(bits32):
+    # Round-to-nearest-even on the top 16 bits: add 0x7FFF plus the parity of
+    # the kept LSB, then truncate. Finite inputs cannot wrap uint32.
+    lsb = (bits32 >> np.uint32(16)) & np.uint32(1)
+    return ((bits32 + np.uint32(0x7FFF) + lsb) >> np.uint32(16)).astype(np.uint16)
+
+
+def bf16_array_reference(values, saturate=False):
+    """``meshdft.bf16_array`` computed through the 16-bit patterns."""
+    values = np.ascontiguousarray(values, dtype=np.float32)
+    bits32 = values.view(np.uint32)
+    top = round_bits_to_bf16(bits32)
+    if saturate:
+        overflowed = ((top & np.uint16(0x7FFF)) >= _BF16_INF_PATTERN) & np.isfinite(values)
+        if overflowed.any():
+            sign = top & np.uint16(0x8000)
+            top = np.where(overflowed, sign | np.uint16(_BF16_MAX_BITS), top)
+    out = (top.astype(np.uint32) << np.uint32(16)).view(np.float32)
+    return out.reshape(values.shape)
+
+
+@dataclass(frozen=True)
+class Bf16Value:
+    """A single bfloat16 value carried as its 16-bit pattern."""
+
+    bits: int
+
+    def __post_init__(self):
+        if not 0 <= self.bits <= 0xFFFF:
+            raise ArgumentError(f"bits out of range: {self.bits:#x}")
+
+    @classmethod
+    def from_float32(cls, value):
+        value = np.float32(value)
+        bits32 = np.frombuffer(value.tobytes(), dtype=np.uint32)[0]
+        if not np.isfinite(value):
+            # inf/nan already have all-ones exponents; pass the top half through
+            return cls(int(bits32 >> np.uint32(16)))
+        return cls(int(round_bits_to_bf16(bits32)))
+
+    def to_float32(self):
+        bits32 = np.uint32(self.bits) << np.uint32(16)
+        return np.frombuffer(bits32.tobytes(), dtype=np.float32)[0]
+
+    def __float__(self):
+        return float(self.to_float32())
+
+
+def bf16_split(value, terms=3):
+    """Split a finite float32 into ``terms`` bfloat16 values summing back to it.
+
+    Each term is the saturating round of the running residual; residual
+    subtraction is exact in float32 (the operands are always within a factor
+    of two of each other), so the terms telescope.
+    """
+    if not isinstance(terms, int) or terms < 1:
+        raise ArgumentError(f"terms must be a positive int, got {terms!r}")
+    value = np.float32(value)
+    if not np.isfinite(value):
+        raise ArgumentError("cannot split a non-finite value")
+    out = []
+    residual = value
+    for _ in range(terms):
+        rounded = md.bf16_array(np.float32(residual).reshape(1), saturate=True)[0]
+        out.append(Bf16Value.from_float32(rounded))
+        residual = np.float32(residual - rounded)
+    return out

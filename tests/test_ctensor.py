@@ -1,11 +1,16 @@
 """Complex tensor container, contraction kernels, and the bf16 emulation."""
 
+import copy
+from pathlib import Path
+import pickle
+
 import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.ctensor import _split3
+from meshdft.ctensor import Operand, Prepared, _split3
 from helpers import F64, F32, BF16, rand_tensor
+from reference import Bf16Value, bf16_array_reference, bf16_split
 
 MODES = (F64, F32, BF16)
 
@@ -52,6 +57,19 @@ def test_tensor_is_immutable():
     assert t2.re[0] == 0.0
 
 
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_tensor_copies_and_pickles_through_the_constructor(clone):
+    t = rand_tensor((3, 2), seed=4).astype(np.float32)
+    got = clone(t)
+    assert isinstance(got, md.ComplexTensor) and got.dtype == np.float32
+    assert np.array_equal(got.re, t.re) and np.array_equal(got.im, t.im)
+    assert not got.re.flags.writeable and not got.im.flags.writeable
+    with pytest.raises(AttributeError):
+        got.re = t.im
+
+
 def test_tensor_complex_round_trip():
     values = np.arange(6, dtype=np.complex128).reshape(2, 3) + 1j
     t = md.ComplexTensor.from_complex(values)
@@ -84,6 +102,28 @@ def test_precision_mode_parse():
     assert md.PrecisionMode.parse("bf16split3") is BF16
     with pytest.raises(md.ArgumentError):
         md.PrecisionMode.parse("f16")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_prepare_casts_and_only_bf16split3_splits(mode):
+    plane = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    terms = mode.prepare(plane)
+    if mode is BF16:
+        want = _split3(plane.astype(np.float32))
+        assert len(terms) == 3 and all(np.array_equal(t, w) for t, w in zip(terms, want))
+    else:
+        (term,) = terms
+        assert term.dtype == mode.real_dtype
+        assert np.array_equal(term, plane.astype(mode.real_dtype))
+    # a plane already in the mode's dtype is not copied
+    assert F64.prepare(plane)[0] is plane
+
+
+def test_only_ctensor_names_the_split_mode():
+    # every other module reaches bf16split3 through PrecisionMode.prepare/product
+    src = Path(md.__file__).parent
+    naming = sorted(p.name for p in src.glob("*.py") if "BF16_SPLIT3" in p.read_text())
+    assert naming == ["ctensor.py"]
 
 
 # -- contraction -------------------------------------------------------------
@@ -232,6 +272,22 @@ def test_bf16_contract_splits_each_plane_once(monkeypatch):
     assert sum(split_elements) == 2 * m.size + 2 * x.size
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("mode", MODES)
+def test_contract_takes_prepared_operands(mode, axis):
+    rng = np.random.default_rng(43)
+    m = md.ComplexTensor(rng.uniform(-1, 1, (5, 6)), rng.uniform(-1, 1, (5, 6)))
+    x = rand_tensor((6, 6), seed=44)
+    ref = md.contract(m, x, axis=axis, mode=mode)
+    got = md.contract(Prepared(m, mode), Operand(x, axis, mode), axis=axis, mode=mode)
+    assert np.array_equal(got.re, ref.re) and np.array_equal(got.im, ref.im)
+    other = F32 if mode is not F32 else F64
+    with pytest.raises(md.ArgumentError):
+        md.contract(Prepared(m, other), x, axis=axis, mode=mode)
+    with pytest.raises(md.ArgumentError):
+        md.contract(m, Operand(x, 1 - axis, mode), axis=axis, mode=mode)
+
+
 def test_contract_composes_like_matrix_product():
     rng = np.random.default_rng(41)
     a = md.ComplexTensor(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
@@ -358,16 +414,16 @@ def test_matmul_bf16_is_bit_reproducible():
 
 def test_bf16_value_round_trips_simple_constants():
     for v in (0.0, 1.0, -2.0, 0.5, 3.0):
-        assert float(md.Bf16Value.from_float32(v)) == v
+        assert float(Bf16Value.from_float32(v)) == v
 
 
 def test_bf16_rounds_ties_to_even():
     # 0x3F808000 is exactly halfway between 0x3F80 and 0x3F81: round down (even)
     half_down = np.frombuffer(np.uint32(0x3F808000).tobytes(), dtype=np.float32)[0]
-    assert md.Bf16Value.from_float32(half_down).bits == 0x3F80
+    assert Bf16Value.from_float32(half_down).bits == 0x3F80
     # 0x3F818000 is halfway between 0x3F81 and 0x3F82: round up (even)
     half_up = np.frombuffer(np.uint32(0x3F818000).tobytes(), dtype=np.float32)[0]
-    assert md.Bf16Value.from_float32(half_up).bits == 0x3F82
+    assert Bf16Value.from_float32(half_up).bits == 0x3F82
 
 
 def test_bf16_array_round_trips_every_finite_pattern():
@@ -388,11 +444,11 @@ def test_bf16_relative_error_is_half_ulp():
 
 
 def test_bf16_infinity_passes_through():
-    assert md.Bf16Value.from_float32(np.float32("inf")).bits == 0x7F80
-    assert np.isinf(md.Bf16Value(0x7F80).to_float32())
-    assert np.isnan(md.Bf16Value(0x7FC0).to_float32())
+    assert Bf16Value.from_float32(np.float32("inf")).bits == 0x7F80
+    assert np.isinf(Bf16Value(0x7F80).to_float32())
+    assert np.isnan(Bf16Value(0x7FC0).to_float32())
     with pytest.raises(md.ArgumentError):
-        md.Bf16Value(0x10000)
+        Bf16Value(0x10000)
 
 
 def test_bf16_array_saturation_clamps_to_max_finite():
@@ -405,15 +461,15 @@ def test_bf16_array_saturation_clamps_to_max_finite():
 
 
 def test_split_of_exactly_representable_value():
-    terms = md.bf16_split(1.0)
+    terms = bf16_split(1.0)
     assert [t.to_float32() for t in terms] == [1.0, 0.0, 0.0]
-    assert all(t.to_float32() == 0.0 for t in md.bf16_split(0.0))
+    assert all(t.to_float32() == 0.0 for t in bf16_split(0.0))
 
 
 def test_split_of_pi_recombines_exactly():
     # 24 mantissa bits split into 3x8: the three terms telescope with no loss
     x = np.float32(np.pi)
-    terms = md.bf16_split(x)
+    terms = bf16_split(x)
     total = sum(float(t) for t in terms)
     assert np.float32(total) == x
 
@@ -433,12 +489,47 @@ def test_split_function_agrees_with_array_kernel():
     xs = rng.uniform(-1e6, 1e6, size=64).astype(np.float32)
     t1, t2, t3 = _split3(xs)
     for i, x in enumerate(xs):
-        terms = md.bf16_split(x)
+        terms = bf16_split(x)
         assert [t.to_float32() for t in terms] == [t1[i], t2[i], t3[i]]
 
 
 def test_split_argument_errors():
     with pytest.raises(md.ArgumentError):
-        md.bf16_split(np.float32("inf"))
+        bf16_split(np.float32("inf"))
     with pytest.raises(md.ArgumentError):
-        md.bf16_split(1.0, terms=0)
+        bf16_split(1.0, terms=0)
+
+
+def _patterns(tops, lows):
+    """float32 values whose bit patterns are every top half in ``tops`` with every low half in ``lows``."""
+    bits = (np.asarray(tops, np.uint32)[:, None] << np.uint32(16)) | np.asarray(lows, np.uint32)
+    return bits.ravel().view(np.float32)
+
+
+_BF16_ROUNDING_CASES = {
+    # low half exactly 0x8000 is a tie: even top halves stay, odd ones round up
+    "ties_to_even": _patterns(np.arange(0x10000), [0x8000]),
+    # ±0, the smallest and largest subnormals, and subnormal ties and near-ties
+    "subnormals_and_zeros": _patterns(
+        [0x0000, 0x0001, 0x0002, 0x007F, 0x8000, 0x8001, 0x807F],
+        [0x0000, 0x0001, 0x7FFF, 0x8000, 0x8001, 0xFFFF],
+    ),
+    # everything from the largest finite bfloat16 up to the float32 limit
+    "saturating": _patterns([0x7F7F, 0xFF7F], np.arange(0x10000)),
+    # inf and NaN patterns pass their top half through
+    "inf_and_nan": _patterns(
+        [0x7F80, 0xFF80, 0x7FC0, 0xFFC0, 0x7F81, 0xFFFF, 0x7FFF],
+        [0x0000, 0x0001, 0x7FFF, 0x8000, 0xFFFF],
+    ),
+}
+
+
+@pytest.mark.parametrize("saturate", [False, True])
+@pytest.mark.parametrize("case", sorted(_BF16_ROUNDING_CASES))
+def test_bf16_array_matches_the_16_bit_formula(case, saturate):
+    values = _BF16_ROUNDING_CASES[case]
+    got = md.bf16_array(values, saturate=saturate)
+    want = bf16_array_reference(values, saturate=saturate)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+

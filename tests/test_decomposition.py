@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from helpers import rand_tensor
+from helpers import plan_block, rand_tensor
 
 
 def test_shape_basics():
@@ -155,7 +155,7 @@ def test_gather_rejects_bad_blocks():
 def _row_slice(plan, d, pos):
     """Core position ``pos``'s row slice along ``d``, its column blocks rejoined."""
     blocks = plan.col_blocks[(d, pos)]
-    return np.concatenate([b.to_complex() for b in blocks], axis=1)
+    return np.concatenate([plan_block(b).to_complex() for b in blocks], axis=1)
 
 
 def test_slices_for_shape_single_core():

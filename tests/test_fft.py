@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from helpers import F32, rand_tensor, run_fft, err_vs
+from helpers import BF16, F32, counting_split3, rand_tensor, run_fft, err_vs
 
 
 def cvec(values):
@@ -364,3 +364,18 @@ def test_moved_and_computed_planes_are_read_only():
             assert not plane.flags.writeable
             with pytest.raises(ValueError):
                 plane[(0,) * plane.ndim] = 1.0
+
+
+def test_bf16_forward_splits_each_payload_plane_once_per_ring(monkeypatch):
+    shape = md.ComputationShape(4, 2, 1)
+    plan = md.create_fft_plan(shape, (32, 16), BF16)
+    blocks, _ = md.decompose(rand_tensor((32, 16), seed=62), shape)
+    splits = counting_split3(monkeypatch)
+    md.fft_forward(md.MeshSim(shape), plan, blocks)
+    # each core's two (8, 8) payload planes once per dimension's ring, where a
+    # split per ring step made it 2 * 8 * (4 + 2); the rest are one ring
+    # step's phase factors for all positions, (P, m, 1) or (P, 1, m)
+    payload = [s for s in splits if s == (8, 8)]
+    assert len(payload) == 2 * shape.num_cores * 2
+    assert sorted(set(splits) - {(8, 8)}) == [(2, 1, 8), (4, 8, 1)]
+    assert len(splits) == len(payload) + 2 * (4 + 2)

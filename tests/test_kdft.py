@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from helpers import F64, F32, rand_tensor, run_kdft, err_vs
+from meshdft.ctensor import Prepared, _split3
+from meshdft.vandermonde import column_blocks
+from helpers import (
+    BF16, F64, F32, counting_split3, plan_block, rand_tensor, run_kdft, err_vs
+)
 
 
 def test_plan_validation():
@@ -172,7 +176,11 @@ def test_inverse_matches_forward_with_conjugated_blocks(mode):
     plan = md.create_kdft_plan(shape, (12, 8), mode)
     blocks, _ = md.decompose(x, shape)
     conjugated = dataclasses.replace(plan, col_blocks={
-        key: tuple(c.conj() for c in cols) for key, cols in plan.col_blocks.items()
+        (d, pos): tuple(
+            Prepared(c.conj(), mode)
+            for c in column_blocks(plan.samples[d], shape.dims[d], pos, mode.real_dtype)
+        )
+        for d, pos in plan.col_blocks
     })
     ref = md.kdft_forward(md.MeshSim(shape), conjugated, blocks)
     got = md.kdft_inverse_uniform(md.MeshSim(shape), plan, blocks)
@@ -265,6 +273,7 @@ def _assert_blocks_slice(plan, matrix, parts):
         blocks = plan.col_blocks[(0, pos)]
         assert len(blocks) == parts
         for j, block in enumerate(blocks):
+            block = plan_block(block)
             rows, cols = slice(pos * w, (pos + 1) * w), slice(j * w, (j + 1) * w)
             assert _same_bits(block.re, matrix.re[rows, cols])
             assert _same_bits(block.im, matrix.im[rows, cols])
@@ -299,5 +308,43 @@ def test_f32_plan_blocks_are_f64_blocks_cast(nonuniform):
         assert p32.col_blocks.keys() == p64.col_blocks.keys()
         for key, blocks in p64.col_blocks.items():
             for b64, b32 in zip(blocks, p32.col_blocks[key], strict=True):
-                assert _same_bits(b32.re, b64.re.astype(np.float32))
-                assert _same_bits(b32.im, b64.im.astype(np.float32))
+                b64 = plan_block(b64)
+                # a bf16split3 block holds only the split terms of the cast planes
+                for got, plane in ((b32.re, b64.re), (b32.im, b64.im)):
+                    cast = plane.astype(np.float32)
+                    want = (cast,) if mode is F32 else _split3(cast)
+                    assert len(got) == len(want)
+                    assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+# -- bf16split3 operands are split once ------------------------------------------
+
+
+def test_bf16_forward_splits_no_plan_block_and_each_payload_once_per_dim(monkeypatch):
+    rng = np.random.default_rng(60)
+    samples = [md.SamplePoints.explicit(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+               for n in (16, 8)]
+    shape = md.ComputationShape(4, 2, 1)
+    blocks, _ = md.decompose(rand_tensor((16, 8), seed=61), shape)
+    splits = counting_split3(monkeypatch)
+    plan = md.create_kdft_plan(shape, samples, BF16)
+    # the plan splits both planes of each of its 4*4 + 2*2 column blocks once
+    assert splits == [(4, 4)] * (2 * (4 * 4 + 2 * 2))
+    splits.clear()
+    md.kdft_forward(md.MeshSim(shape), plan, blocks)
+    # one (4, 2*4) re|im operand per core and dimension; no (4, 4) plan block
+    assert splits == [(4, 8)] * (shape.num_cores * 2)
+
+
+def test_bf16_one_shuffle_trace_reads_the_raw_payload():
+    # x_first is the held payload's own first element, not its leading split term
+    mesh = md.MeshSim(2)
+    slices = md.slice_rows(md.build_uniform(4), 2)
+    blocks = [md.ComplexTensor([0.1, 1.0], [0.3, 0.0]),
+              md.ComplexTensor([0.2, 1.0], [0.0, 0.0])]
+    trace = []
+    md.one_shuffle(mesh, slices, blocks, BF16, trace=trace)
+    a = complex(float(np.float32(0.1)), float(np.float32(0.3)))
+    b = complex(float(np.float32(0.2)), 0.0)
+    assert [[e["x_first"] for e in step["einsums"]] for step in trace] == [[a, b], [b, a]]
+    assert md.bf16_array(np.float32(0.1))[0] != np.float32(0.1)

@@ -15,6 +15,7 @@ import pytest
 import meshdft as md
 from meshdft import fft
 from meshdft.decomposition import ComputationShape
+from meshdft.vandermonde import column_blocks
 from helpers import BF16, F32, F64, rand_tensor
 
 MODES = [F64, F32, BF16]
@@ -101,13 +102,19 @@ def _shift_steps_reference(core, cols, x, axis, parts, pos, pairs, mode, tag, co
 
 def kdft_reference(mesh, plan, blocks, workers, conjugate):
     mode = plan.precision
+    # the plan's blocks as tensors, so that every step prepares (under
+    # bf16split3, splits) both of its operands again
+    cols = {
+        (d, pos): column_blocks(plan.samples[d], plan.shape.dims[d], pos, mode.real_dtype)
+        for d, pos in plan.col_blocks
+    }
 
     def program(core, x):
         x = x.astype(mode.real_dtype)
         for d in range(plan.rank):
             pos = core.coords[d]
             x = yield from _shift_steps_reference(
-                core, plan.col_blocks[(d, pos)], x, d, plan.shape.dims[d], pos,
+                core, cols[(d, pos)], x, d, plan.shape.dims[d], pos,
                 md.line_ring_pairs(plan.shape.lines(d)), mode, f"dim{d + 1}", conjugate,
             )
         if conjugate:
@@ -202,8 +209,9 @@ def test_unit_root_table_equals_build_phase_slice(n, parts):
         table = factors(step)
         for pos in range(parts):
             b = beta_map[(pos + step) % parts]
-            assert np.array_equal(table[pos][0], slices[pos].re[:, b])
-            assert np.array_equal(table[pos][1], slices[pos].im[:, b])
+            (f_re,), (f_im,) = table[pos]
+            assert np.array_equal(f_re, slices[pos].re[:, b])
+            assert np.array_equal(f_im, slices[pos].im[:, b])
 
 
 @pytest.mark.parametrize("extents,grid", [((4096,), (64, 1, 1)), ((16, 16, 16), (4, 4, 4))])

@@ -1,10 +1,14 @@
 """Transform-matrix construction: uniform, nonuniform, slices, phase blocks."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 import meshdft as md
 from meshdft.vandermonde import column_blocks
+from helpers import plan_block
 
 
 def test_build_uniform_smallest_cases():
@@ -60,7 +64,7 @@ def test_uniform_flag_cannot_be_set_from_outside():
     # the caller's points are what the plan builds on, not the uniform DFT
     plan = md.create_kdft_plan(md.ComputationShape(2, 1, 1), (forged,))
     assert not plan.all_uniform()
-    built = np.hstack([b.to_complex() for b in plan.col_blocks[(0, 0)]])
+    built = np.hstack([plan_block(b).to_complex() for b in plan.col_blocks[(0, 0)]])
     assert np.array_equal(built, md.build_nonuniform(z, 8).to_complex()[:4])
     # explicit roots of unity stay explicit
     roots = md.SamplePoints.explicit(md.SamplePoints.uniform(8).points)
@@ -170,3 +174,20 @@ def test_build_uniform_matches_the_dense_formula(n):
     v = md.build_uniform(n)
     assert v.re.tobytes() == np.cos(angles).tobytes()
     assert v.im.tobytes() == (-np.sin(angles)).tobytes()
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_sample_points_copy_and_pickle_keep_the_uniform_flag(clone):
+    uniform = clone(md.SamplePoints.uniform(8))
+    assert uniform.is_uniform
+    assert np.array_equal(uniform.points, md.SamplePoints.uniform(8).points)
+    # explicit points rebuild as explicit, even on the unit roots
+    roots = md.SamplePoints.explicit(md.SamplePoints.uniform(8).points)
+    rebuilt = clone(roots)
+    assert not rebuilt.is_uniform
+    assert np.array_equal(rebuilt.points, roots.points)
+    assert not rebuilt.points.flags.writeable
+    with pytest.raises(AttributeError):
+        rebuilt.is_uniform = True
