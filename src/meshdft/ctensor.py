@@ -169,7 +169,11 @@ class ComplexTensor:
         dtype = np.dtype(dtype)
         if dtype == self.dtype:
             return self
-        return ComplexTensor(self.re.astype(dtype), self.im.astype(dtype))
+        if dtype not in _REAL_DTYPES:
+            raise ArgumentError(f"planes must be float32 or float64, got {dtype}")
+        # the cast planes are fresh, so they are wrapped without another
+        # copy; a narrowing cast can overflow, so the finite scan stays
+        return ComplexTensor._own_checked(self.re.astype(dtype), self.im.astype(dtype))
 
     def conj(self):
         return ComplexTensor._own(self.re, -self.im)
@@ -310,19 +314,21 @@ def matmul_mixed(a, b, mode=PrecisionMode.F64_REFERENCE):
     return mode.product(mode.prepare(a), mode.prepare(b), np.matmul)
 
 
-def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
-             conjugate=False):
-    """Apply a complex matrix (its conjugate if ``conjugate``) along one axis.
+def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
+    """Apply a complex matrix along one axis of a tensor.
 
     ``matrix`` is a rank-2 :class:`ComplexTensor` or a :class:`Prepared` one,
     and ``tensor`` a :class:`ComplexTensor` or an :class:`Operand`, both
     prepared for ``mode`` (and ``axis``); a ring prepares each once and
     contracts them many times. The operand holds the tensor's planes side by
-    side, so each matrix plane takes part in one real product with
-    :func:`matmul_mixed`'s arithmetic for the precision mode: ``m_re @ x``
-    gives ``rr|ri`` and ``m_im @ x`` gives ``ir|ii``. The conjugate flips the
-    signs of the recombination instead of negating the matrix: every mode
-    rounds symmetrically, so the bits match a product with ``-matrix.im``.
+    side as one ``(k, 2*rest)`` plane, so each matrix plane takes part in one
+    BLAS product, summed over the split terms in :func:`matmul_mixed`'s
+    order: ``m_re @ x`` gives ``rr|ri`` and ``m_im @ x`` gives ``ir|ii``.
+    The bits are reproducible as :func:`matmul_mixed`'s are, but they need
+    not equal :func:`matmul_mixed` on each plane alone: BLAS may block a
+    ``(k, 2*rest)`` product differently from a ``(k, rest)`` one, and a
+    one-column operand (``rest`` = 1) runs as a matrix product where one
+    plane alone runs as a matrix-vector product.
     """
     if isinstance(matrix, ComplexTensor):
         if matrix.rank != 2:
@@ -344,12 +350,8 @@ def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE,
     half = r_x.shape[1] // 2
     rr, ri = r_x[:, :half], r_x[:, half:]
     ir, ii = i_x[:, :half], i_x[:, half:]
-    if conjugate:
-        out_re = rr + ii
-        out_im = ri - ir
-    else:
-        out_re = rr - ii
-        out_im = ri + ir
+    out_re = rr - ii
+    out_im = ri + ir
 
     out_shape = (matrix.shape[0],) + tensor.rest_shape
     out_re = np.moveaxis(out_re.reshape(out_shape), 0, axis)

@@ -9,12 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctensor import ComplexTensor
-from .errors import (
-    ArgumentError,
-    AssemblyError,
-    DecompositionError,
-    DimensionError,
-)
+from .errors import ArgumentError, AssemblyError, PlanError
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,14 @@ class ComputationShape:
 
 @dataclass(frozen=True)
 class BlockAssignment:
-    """How a global tensor is split into per-core contiguous blocks."""
+    """How a global tensor is split into per-core contiguous blocks.
+
+    The one check that a core grid can hold a tensor's extents, for
+    :func:`decompose` and for both engines' plans: it raises ``PlanError``
+    unless the rank is 1..3, each distributed extent divides evenly among
+    its cores, and the grid has one core along every dimension beyond the
+    rank.
+    """
 
     global_shape: tuple
     shape: ComputationShape
@@ -75,18 +77,18 @@ class BlockAssignment:
     def __post_init__(self):
         rank = len(self.global_shape)
         if not 1 <= rank <= 3:
-            raise DimensionError(f"rank must be 1..3, got {rank}")
-        for d, n in enumerate(self.global_shape):
-            if not isinstance(n, int) or n < 1:
-                raise ArgumentError(f"global extents must be positive ints: {self.global_shape}")
-            if n % self.shape.dims[d] != 0:
-                raise DecompositionError(
-                    f"extent {n} along dim {d} is not divisible by {self.shape.dims[d]} cores"
-                )
+            raise PlanError(f"need 1..3 dimensions, got {rank}")
+        if not all(isinstance(n, int) and n >= 1 for n in self.global_shape):
+            raise ArgumentError(f"global extents must be positive ints: {self.global_shape}")
         for d in range(rank, 3):
             if self.shape.dims[d] != 1:
-                raise DecompositionError(
-                    f"rank-{rank} tensor cannot be spread over {self.shape.dims[d]} cores on dim {d}"
+                raise PlanError(
+                    f"rank-{rank} transform cannot use {self.shape.dims[d]} cores on dim {d}"
+                )
+        for d, n in enumerate(self.global_shape):
+            if n % self.shape.dims[d] != 0:
+                raise PlanError(
+                    f"extent {n} on dim {d} not divisible by {self.shape.dims[d]} cores"
                 )
 
     @property

@@ -13,12 +13,8 @@ class DimensionError(MeshDftError, ValueError):
     """Shapes, ranks, or axis indices do not line up."""
 
 
-class DecompositionError(MeshDftError):
-    """A tensor cannot be block-decomposed over the requested core grid."""
-
-
 class PlanError(MeshDftError):
-    """A transform plan cannot be built for the requested configuration."""
+    """A core grid cannot hold a tensor, or a plan cannot be built for it."""
 
 
 class UnsupportedOperationError(MeshDftError):

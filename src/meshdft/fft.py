@@ -23,9 +23,7 @@ import numpy as np
 from .ctensor import ComplexTensor, PrecisionMode, Prepared, _complex_product
 from .decomposition import ComputationShape
 from .errors import ArgumentError, DimensionError, PlanError
-from .mesh import (
-    AllToAll, Ring, _check_blocks, _check_plan, _check_tensors, line_ring_pairs, ring_pairs
-)
+from .mesh import AllToAll, Ring, _check_blocks, _check_plan, _check_tensors
 from .vandermonde import _unit_roots
 
 
@@ -165,16 +163,14 @@ class FftPlan:
 def create_fft_plan(shape, extents, precision=PrecisionMode.F64_REFERENCE):
     """Plan a power-of-two transform over the core grid."""
     extents = tuple(int(n) for n in extents)
-    _check_plan(shape, precision, len(extents))
+    _check_plan(shape, precision, extents)
     beta_maps = {}
     for d in range(len(extents)):
         n, p = extents[d], shape.dims[d]
         if not _is_pow2(n):
             raise PlanError(f"extent {n} on dim {d} must be a power of two")
-        if not _is_pow2(p) or n % p != 0:
-            raise PlanError(
-                f"core count {p} on dim {d} must be a power of two dividing {n}"
-            )
+        if not _is_pow2(p):
+            raise PlanError(f"core count {p} on dim {d} must be a power of two")
         beta_maps[d] = gather_positions(p, n // p)
     return FftPlan(
         shape=shape,
@@ -211,7 +207,7 @@ def _bshape(axis, rank):
     return tuple(-1 if a == axis else 1 for a in range(rank))
 
 
-def _phase_ring(core, pos, x, axis, parts, pairs, factors, mode, tag):
+def _phase_ring(core, pos, x, axis, parts, groups, factors, mode, tag):
     """The shift-by-one phase combination for one core, as a Ring request.
 
     Each step multiplies the held subsequence FFT by this position's phase
@@ -232,7 +228,7 @@ def _phase_ring(core, pos, x, axis, parts, pairs, factors, mode, tag):
             term = acc
         return ComplexTensor._own_checked(*term) if step == parts - 1 else term
 
-    return Ring(pairs, x, kernel, parts - 1, tag, factors, partial(Prepared, mode=mode))
+    return Ring(groups, x, kernel, parts - 1, tag, factors, partial(Prepared, mode=mode))
 
 
 def fft_forward(mesh, plan, blocks, workers=1):
@@ -250,19 +246,19 @@ def fft_forward(mesh, plan, blocks, workers=1):
         m = n // parts
         lines = plan.shape.lines(d)
         schedule.append((
-            parts, m, _gather_groups(lines, parts, m), line_ring_pairs(lines),
+            parts, m, _gather_groups(lines, parts, m), lines,
             _unit_root_factors(n, parts, plan.beta_maps[d], d, plan.rank, mode),
         ))
 
     def program(core, x):
         x = x.astype(mode.real_dtype)
-        for d, (parts, m, groups, pairs, factors) in enumerate(schedule):
+        for d, (parts, m, gather_groups, lines, factors) in enumerate(schedule):
             tag = f"dim{d + 1}"
-            x = yield AllToAll(groups, x, split_axis=d, tag=tag)
+            x = yield AllToAll(gather_groups, x, split_axis=d, tag=tag)
             x = local_fft(x, axis=d, mode=mode)
             core.add_flops("local_fft", local_fft_flops(m, x.size // m), tag)
             x = yield _phase_ring(
-                core, core.coords[d], x, d, parts, pairs, factors, mode, tag
+                core, core.coords[d], x, d, parts, lines, factors, mode, tag
             )
         return x
 
@@ -299,12 +295,12 @@ def phase_adjust(mesh, blocks, mode=PrecisionMode.F64_REFERENCE):
     _check_tensors(blocks, parts)
     m, rank = blocks[0].shape[0], blocks[0].rank
     factors = _unit_root_factors(m * parts, parts, tuple(range(parts)), 0, rank, mode)
-    pairs = ring_pairs(range(parts))
+    groups = (range(parts),)
 
     def program(core, x):
         x = x.astype(mode.real_dtype)
         return (yield _phase_ring(
-            core, core.rank, x, 0, parts, pairs, factors, mode, "phase"
+            core, core.rank, x, 0, parts, groups, factors, mode, "phase"
         ))
 
     return mesh.run_spmd(program, blocks)

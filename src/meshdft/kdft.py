@@ -16,10 +16,8 @@ import numpy as np
 
 from .ctensor import ComplexTensor, Operand, PrecisionMode, Prepared, contract
 from .decomposition import ComputationShape
-from .errors import DimensionError, PlanError, UnsupportedOperationError
-from .mesh import (
-    Ring, _check_blocks, _check_plan, _check_tensors, line_ring_pairs, ring_pairs
-)
+from .errors import DimensionError, UnsupportedOperationError
+from .mesh import Ring, _check_blocks, _check_plan, _check_tensors
 from .vandermonde import SamplePoints, column_blocks
 
 
@@ -61,13 +59,11 @@ def _as_samples(spec):
 def create_kdft_plan(shape, samples_per_dim, precision=PrecisionMode.F64_REFERENCE):
     """Build per-core matrix slices for a 1-, 2-, or 3-D transform."""
     samples = tuple(_as_samples(s) for s in samples_per_dim)
-    _check_plan(shape, precision, len(samples))
     extents = tuple(len(s) for s in samples)
+    _check_plan(shape, precision, extents)
     col_blocks = {}
     for d in range(len(samples)):
-        n, p = extents[d], shape.dims[d]
-        if n % p != 0:
-            raise PlanError(f"extent {n} on dim {d} not divisible by {p} cores")
+        p = shape.dims[d]
         for pos in range(p):
             col_blocks[(d, pos)] = tuple(
                 Prepared(block, precision)
@@ -82,15 +78,14 @@ def create_kdft_plan(shape, samples_per_dim, precision=PrecisionMode.F64_REFEREN
     )
 
 
-def _shift_ring(core, cols, x, axis, parts, pos, pairs, mode, tag, trace_log=None,
-                conjugate=False):
+def _shift_ring(core, cols, x, axis, parts, pos, groups, mode, tag, trace_log=None):
     """The shift-by-one schedule for one dimension on one core, as a Ring request.
 
     ``cols[j]`` is this core's :class:`Prepared` column block matching
-    payloads that started at ring position j; with ``conjugate`` its
-    conjugate is applied. At ring step s the core holds the payload that
-    started at position pos + s, so the payload goes around the ring parts-1
-    times, prepared once as an :class:`Operand`. ``trace_log`` gets each
+    payloads that started at ring position j, and ``groups`` are the rings
+    (grid lines) with their cores in position order. At ring step s the core
+    holds the payload that started at position pos + s, so the payload goes
+    around the ring parts-1 times, prepared once as an :class:`Operand`. ``trace_log`` gets each
     step's column block and the first element of the payload it holds.
     """
     rows, width = cols[0].shape
@@ -101,33 +96,11 @@ def _shift_ring(core, cols, x, axis, parts, pos, pairs, mode, tag, trace_log=Non
         if trace_log is not None:
             first = complex(float(held.tensor.re.flat[0]), float(held.tensor.im.flat[0]))
             trace_log.append({"core": core.rank, "v_col": j, "x_first": first})
-        term = contract(cols[j], held, axis=axis, mode=mode, conjugate=conjugate)
+        term = contract(cols[j], held, axis=axis, mode=mode)
         return term if acc is None else acc.add(term)
 
     prepare = partial(Operand, axis=axis, mode=mode)
-    return Ring(pairs, x, kernel, parts - 1, tag, prepare=prepare)
-
-
-def _transform_program(plan, conjugate):
-    mode = plan.precision
-    dtype = mode.real_dtype
-    inv_scale = 1.0 / plan.total_elements
-    # one ring schedule per dimension, shared by every core
-    rings = [line_ring_pairs(plan.shape.lines(d)) for d in range(plan.rank)]
-
-    def program(core, x):
-        x = x.astype(dtype)
-        for d, pairs in enumerate(rings):
-            pos = core.coords[d]
-            x = yield _shift_ring(
-                core, plan.col_blocks[(d, pos)], x, d, plan.shape.dims[d], pos,
-                pairs, mode, f"dim{d + 1}", conjugate=conjugate,
-            )
-        if conjugate:
-            x = x.scaled(inv_scale)
-        return x
-
-    return program
+    return Ring(groups, x, kernel, parts - 1, tag, prepare=prepare)
 
 
 def kdft_forward(mesh, plan, blocks, workers=1):
@@ -137,19 +110,37 @@ def kdft_forward(mesh, plan, blocks, workers=1):
     each distributed dimension.
     """
     _check_blocks(mesh, plan, blocks)
-    program = _transform_program(plan, conjugate=False)
+    mode = plan.precision
+    # one ring schedule per dimension, shared by every core
+    rings = [plan.shape.lines(d) for d in range(plan.rank)]
+
+    def program(core, x):
+        x = x.astype(mode.real_dtype)
+        for d, groups in enumerate(rings):
+            pos = core.coords[d]
+            x = yield _shift_ring(
+                core, plan.col_blocks[(d, pos)], x, d, plan.shape.dims[d], pos,
+                groups, mode, f"dim{d + 1}",
+            )
+        return x
+
     return mesh.run_spmd(program, blocks, workers=workers)
 
 
 def kdft_inverse_uniform(mesh, plan, blocks, workers=1):
-    """Inverse transform (uniform sampling only): conjugated slices + 1/N scaling."""
+    """Inverse transform (uniform sampling only): ``conj(forward(conj(x))) / N``.
+
+    Every precision mode rounds symmetrically, so the bits are those of
+    contracting with conjugated column blocks, and no conjugated copy of the
+    plan is made.
+    """
     _check_blocks(mesh, plan, blocks)
     if not plan.all_uniform():
         raise UnsupportedOperationError(
             "inverse requires uniform sampling on every dimension"
         )
-    program = _transform_program(plan, conjugate=True)
-    return mesh.run_spmd(program, blocks, workers=workers)
+    out = kdft_forward(mesh, plan, [b.conj() for b in blocks], workers=workers)
+    return [y.conj().scaled(1.0 / plan.total_elements) for y in out]
 
 
 def one_shuffle(mesh, v_slices, x_blocks, mode=PrecisionMode.F64_REFERENCE, trace=None):
@@ -180,22 +171,24 @@ def one_shuffle(mesh, v_slices, x_blocks, mode=PrecisionMode.F64_REFERENCE, trac
             ), mode)
             for j in range(parts)
         ))
-    pairs = ring_pairs(range(parts))
+    group = tuple(range(parts))
     trace_logs = [[] for _ in range(parts)] if trace is not None else None
 
     def program(core, x):
         log = trace_logs[core.rank] if trace_logs is not None else None
         return (yield _shift_ring(
             core, cols[core.rank], x.astype(mode.real_dtype), 0, parts, core.rank,
-            pairs, mode, "one_shuffle", log
+            (group,), mode, "one_shuffle", log
         ))
 
     results = mesh.run_spmd(program, x_blocks)
     if trace is not None:
-        # one record per step: every core's operand, then the permute after it
+        # one record per step: every core's operand, then the permute after
+        # it as (source, target) pairs, member i receiving from member i+1
+        pairs = tuple(zip(group[1:] + group[:1], group))
         trace.extend(
             {"einsums": [log[s] for log in trace_logs],
-             "pairs": pairs.pairs if s < parts - 1 else None}
+             "pairs": pairs if s < parts - 1 else None}
             for s in range(parts)
         )
     return results

@@ -28,10 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ctensor import ComplexTensor, PrecisionMode
-from .decomposition import ComputationShape
-from .errors import (
-    ArgumentError, CommunicationError, DimensionError, PlanError, ProtocolError
-)
+from .decomposition import BlockAssignment, ComputationShape
+from .errors import ArgumentError, CommunicationError, DimensionError, ProtocolError
 
 LEDGER_FIELDS = (
     "permute_count",
@@ -91,49 +89,6 @@ class CommLedger:
 
 
 @dataclass(frozen=True)
-class SourceTargetPairs:
-    """A set of (source, target) core pairs forming a partial permutation."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        pairs = tuple((int(s), int(t)) for s, t in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        sources = [s for s, _ in pairs]
-        targets = [t for _, t in pairs]
-        if len(set(sources)) != len(sources):
-            raise CommunicationError("duplicate source core in pairs")
-        if len(set(targets)) != len(targets):
-            raise CommunicationError("duplicate target core in pairs")
-        if set(sources) != set(targets):
-            raise CommunicationError("sources and targets must cover the same cores")
-
-    @property
-    def participants(self):
-        return sorted(s for s, _ in self.pairs)
-
-    def source_of(self):
-        return {t: s for s, t in self.pairs}
-
-
-def ring_pairs(group):
-    """Shift-by-one ring on an ordered group: member i receives from member i+1."""
-    group = [int(c) for c in group]
-    if len(set(group)) != len(group) or not group:
-        raise CommunicationError(f"group must be non-empty distinct cores, got {group}")
-    n = len(group)
-    return SourceTargetPairs(tuple((group[(i + 1) % n], group[i]) for i in range(n)))
-
-
-def line_ring_pairs(lines):
-    """One permute op whose pairs serve every line (``shape.lines(dim)``) at once."""
-    pairs = []
-    for line in lines:
-        pairs.extend(ring_pairs(line).pairs)
-    return SourceTargetPairs(tuple(pairs))
-
-
-@dataclass(frozen=True)
 class AllToAll:
     """SPMD request: within each group, member i gets every member's slices i, i+n, ..."""
 
@@ -148,21 +103,25 @@ class AllToAll:
 
 @dataclass(frozen=True)
 class Ring:
-    """SPMD request: ``steps`` permutes by ``pairs``, each followed by a compute step.
+    """SPMD request: ``steps`` shifts within each group, each followed by a compute step.
 
-    The coordinator records ``steps`` permutes tagged ``tag`` and folds this
-    core's ``kernel`` over the payloads it holds in turn, ``acc =
-    kernel(step, held, acc, table)`` for step 0..steps, starting from ``acc
-    = None`` with ``held = value``; the last ``acc`` comes back at the yield
-    point. ``table``, if given, is called once per step and its result goes
-    to every core's kernel, so every core must pass the same one. With
-    ``prepare``, ``held`` is ``prepare(value)`` instead, made once on the
-    core that starts with ``value`` and moved with it until the ring ends;
-    the permutes still count the bytes of ``value``. A single permute is
-    ``steps=1`` with a kernel that returns ``held``.
+    ``groups`` are disjoint ordered groups of cores: at every step member i
+    receives the payload member i+1 held, the last member the first's (cycle
+    notation, so any permutation can be written), and a core in no group
+    keeps its payload. The coordinator records ``steps`` permutes tagged
+    ``tag`` and folds this core's ``kernel`` over the payloads it holds in
+    turn, ``acc = kernel(step, held, acc, table)`` for step 0..steps,
+    starting from ``acc = None`` with ``held = value``; the last ``acc``
+    comes back at the yield point. ``table``, if given, is called once per
+    step and its result goes to every core's kernel, so every core must
+    pass the same one. With ``prepare``, ``held`` is ``prepare(value)``
+    instead, made once on the core that starts with ``value`` and moved
+    with it until the ring ends; the permutes still count the bytes of
+    ``value``. A single permute is ``steps=1`` with a kernel that returns
+    ``held``.
     """
 
-    pairs: SourceTargetPairs
+    groups: tuple
     value: ComplexTensor
     kernel: Callable
     steps: int
@@ -172,7 +131,7 @@ class Ring:
 
     def meta(self):
         prepares = self.prepare is not None
-        return ("ring", self.pairs.pairs, self.steps, self.table, prepares, self.tag)
+        return ("ring", self.groups, self.steps, self.table, prepares, self.tag)
 
 
 class Core:
@@ -209,19 +168,13 @@ def _check_payload(value, context):
         raise CommunicationError(f"{context}: payload must be a ComplexTensor")
 
 
-def _check_plan(shape, precision, rank):
-    """The checks both engines' plans make on their grid, precision and rank."""
+def _check_plan(shape, precision, extents):
+    """The checks both engines' plans make on their grid, precision and extents."""
     if not isinstance(shape, ComputationShape):
         raise ArgumentError("shape must be a ComputationShape")
     if not isinstance(precision, PrecisionMode):
         raise ArgumentError("precision must be a PrecisionMode")
-    if not 1 <= rank <= 3:
-        raise PlanError(f"need 1..3 dimensions, got {rank}")
-    for d in range(rank, 3):
-        if shape.dims[d] != 1:
-            raise PlanError(
-                f"rank-{rank} transform cannot use {shape.dims[d]} cores on dim {d}"
-            )
+    BlockAssignment(extents, shape)
 
 
 def _check_tensors(blocks, num_cores):
@@ -238,9 +191,7 @@ def _check_blocks(mesh, plan, blocks):
     if not isinstance(mesh, MeshSim) or mesh.shape != plan.shape:
         raise ArgumentError("mesh and plan must share the same computation shape")
     _check_tensors(blocks, plan.shape.num_cores)
-    expected = tuple(
-        n // p for n, p in zip(plan.extents, plan.shape.dims[: plan.rank])
-    )
+    expected = BlockAssignment(plan.extents, plan.shape).block_shape
     for i, b in enumerate(blocks):
         if b.shape != expected:
             raise DimensionError(f"block {i} must have shape {expected}")
@@ -379,7 +330,7 @@ class MeshSim:
                 raise ProtocolError(
                     "some cores finished while others still wait on a collective"
                 )
-            # engines share one groups/pairs/table object across cores, so
+            # engines share one groups/table object across cores, so
             # comparing with the first request mostly compares by identity
             metas = [e.request.meta() for e in entries]
             if any(meta != metas[0] for meta in metas):
@@ -403,6 +354,24 @@ class MeshSim:
             first.groups, [r.value for r in requests], first.split_axis, tag=first.tag
         )
 
+    def _check_groups(self, groups):
+        """``groups`` as tuples of core ids, each non-empty, on the mesh and disjoint.
+
+        The one check of the core groups that ``AllToAll`` and ``Ring`` take.
+        """
+        groups = tuple(tuple(int(c) for c in g) for g in groups)
+        seen = set()
+        for g in groups:
+            if not g:
+                raise CommunicationError("empty core group")
+            for c in g:
+                if not 0 <= c < self.num_cores:
+                    raise CommunicationError(f"core {c} outside mesh")
+                if c in seen:
+                    raise CommunicationError(f"core {c} appears twice in the groups")
+                seen.add(c)
+        return groups
+
     def _ring(self, requests, run_all):
         """Run a Ring: every step's permute and every core's kernel.
 
@@ -412,15 +381,17 @@ class MeshSim:
         prepared payloads are dropped when the ring returns.
         """
         first = requests[0]
+        groups = self._check_groups(first.groups)
+        members = [c for g in groups for c in g]
         held = [r.value for r in requests]
-        source_of = first.pairs.source_of()
-        for c in source_of:
-            if not 0 <= c < self.num_cores:
-                raise CommunicationError(f"pair core {c} outside mesh")
-        participants = first.pairs.participants
-        if len({(held[c].shape, held[c].dtype) for c in participants}) != 1:
-            raise CommunicationError("payload shapes/dtypes differ across pairs")
-        nbytes = sum(held[c].nbytes for c in participants)
+        if len({(held[c].shape, held[c].dtype) for c in members}) != 1:
+            raise CommunicationError("payload shapes/dtypes differ across the groups")
+        nbytes = sum(held[c].nbytes for c in members)
+        # member i receives from member i+1; a core in no group from itself
+        source_of = list(range(self.num_cores))
+        for g in groups:
+            for c, s in zip(g, g[1:] + g[:1]):
+                source_of[c] = s
         accs = [None] * self.num_cores
 
         def step_core(step, c, table):
@@ -431,7 +402,7 @@ class MeshSim:
         for step in range(first.steps + 1):
             if step:
                 self.ledger.record_permute(nbytes, tag=first.tag)
-                held = [held[source_of.get(c, c)] for c in range(self.num_cores)]
+                held = [held[s] for s in source_of]
             table = None if first.table is None else first.table(step)
             run_all(step_core, [(step, c, table) for c in range(self.num_cores)])
         return accs
@@ -449,22 +420,12 @@ class MeshSim:
             raise CommunicationError(
                 f"expected {self.num_cores} payloads, got {len(values)}"
             )
-        groups = tuple(tuple(int(c) for c in g) for g in groups)
-        seen = set()
-        for g in groups:
-            if not g:
-                raise CommunicationError("empty all_to_all group")
-            for c in g:
-                if not 0 <= c < self.num_cores:
-                    raise CommunicationError(f"core {c} outside mesh")
-                if c in seen:
-                    raise CommunicationError(f"core {c} appears in two groups")
-                seen.add(c)
-        for c in seen:
-            _check_payload(values[c], "all_to_all")
+        groups = self._check_groups(groups)
         responses = list(values)
         nbytes = 0
         for g in groups:
+            for c in g:
+                _check_payload(values[c], "all_to_all")
             shapes = {(values[c].shape, values[c].dtype) for c in g}
             if len(shapes) != 1:
                 raise CommunicationError("payload shapes/dtypes differ in group")

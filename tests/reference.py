@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import meshdft as md
+from meshdft.ctensor import bf16_array
 from meshdft.errors import ArgumentError
 
 _BF16_MAX_BITS = np.uint32(0x7F7F)  # largest finite magnitude, 3.3895314e38
@@ -80,7 +81,7 @@ def bf16_split(value, terms=3):
     out = []
     residual = value
     for _ in range(terms):
-        rounded = md.bf16_array(np.float32(residual).reshape(1), saturate=True)[0]
+        rounded = bf16_array(np.float32(residual).reshape(1), saturate=True)[0]
         out.append(Bf16Value.from_float32(rounded))
         residual = np.float32(residual - rounded)
     return out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.ctensor import Operand, Prepared, _split3
+from meshdft.ctensor import Operand, Prepared, _split3, bf16_array, contract, scale_along_axis
 from helpers import F64, F32, BF16, rand_tensor
 from reference import Bf16Value, bf16_array_reference, bf16_split
 
@@ -94,6 +94,29 @@ def test_astype_identity_returns_self():
     assert a.astype(np.float32).dtype == np.float32
 
 
+def test_astype_casts_once_and_keeps_the_overflow_scan(monkeypatch):
+    a = rand_tensor((4,), seed=1)
+    built = []
+    init = md.ComplexTensor.__init__
+
+    def counting_init(self, re, im):
+        built.append(re.dtype)
+        init(self, re, im)
+
+    # the cast planes are fresh: wrapped as they are, not copied again
+    monkeypatch.setattr(md.ComplexTensor, "__init__", counting_init)
+    b = a.astype(np.float32)
+    assert built == []
+    assert np.array_equal(b.re, a.re.astype(np.float32))
+    assert np.array_equal(b.im, a.im.astype(np.float32))
+    assert not b.re.flags.writeable and not b.im.flags.writeable
+    monkeypatch.undo()
+    with np.errstate(over="ignore"), pytest.raises(md.ArgumentError, match="non-finite"):
+        md.ComplexTensor([1e39], [0.0]).astype(np.float32)
+    with pytest.raises(md.ArgumentError, match="float32 or float64"):
+        a.astype(np.float16)
+
+
 def test_precision_mode_parse():
     assert md.PrecisionMode.parse("f64") is F64
     assert md.PrecisionMode.parse("F64_reference") is F64
@@ -132,14 +155,14 @@ def test_only_ctensor_names_the_split_mode():
 def test_contract_identity_leaves_tensor_unchanged():
     eye = md.ComplexTensor(np.eye(2), np.zeros((2, 2)))
     x = rand_tensor((2,), seed=5)
-    out = md.contract(eye, x)
+    out = contract(eye, x)
     assert np.array_equal(out.to_complex(), x.to_complex())
 
 
 def test_contract_two_point_butterfly():
     m = md.ComplexTensor(np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros((2, 2)))
     x = md.ComplexTensor(np.array([1.0, 0.0]), np.zeros(2))
-    out = md.contract(m, x)
+    out = contract(m, x)
     assert np.allclose(out.to_complex(), [1.0, 1.0])
 
 
@@ -148,7 +171,7 @@ def test_contract_matches_triple_loop_reference():
     rng = np.random.default_rng(11)
     m = md.ComplexTensor(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
     x = rand_tensor((4, 3, 2), seed=12)
-    out = md.contract(m, x, axis=0)
+    out = contract(m, x, axis=0)
     mc, xc = m.to_complex(), x.to_complex()
     ref = np.zeros((4, 3, 2), dtype=np.complex128)
     for i in range(4):
@@ -163,7 +186,7 @@ def test_contract_any_axis(axis):
     n = (3, 4, 5)[axis]
     m = md.ComplexTensor(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
     x = rand_tensor((3, 4, 5), seed=21)
-    out = md.contract(m, x, axis=axis)
+    out = contract(m, x, axis=axis)
     ref = np.moveaxis(
         np.tensordot(m.to_complex(), x.to_complex(), axes=([1], [axis])), 0, axis
     )
@@ -173,20 +196,20 @@ def test_contract_any_axis(axis):
 def test_contract_rectangular_matrix_changes_extent():
     m = md.ComplexTensor(np.ones((2, 4)), np.zeros((2, 4)))
     x = rand_tensor((4, 3), seed=9)
-    assert md.contract(m, x, axis=0).shape == (2, 3)
+    assert contract(m, x, axis=0).shape == (2, 3)
 
 
 def test_contract_errors():
     m = md.ComplexTensor(np.eye(3), np.zeros((3, 3)))
     x = rand_tensor((4,), seed=1)
     with pytest.raises(md.DimensionError):
-        md.contract(m, x)  # inner extent mismatch
+        contract(m, x)  # inner extent mismatch
     with pytest.raises(md.DimensionError):
-        md.contract(x, x)  # matrix must be rank 2
+        contract(x, x)  # matrix must be rank 2
     with pytest.raises(md.DimensionError):
-        md.contract(m, rand_tensor((3,), seed=2), axis=1)
+        contract(m, rand_tensor((3,), seed=2), axis=1)
     with pytest.raises(md.ArgumentError):
-        md.contract(np.eye(3), x)
+        contract(np.eye(3), x)
 
 
 @pytest.mark.parametrize("mode,tol", [(F64, 1e-12), (F32, 1e-5), (BF16, 1e-4)])
@@ -195,8 +218,8 @@ def test_contract_is_linear(mode, tol):
     m = md.ComplexTensor(rng.uniform(-1, 1, (8, 8)), rng.uniform(-1, 1, (8, 8)))
     x = rand_tensor((8,), seed=32)
     y = rand_tensor((8,), seed=33)
-    lhs = md.contract(m, x.add(y), mode=mode).to_complex()
-    rhs = md.contract(m, x, mode=mode).to_complex() + md.contract(m, y, mode=mode).to_complex()
+    lhs = contract(m, x.add(y), mode=mode).to_complex()
+    rhs = contract(m, x, mode=mode).to_complex() + contract(m, y, mode=mode).to_complex()
     scale = max(1.0, np.max(np.abs(rhs)))
     assert np.max(np.abs(lhs - rhs)) / scale < tol
 
@@ -204,11 +227,12 @@ def test_contract_is_linear(mode, tol):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("axis", [0, 1])
 def test_contract_conjugate_matches_conjugated_matrix(mode, axis):
+    # every mode rounds symmetrically, so conj(M @ conj(x)) is conj(M) @ x bit for bit
     rng = np.random.default_rng(35)
     m = md.ComplexTensor(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
     x = rand_tensor((6, 6), seed=36)
-    got = md.contract(m, x, axis=axis, mode=mode, conjugate=True)
-    ref = md.contract(m.conj(), x, axis=axis, mode=mode)
+    got = contract(m, x.conj(), axis=axis, mode=mode).conj()
+    ref = contract(m.conj(), x, axis=axis, mode=mode)
     assert np.array_equal(got.re, ref.re) and np.array_equal(got.im, ref.im)
 
 
@@ -251,7 +275,11 @@ def test_bf16_contract_matches_split_per_product(conjugate, axis, saturating):
     scale = 1e-3 if saturating else 1.0
     m = md.ComplexTensor(rng.uniform(-scale, scale, (4, k)),
                          rng.uniform(-scale, scale, (4, k)))
-    got = md.contract(m, x, axis=axis, mode=BF16, conjugate=conjugate)
+    if conjugate:
+        # the inverse's form, conj(M @ conj(x)), against conj(M) @ x
+        got = contract(m, x.conj(), axis=axis, mode=BF16).conj()
+    else:
+        got = contract(m, x, axis=axis, mode=BF16)
     ref_re, ref_im = _contract_split_per_product(m, x, axis, conjugate)
     assert np.array_equal(got.re, ref_re) and np.array_equal(got.im, ref_im)
 
@@ -268,7 +296,7 @@ def test_bf16_contract_splits_each_plane_once(monkeypatch):
     monkeypatch.setattr("meshdft.ctensor._split3", counting)
     m = md.ComplexTensor(np.eye(4), np.eye(4))
     x = rand_tensor((4, 3), seed=39)
-    md.contract(m, x, mode=BF16)
+    contract(m, x, mode=BF16)
     assert sum(split_elements) == 2 * m.size + 2 * x.size
 
 
@@ -278,14 +306,14 @@ def test_contract_takes_prepared_operands(mode, axis):
     rng = np.random.default_rng(43)
     m = md.ComplexTensor(rng.uniform(-1, 1, (5, 6)), rng.uniform(-1, 1, (5, 6)))
     x = rand_tensor((6, 6), seed=44)
-    ref = md.contract(m, x, axis=axis, mode=mode)
-    got = md.contract(Prepared(m, mode), Operand(x, axis, mode), axis=axis, mode=mode)
+    ref = contract(m, x, axis=axis, mode=mode)
+    got = contract(Prepared(m, mode), Operand(x, axis, mode), axis=axis, mode=mode)
     assert np.array_equal(got.re, ref.re) and np.array_equal(got.im, ref.im)
     other = F32 if mode is not F32 else F64
     with pytest.raises(md.ArgumentError):
-        md.contract(Prepared(m, other), x, axis=axis, mode=mode)
+        contract(Prepared(m, other), x, axis=axis, mode=mode)
     with pytest.raises(md.ArgumentError):
-        md.contract(m, Operand(x, 1 - axis, mode), axis=axis, mode=mode)
+        contract(m, Operand(x, 1 - axis, mode), axis=axis, mode=mode)
 
 
 def test_contract_composes_like_matrix_product():
@@ -294,21 +322,21 @@ def test_contract_composes_like_matrix_product():
     b = md.ComplexTensor(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
     x = rand_tensor((6,), seed=42)
     ab = md.ComplexTensor.from_complex(a.to_complex() @ b.to_complex())
-    lhs = md.contract(a, md.contract(b, x)).to_complex()
-    rhs = md.contract(ab, x).to_complex()
+    lhs = contract(a, contract(b, x)).to_complex()
+    rhs = contract(ab, x).to_complex()
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_scale_along_axis_matches_broadcast():
     x = rand_tensor((4, 3), seed=51)
     f = rand_tensor((3,), seed=52)
-    out = md.scale_along_axis(x, 1, f)
+    out = scale_along_axis(x, 1, f)
     ref = x.to_complex() * f.to_complex()[None, :]
     assert np.max(np.abs(out.to_complex() - ref)) < 1e-14
     with pytest.raises(md.DimensionError):
-        md.scale_along_axis(x, 0, f)
+        scale_along_axis(x, 0, f)
     with pytest.raises(md.DimensionError):
-        md.scale_along_axis(x, 1, rand_tensor((3, 3), seed=53))
+        scale_along_axis(x, 1, rand_tensor((3, 3), seed=53))
 
 
 def _scale_split_per_product(tensor, axis, factors):
@@ -348,7 +376,7 @@ def test_bf16_scale_matches_split_per_product(axis, saturating):
     scale = 1e-3 if saturating else 1.0
     n = x.shape[axis]
     f = md.ComplexTensor(rng.uniform(-scale, scale, n), rng.uniform(-scale, scale, n))
-    got = md.scale_along_axis(x, axis, f, mode=BF16)
+    got = scale_along_axis(x, axis, f, mode=BF16)
     ref_re, ref_im = _scale_split_per_product(x, axis, f)
     assert np.array_equal(got.re, ref_re) and np.array_equal(got.im, ref_im)
 
@@ -361,8 +389,8 @@ def test_bf16_scale_splits_each_plane_once(monkeypatch):
         return _split3(values)
 
     monkeypatch.setattr("meshdft.ctensor._split3", counting)
-    md.scale_along_axis(rand_tensor((4, 3), seed=56), 1, rand_tensor((3,), seed=57),
-                        mode=BF16)
+    scale_along_axis(rand_tensor((4, 3), seed=56), 1, rand_tensor((3,), seed=57),
+                     mode=BF16)
     assert len(calls) == 4
 
 
@@ -430,7 +458,7 @@ def test_bf16_array_round_trips_every_finite_pattern():
     bits = np.arange(0x10000, dtype=np.uint32)
     finite = (bits & 0x7F80) != 0x7F80  # exclude inf/nan exponents
     values = (bits[finite] << np.uint32(16)).view(np.float32)
-    again = md.bf16_array(values)
+    again = bf16_array(values)
     assert np.array_equal(again.view(np.uint32), values.view(np.uint32))
 
 
@@ -438,7 +466,7 @@ def test_bf16_relative_error_is_half_ulp():
     rng = np.random.default_rng(81)
     exp = rng.uniform(-120, 120, size=20000)
     x = (np.exp2(exp) * rng.choice([-1.0, 1.0], size=exp.size)).astype(np.float32)
-    y = md.bf16_array(x)
+    y = bf16_array(x)
     rel = np.abs(y.astype(np.float64) - x.astype(np.float64)) / np.abs(x).astype(np.float64)
     assert rel.max() <= 2.0**-8
 
@@ -453,11 +481,11 @@ def test_bf16_infinity_passes_through():
 
 def test_bf16_array_saturation_clamps_to_max_finite():
     big = np.array([3.4e38, -3.4e38], dtype=np.float32)  # rounds to inf unclamped
-    clamped = md.bf16_array(big, saturate=True)
+    clamped = bf16_array(big, saturate=True)
     assert np.all(np.isfinite(clamped))
     assert clamped[0] == np.float32(3.3895314e38)
     assert clamped[1] == -clamped[0]
-    assert np.isinf(md.bf16_array(big)).all()
+    assert np.isinf(bf16_array(big)).all()
 
 
 def test_split_of_exactly_representable_value():
@@ -528,7 +556,7 @@ _BF16_ROUNDING_CASES = {
 @pytest.mark.parametrize("case", sorted(_BF16_ROUNDING_CASES))
 def test_bf16_array_matches_the_16_bit_formula(case, saturate):
     values = _BF16_ROUNDING_CASES[case]
-    got = md.bf16_array(values, saturate=saturate)
+    got = bf16_array(values, saturate=saturate)
     want = bf16_array_reference(values, saturate=saturate)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))

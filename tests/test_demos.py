@@ -2,6 +2,7 @@
 
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -11,12 +12,24 @@ import meshdft as md
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+# the users the public API serves: the demos, the acceptance criteria and the benchmark
+API_USERS = DEMOS + [
+    os.path.join(ROOT, "tests", "test_acceptance.py"),
+    os.path.join(ROOT, "tests", "helpers.py"),
+] + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
 
 
 def test_every_exported_name_resolves():
     assert len(set(md.__all__)) == len(md.__all__)
+    calls = set()
+    for path in API_USERS:
+        with open(path) as f:
+            calls.update(re.findall(r"\bmd\.(\w+)", f.read()))
     for name in md.__all__:
-        assert getattr(md, name, None) is not None, name
+        value = getattr(md, name, None)
+        assert value is not None, name
+        is_error = isinstance(value, type) and issubclass(value, md.MeshDftError)
+        assert is_error or name in calls, f"{name} has no caller among the API's users"
 
 
 def test_demos_are_found():

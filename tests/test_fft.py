@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
+from meshdft.fft import bit_reversal_permutation, local_fft_flops
 from helpers import BF16, F32, counting_split3, rand_tensor, run_fft, err_vs
 
 
@@ -13,11 +14,11 @@ def cvec(values):
 
 
 def test_bit_reversal_examples():
-    assert list(md.bit_reversal_permutation(1)) == [0]
-    assert list(md.bit_reversal_permutation(2)) == [0, 1]
-    assert list(md.bit_reversal_permutation(8)) == [0, 4, 2, 6, 1, 5, 3, 7]
+    assert list(bit_reversal_permutation(1)) == [0]
+    assert list(bit_reversal_permutation(2)) == [0, 1]
+    assert list(bit_reversal_permutation(8)) == [0, 4, 2, 6, 1, 5, 3, 7]
     with pytest.raises(md.ArgumentError):
-        md.bit_reversal_permutation(6)
+        bit_reversal_permutation(6)
 
 
 def _bit_reversal_loop(n):
@@ -35,7 +36,7 @@ def _bit_reversal_loop(n):
 @pytest.mark.parametrize("bits", range(13))
 def test_bit_reversal_matches_loop(bits):
     n = 1 << bits
-    got = md.bit_reversal_permutation(n)
+    got = bit_reversal_permutation(n)
     assert got.dtype == np.int64
     assert np.array_equal(got, _bit_reversal_loop(n))
 
@@ -75,11 +76,11 @@ def test_local_fft_rejects_non_power_of_two():
 
 
 def test_local_fft_flops_formula():
-    assert md.local_fft_flops(8) == 5 * 8 * 3
-    assert md.local_fft_flops(8, rest=2) == 240
-    assert md.local_fft_flops(1) == 0
+    assert local_fft_flops(8) == 5 * 8 * 3
+    assert local_fft_flops(8, rest=2) == 240
+    assert local_fft_flops(1) == 0
     with pytest.raises(md.ArgumentError):
-        md.local_fft_flops(12)
+        local_fft_flops(12)
 
 
 def test_gather_positions_both_regimes():
@@ -304,7 +305,7 @@ def _local_fft_copy_per_stage(tensor, axis, mode):
     dtype = mode.real_dtype
     if m == 1:
         return tensor.astype(dtype)
-    perm = md.bit_reversal_permutation(m)
+    perm = bit_reversal_permutation(m)
     work = md.ComplexTensor(
         np.take(tensor.re, perm, axis=axis), np.take(tensor.im, perm, axis=axis)
     )

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.ctensor import Prepared, _split3
-from meshdft.vandermonde import column_blocks
+from meshdft.ctensor import Prepared, _split3, bf16_array
+from meshdft.vandermonde import build_nonuniform, column_blocks
 from helpers import (
     BF16, F64, F32, counting_split3, plan_block, rand_tensor, run_kdft, err_vs
 )
@@ -290,7 +290,7 @@ def test_plan_blocks_are_slices_of_the_nonuniform_matrix(n, parts):
     rng = np.random.default_rng(n + parts)
     samples = md.SamplePoints.explicit(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
     plan = md.create_kdft_plan(md.ComputationShape(parts, 1, 1), (samples,))
-    _assert_blocks_slice(plan, md.build_nonuniform(samples, n), parts)
+    _assert_blocks_slice(plan, build_nonuniform(samples, n), parts)
 
 
 @pytest.mark.parametrize("nonuniform", [False, True])
@@ -347,4 +347,4 @@ def test_bf16_one_shuffle_trace_reads_the_raw_payload():
     a = complex(float(np.float32(0.1)), float(np.float32(0.3)))
     b = complex(float(np.float32(0.2)), 0.0)
     assert [[e["x_first"] for e in step["einsums"]] for step in trace] == [[a, b], [b, a]]
-    assert md.bf16_array(np.float32(0.1))[0] != np.float32(0.1)
+    assert bf16_array(np.float32(0.1))[0] != np.float32(0.1)

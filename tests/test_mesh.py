@@ -8,7 +8,8 @@ import pytest
 
 import meshdft as md
 from meshdft import mesh as mesh_module
-from meshdft.mesh import LEDGER_FIELDS, _openblas_threads
+from meshdft.ctensor import contract
+from meshdft.mesh import AllToAll, CommLedger, LEDGER_FIELDS, Ring, _openblas_threads
 from helpers import F32, F64, BF16, rand_tensor
 
 
@@ -20,7 +21,7 @@ def vec(*values):
 
 
 def test_ledger_counters_and_tags():
-    ledger = md.CommLedger()
+    ledger = CommLedger()
     ledger.record_permute(100, tag="dim1")
     ledger.record_permute(50, tag="dim2")
     ledger.record_all_to_all(30, tag="dim1")
@@ -42,7 +43,7 @@ def test_ledger_counters_and_tags():
 
 
 def test_ledger_json_field_names_are_pinned():
-    ledger = md.CommLedger()
+    ledger = CommLedger()
     doc = json.loads(ledger.to_json())
     assert tuple(doc.keys()) == LEDGER_FIELDS
     assert LEDGER_FIELDS == (
@@ -54,35 +55,6 @@ def test_ledger_json_field_names_are_pinned():
     )
 
 
-# -- pairs -------------------------------------------------------------------
-
-
-def test_pairs_must_form_a_permutation():
-    md.SourceTargetPairs(((0, 1), (1, 0)))
-    with pytest.raises(md.CommunicationError):
-        md.SourceTargetPairs(((0, 1), (0, 2)))  # duplicate source
-    with pytest.raises(md.CommunicationError):
-        md.SourceTargetPairs(((0, 1), (2, 1)))  # duplicate target
-    with pytest.raises(md.CommunicationError):
-        md.SourceTargetPairs(((0, 1), (1, 2)))  # targets not a permutation of sources
-
-
-def test_ring_pairs_shift_by_one():
-    assert md.ring_pairs([0, 1, 2]).pairs == ((1, 0), (2, 1), (0, 2))
-    assert md.ring_pairs([5]).pairs == ((5, 5),)
-    with pytest.raises(md.CommunicationError):
-        md.ring_pairs([])
-    with pytest.raises(md.CommunicationError):
-        md.ring_pairs([1, 1])
-
-
-def test_line_ring_pairs_cover_every_line():
-    shape = md.ComputationShape(2, 2, 2)
-    pairs = md.line_ring_pairs(shape.lines(2))
-    assert pairs.pairs == ((1, 0), (0, 1), (3, 2), (2, 3), (5, 4), (4, 5), (7, 6), (6, 7))
-    assert pairs.participants == list(range(8))
-
-
 # -- permutes (one-step rings) -----------------------------------------------
 
 
@@ -90,20 +62,19 @@ def keep_held(step, held, acc, table):
     return held
 
 
-def permute(pairs, x, tag=""):
+def permute(groups, x, tag=""):
     """One permute: a one-step Ring whose kernel keeps the payload it receives."""
-    return md.Ring(pairs, x, keep_held, 1, tag)
+    return Ring(groups, x, keep_held, 1, tag)
 
 
-def run_permutes(mesh, pairs, payloads, times=1):
-    return mesh.run_spmd(lambda core, x: (yield md.Ring(pairs, x, keep_held, times)), payloads)
+def run_permutes(mesh, groups, payloads, times=1):
+    return mesh.run_spmd(lambda core, x: (yield Ring(groups, x, keep_held, times)), payloads)
 
 
 def test_permute_three_cycle():
     mesh = md.MeshSim(3)
-    pairs = md.SourceTargetPairs(((1, 0), (2, 1), (0, 2)))
     payloads = [vec(0.0), vec(1.0), vec(2.0)]
-    out = run_permutes(mesh, pairs, payloads)
+    out = run_permutes(mesh, ((0, 1, 2),), payloads)
     assert [p.re[0] for p in out] == [1.0, 2.0, 0.0]
     assert mesh.ledger.permute_count == 1
     assert mesh.ledger.bytes_moved == 3 * payloads[0].nbytes
@@ -111,20 +82,54 @@ def test_permute_three_cycle():
 
 def test_permute_identity_and_cycle_order():
     mesh = md.MeshSim(3)
-    identity = md.SourceTargetPairs(((0, 0), (1, 1), (2, 2)))
     payloads = [vec(float(i)) for i in range(3)]
-    out = run_permutes(mesh, identity, payloads)
+    out = run_permutes(mesh, ((0,), (1,), (2,)), payloads)
     assert [p.re[0] for p in out] == [0.0, 1.0, 2.0]
     # a 3-cycle applied three times restores the original assignment
-    state = run_permutes(mesh, md.ring_pairs([0, 1, 2]), payloads, times=3)
+    state = run_permutes(mesh, ((0, 1, 2),), payloads, times=3)
     assert [p.re[0] for p in state] == [0.0, 1.0, 2.0]
     assert mesh.ledger.permute_count == 4
+
+
+def test_ring_groups_follow_cycle_notation():
+    # member i receives from member i+1: 0 <- 2 <- 1 <- 0; the one-core
+    # group keeps its payload
+    mesh = md.MeshSim(4)
+    payloads = [vec(float(i)) for i in range(4)]
+    out = run_permutes(mesh, ((0, 2, 1), (3,)), payloads)
+    assert [p.re[0] for p in out] == [2.0, 0.0, 1.0, 3.0]
+    out = run_permutes(mesh, ((0, 2, 1), (3,)), payloads, times=2)
+    assert [p.re[0] for p in out] == [1.0, 2.0, 0.0, 3.0]
+    # every step moves the payloads of all four group members
+    assert mesh.ledger.permute_count == 3
+    assert mesh.ledger.bytes_moved == 3 * 4 * payloads[0].nbytes
+
+
+def test_ring_on_grid_lines_shifts_each_line():
+    shape = md.ComputationShape(2, 2, 2)
+    out = run_permutes(md.MeshSim(shape), shape.lines(2), [vec(float(i)) for i in range(8)])
+    assert [p.re[0] for p in out] == [1.0, 0.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0]
+
+
+@pytest.mark.parametrize(
+    "request_for", [AllToAll, lambda groups, x: Ring(groups, x, keep_held, 1)],
+    ids=["AllToAll", "Ring"],
+)
+def test_core_groups_are_checked_in_one_place(request_for):
+    mesh = md.MeshSim(3)
+    payloads = [vec(*range(6))] * 3
+    # an empty group, a core off the mesh, a core in two groups, a core twice in one
+    for groups in (((0, 1), ()), ((0, 1, 3),), ((0, 1), (1, 2)), ((2, 2),)):
+        with pytest.raises(md.CommunicationError) as err:
+            mesh.run_spmd(lambda core, x: (yield request_for(groups, x)), payloads)
+        assert err.traceback[-1].name == "_check_groups"
+    assert mesh.ledger.as_dict() == CommLedger().as_dict()
 
 
 def test_permute_preserves_payload_multiset():
     mesh = md.MeshSim(4)
     payloads = [rand_tensor((2,), seed=i) for i in range(4)]
-    out = run_permutes(mesh, md.ring_pairs([0, 1, 2, 3]), payloads)
+    out = run_permutes(mesh, ((0, 1, 2, 3),), payloads)
     before = sorted(tuple(p.re) for p in payloads)
     after = sorted(tuple(p.re) for p in out)
     assert before == after
@@ -132,15 +137,15 @@ def test_permute_preserves_payload_multiset():
 
 def test_permute_validation():
     mesh = md.MeshSim(3)
-    pairs = md.ring_pairs([0, 1, 2])
+    groups = ((0, 1, 2),)
     with pytest.raises(md.CommunicationError):
-        run_permutes(mesh, pairs, [vec(0.0), vec(1.0), vec(2.0, 3.0)])
+        run_permutes(mesh, groups, [vec(0.0), vec(1.0), vec(2.0, 3.0)])
     with pytest.raises(md.CommunicationError):
-        run_permutes(mesh, md.ring_pairs([0, 1, 5]), [vec(0.0)] * 3)
+        run_permutes(mesh, ((0, 1, 5),), [vec(0.0)] * 3)
     with pytest.raises(md.CommunicationError):
-        run_permutes(mesh, pairs, [vec(0.0), vec(1.0), np.zeros(1)])
+        run_permutes(mesh, groups, [vec(0.0), vec(1.0), np.zeros(1)])
     with pytest.raises(md.ArgumentError):
-        run_permutes(mesh, pairs, [vec(0.0), vec(1.0)])
+        run_permutes(mesh, groups, [vec(0.0), vec(1.0)])
 
 
 # -- all_to_all --------------------------------------------------------------
@@ -236,16 +241,16 @@ def test_spmd_plain_map_without_collectives():
     inputs = [vec(1.0) for _ in range(4)]
     out = mesh.run_spmd(program, inputs)
     assert [o.re[0] for o in out] == [0.0, 1.0, 2.0, 3.0]
-    assert mesh.ledger.as_dict() == md.CommLedger().as_dict()
+    assert mesh.ledger.as_dict() == CommLedger().as_dict()
 
 
 def test_spmd_generator_ring_program():
     mesh = md.MeshSim(3)
-    pairs = md.ring_pairs([0, 1, 2])
+    groups = ((0, 1, 2),)
 
     def program(core, x):
-        x = yield permute(pairs, x, tag="step")
-        x = yield permute(pairs, x, tag="step")
+        x = yield permute(groups, x, tag="step")
+        x = yield permute(groups, x, tag="step")
         return x
 
     out = mesh.run_spmd(program, [vec(float(i)) for i in range(3)])
@@ -259,7 +264,7 @@ def test_spmd_all_to_all_request():
     mesh = md.MeshSim(2)
 
     def program(core, x):
-        x = yield md.AllToAll(((0, 1),), x)
+        x = yield AllToAll(((0, 1),), x)
         return x
 
     out = mesh.run_spmd(program, [vec(10.0, 11.0), vec(20.0, 21.0)])
@@ -281,10 +286,10 @@ def test_spmd_flops_merge_deterministically():
 
 def test_spmd_detects_disagreeing_collectives():
     mesh = md.MeshSim(2)
-    pairs = md.ring_pairs([0, 1])
+    groups = ((0, 1),)
 
     def program(core, x):
-        x = yield permute(pairs, x, tag=f"tag{core.rank}")
+        x = yield permute(groups, x, tag=f"tag{core.rank}")
         return x
 
     with pytest.raises(md.ProtocolError):
@@ -293,12 +298,12 @@ def test_spmd_detects_disagreeing_collectives():
 
 def test_spmd_detects_early_finisher():
     mesh = md.MeshSim(2)
-    pairs = md.ring_pairs([0, 1])
+    groups = ((0, 1),)
 
     def program(core, x):
         if core.rank == 0:
             return x
-        x = yield permute(pairs, x)
+        x = yield permute(groups, x)
         return x
 
     with pytest.raises(md.ProtocolError):
@@ -317,10 +322,10 @@ def test_spmd_rejects_non_collective_yield():
 
 def test_spmd_worker_count_does_not_change_anything():
     def program(core, x):
-        pairs = md.ring_pairs(list(range(core.num_cores)))
-        x = yield permute(pairs, x, tag="a")
+        groups = (range(core.num_cores),)
+        x = yield permute(groups, x, tag="a")
         core.add_flops("einsum", core.rank + 1)
-        x = yield permute(pairs, x, tag="b")
+        x = yield permute(groups, x, tag="b")
         return x.scaled(2.0)
 
     results = []
@@ -351,7 +356,7 @@ def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
     monkeypatch.setattr(mesh_module, "ThreadPoolExecutor", RecordingPool)
     mesh = md.MeshSim(2)
     out = mesh.run_spmd(
-        lambda core, x: (yield md.AllToAll(((0, 1),), x)), [vec(0.0, 1.0), vec(2.0, 3.0)],
+        lambda core, x: (yield AllToAll(((0, 1),), x)), [vec(0.0, 1.0), vec(2.0, 3.0)],
         workers=8,
     )
     assert [tuple(o.re) for o in out] == [(0.0, 2.0), (1.0, 3.0)]
@@ -390,7 +395,7 @@ def blas_threads():
 def _reads_blas_threads(get):
     def program(core, x):
         seen = [get()]
-        x = yield permute(md.ring_pairs(list(range(core.num_cores))), x)
+        x = yield permute((range(core.num_cores),), x)
         seen.append(get())
         return seen
 
@@ -433,6 +438,6 @@ def test_contract_bits_do_not_depend_on_blas_threads(blas_threads, mode, extents
     outs = []
     for threads in (1, 2):
         set_(threads)
-        outs.append(md.contract(matrix, x, mode=mode))
+        outs.append(contract(matrix, x, mode=mode))
     assert np.array_equal(outs[0].re, outs[1].re)
     assert np.array_equal(outs[0].im, outs[1].im)

@@ -14,8 +14,11 @@ import pytest
 
 import meshdft as md
 from meshdft import fft
+from meshdft.ctensor import contract, scale_along_axis
 from meshdft.decomposition import ComputationShape
-from meshdft.vandermonde import column_blocks
+from meshdft.fft import local_fft_flops
+from meshdft.mesh import AllToAll, Ring
+from meshdft.vandermonde import build_phase_slice, column_blocks
 from helpers import BF16, F32, F64, rand_tensor
 
 MODES = [F64, F32, BF16]
@@ -35,23 +38,23 @@ def keep_held(step, held, acc, table):
     return held
 
 
-def permute(pairs, x, tag):
+def permute(groups, x, tag):
     """One shift: a one-step Ring whose kernel keeps the payload it receives."""
-    return md.Ring(pairs, x, keep_held, 1, tag)
+    return Ring(groups, x, keep_held, 1, tag)
 
 
-def _phase_steps_reference(core, x, axis, parts, pos, beta_map, phase, pairs, mode, tag):
+def _phase_steps_reference(core, x, axis, parts, pos, beta_map, phase, groups, mode, tag):
     def col(b):
         return md.ComplexTensor(phase.re[:, b], phase.im[:, b])
 
     held = beta_map[pos]
-    acc = md.scale_along_axis(x, axis, col(held), mode)
+    acc = scale_along_axis(x, axis, col(held), mode)
     core.add_flops("einsum", 4 * x.size, tag)
     acc_re, acc_im = np.array(acc.re), np.array(acc.im)
     for s in range(1, parts):
-        x = yield permute(pairs, x, tag)
+        x = yield permute(groups, x, tag)
         held = beta_map[(pos + s) % parts]
-        term = md.scale_along_axis(x, axis, col(held), mode)
+        term = scale_along_axis(x, axis, col(held), mode)
         np.add(acc_re, term.re, out=acc_re)
         np.add(acc_im, term.im, out=acc_im)
         core.add_flops("einsum", 4 * x.size, tag)
@@ -61,7 +64,7 @@ def _phase_steps_reference(core, x, axis, parts, pos, beta_map, phase, pairs, mo
 def fft_forward_reference(mesh, plan, blocks, workers):
     mode = plan.precision
     phase = {
-        (d, pos): md.build_phase_slice(plan.extents[d], plan.shape.dims[d], pos)
+        (d, pos): build_phase_slice(plan.extents[d], plan.shape.dims[d], pos)
         for d in range(plan.rank) for pos in range(plan.shape.dims[d])
     }
 
@@ -73,39 +76,43 @@ def fft_forward_reference(mesh, plan, blocks, workers):
             pos = core.coords[d]
             tag = f"dim{d + 1}"
             lines = plan.shape.lines(d)
-            x = yield md.AllToAll(fft._gather_groups(lines, parts, m), x, split_axis=d, tag=tag)
+            x = yield AllToAll(fft._gather_groups(lines, parts, m), x, split_axis=d, tag=tag)
             x = md.local_fft(x, axis=d, mode=mode)
-            core.add_flops("local_fft", md.local_fft_flops(m, x.size // m), tag)
+            core.add_flops("local_fft", local_fft_flops(m, x.size // m), tag)
             x = yield from _phase_steps_reference(
                 core, x, d, parts, pos, plan.beta_maps[d], phase[(d, pos)],
-                md.line_ring_pairs(lines), mode, tag,
+                lines, mode, tag,
             )
         return x
 
     return mesh.run_spmd(program, blocks, workers=workers)
 
 
-def _shift_steps_reference(core, cols, x, axis, parts, pos, pairs, mode, tag, conjugate):
+def _shift_steps_reference(core, cols, x, axis, parts, pos, groups, mode, tag):
     def tally(matrix):
         core.add_flops("einsum", 4 * matrix.shape[0] * matrix.shape[1] * (x.size // x.shape[axis]), tag)
 
     j = pos
-    acc = md.contract(cols[j], x, axis=axis, mode=mode, conjugate=conjugate)
+    acc = contract(cols[j], x, axis=axis, mode=mode)
     tally(cols[j])
     for _ in range(parts - 1):
-        x = yield permute(pairs, x, tag)
+        x = yield permute(groups, x, tag)
         j = (j + 1) % parts
-        acc = acc.add(md.contract(cols[j], x, axis=axis, mode=mode, conjugate=conjugate))
+        acc = acc.add(contract(cols[j], x, axis=axis, mode=mode))
         tally(cols[j])
     return acc
 
 
 def kdft_reference(mesh, plan, blocks, workers, conjugate):
+    """The engine's ring, or with ``conjugate`` its inverse: conjugated column blocks, 1/N."""
     mode = plan.precision
     # the plan's blocks as tensors, so that every step prepares (under
     # bf16split3, splits) both of its operands again
     cols = {
-        (d, pos): column_blocks(plan.samples[d], plan.shape.dims[d], pos, mode.real_dtype)
+        (d, pos): [
+            b.conj() if conjugate else b
+            for b in column_blocks(plan.samples[d], plan.shape.dims[d], pos, mode.real_dtype)
+        ]
         for d, pos in plan.col_blocks
     }
 
@@ -115,7 +122,7 @@ def kdft_reference(mesh, plan, blocks, workers, conjugate):
             pos = core.coords[d]
             x = yield from _shift_steps_reference(
                 core, cols[(d, pos)], x, d, plan.shape.dims[d], pos,
-                md.line_ring_pairs(plan.shape.lines(d)), mode, f"dim{d + 1}", conjugate,
+                plan.shape.lines(d), mode, f"dim{d + 1}",
             )
         if conjugate:
             x = x.scaled(1.0 / plan.total_elements)
@@ -166,17 +173,17 @@ def test_kdft_ring_matches_per_core_loop(extents, grid, mode, workers, inverse):
 def test_standalone_rings_match_per_core_loops(mode):
     # m >= P, then m < P: core i holds subsequence i either way
     for n, parts in [(16, 4), (16, 8)]:
-        pairs = md.ring_pairs(range(parts))
+        groups = (range(parts),)
         blocks = [rand_tensor((n // parts, 3), seed=70 + i) for i in range(parts)]
 
         mesh, ref_mesh = md.MeshSim(parts), md.MeshSim(parts)
         out = md.phase_adjust(mesh, blocks, mode)
-        phases = [md.build_phase_slice(n, parts, p) for p in range(parts)]
+        phases = [build_phase_slice(n, parts, p) for p in range(parts)]
 
         def phase_program(core, x):
             return (yield from _phase_steps_reference(
                 core, x.astype(mode.real_dtype), 0, parts, core.rank, tuple(range(parts)),
-                phases[core.rank], pairs, mode, "phase",
+                phases[core.rank], groups, mode, "phase",
             ))
 
         ref = ref_mesh.run_spmd(phase_program, blocks)
@@ -192,8 +199,8 @@ def test_standalone_rings_match_per_core_loops(mode):
             cols = [md.ComplexTensor(rows.re[:, j * r:(j + 1) * r], rows.im[:, j * r:(j + 1) * r])
                     for j in range(parts)]
             return (yield from _shift_steps_reference(
-                core, cols, x.astype(mode.real_dtype), 0, parts, core.rank, pairs, mode,
-                "one_shuffle", False,
+                core, cols, x.astype(mode.real_dtype), 0, parts, core.rank, groups, mode,
+                "one_shuffle",
             ))
 
         ref = ref_mesh.run_spmd(shuffle_program, blocks)
@@ -204,7 +211,7 @@ def test_standalone_rings_match_per_core_loops(mode):
 def test_unit_root_table_equals_build_phase_slice(n, parts):
     beta_map = fft.gather_positions(parts, n // parts)
     factors = fft._unit_root_factors(n, parts, beta_map, 0, 1, F64)
-    slices = [md.build_phase_slice(n, parts, p) for p in range(parts)]
+    slices = [build_phase_slice(n, parts, p) for p in range(parts)]
     for step in range(parts):
         table = factors(step)
         for pos in range(parts):
@@ -233,16 +240,15 @@ def test_fft_forward_builds_each_line_set_once(monkeypatch, extents, grid):
 
 def test_cores_that_disagree_on_a_ring_raise():
     mesh = md.MeshSim(2)
-    pairs = md.ring_pairs([0, 1])
+    groups = ((0, 1),)
     x = [rand_tensor((2,), seed=i) for i in range(2)]
     variants = {
-        "steps": lambda core: md.Ring(pairs, x[core.rank], keep_held, 1 + core.rank),
-        "tag": lambda core: md.Ring(pairs, x[core.rank], keep_held, 1, f"t{core.rank}"),
-        "pairs": lambda core: md.Ring(
-            pairs if core.rank else md.SourceTargetPairs(((0, 0), (1, 1))),
-            x[core.rank], keep_held, 1),
-        "table": lambda core: md.Ring(
-            pairs, x[core.rank], keep_held, 1, "", (lambda step: step) if core.rank else None),
+        "steps": lambda core: Ring(groups, x[core.rank], keep_held, 1 + core.rank),
+        "tag": lambda core: Ring(groups, x[core.rank], keep_held, 1, f"t{core.rank}"),
+        "groups": lambda core: Ring(
+            groups if core.rank else ((0,), (1,)), x[core.rank], keep_held, 1),
+        "table": lambda core: Ring(
+            groups, x[core.rank], keep_held, 1, "", (lambda step: step) if core.rank else None),
     }
     for request in variants.values():
         with pytest.raises(md.ProtocolError):
@@ -250,14 +256,14 @@ def test_cores_that_disagree_on_a_ring_raise():
     # a Ring and an AllToAll are different collectives
     with pytest.raises(md.ProtocolError):
         mesh.run_spmd(lambda core, _: (
-            yield md.AllToAll(((0, 1),), x[core.rank]) if core.rank
-            else md.Ring(pairs, x[0], keep_held, 1)))
+            yield AllToAll(((0, 1),), x[core.rank]) if core.rank
+            else Ring(groups, x[0], keep_held, 1)))
 
 
 def test_ring_runs_every_step_kernel_with_its_table():
     # member i receives from member i+1; the table is computed once per step
     mesh = md.MeshSim(3)
-    pairs = md.ring_pairs([0, 1, 2])
+    groups = ((0, 1, 2),)
     tables = []
 
     def table(step):
@@ -268,7 +274,7 @@ def test_ring_runs_every_step_kernel_with_its_table():
         return (acc or []) + [(step, float(held.re[0]), t)]
 
     def program(core, x):
-        return (yield md.Ring(pairs, x, kernel, 2, "r", table))
+        return (yield Ring(groups, x, kernel, 2, "r", table))
 
     out = mesh.run_spmd(program, [md.ComplexTensor([float(i)], [0.0]) for i in range(3)],
                         workers=2)
@@ -286,13 +292,13 @@ def test_ring_accumulators_survive_thread_switching():
     sys.setswitchinterval(1e-6)
     try:
         mesh = md.MeshSim(16)
-        pairs = md.ring_pairs(range(16))
+        groups = (range(16),)
 
         def kernel(step, held, acc, table):
             return (acc or 0) + int(held.re[0]) * (step + 1)
 
         inputs = [md.ComplexTensor([float(c)], [0.0]) for c in range(16)]
-        out = mesh.run_spmd(lambda core, x: (yield md.Ring(pairs, x, kernel, 15)),
+        out = mesh.run_spmd(lambda core, x: (yield Ring(groups, x, kernel, 15)),
                             inputs, workers=8)
     finally:
         sys.setswitchinterval(old)

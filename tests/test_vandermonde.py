@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.vandermonde import column_blocks
+from meshdft.vandermonde import build_nonuniform, build_phase_slice, column_blocks
 from helpers import plan_block
 
 
@@ -65,7 +65,7 @@ def test_uniform_flag_cannot_be_set_from_outside():
     plan = md.create_kdft_plan(md.ComputationShape(2, 1, 1), (forged,))
     assert not plan.all_uniform()
     built = np.hstack([plan_block(b).to_complex() for b in plan.col_blocks[(0, 0)]])
-    assert np.array_equal(built, md.build_nonuniform(z, 8).to_complex()[:4])
+    assert np.array_equal(built, build_nonuniform(z, 8).to_complex()[:4])
     # explicit roots of unity stay explicit
     roots = md.SamplePoints.explicit(md.SamplePoints.uniform(8).points)
     assert not roots.is_uniform
@@ -74,16 +74,16 @@ def test_uniform_flag_cannot_be_set_from_outside():
 
 def test_build_nonuniform_matches_uniform_on_roots_of_unity():
     n = 4
-    v_explicit = md.build_nonuniform(md.SamplePoints.uniform(n), n)
+    v_explicit = build_nonuniform(md.SamplePoints.uniform(n), n)
     v_uniform = md.build_uniform(n)
     assert np.max(np.abs(v_explicit.to_complex() - v_uniform.to_complex())) < 1e-12
 
 
 def test_build_nonuniform_inverse_powers():
-    v = md.build_nonuniform([2.0, 4.0], 2).to_complex()
+    v = build_nonuniform([2.0, 4.0], 2).to_complex()
     assert np.allclose(v, [[1.0, 0.5], [1.0, 0.25]])
     # duplicates are allowed at construction; invertibility is the caller's concern
-    dup = md.build_nonuniform([2.0, 2.0], 2).to_complex()
+    dup = build_nonuniform([2.0, 2.0], 2).to_complex()
     assert np.allclose(dup, [[1.0, 0.5], [1.0, 0.5]])
 
 
@@ -92,14 +92,14 @@ def test_build_nonuniform_matches_brute_force_sum():
     n = 8
     z = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = md.build_nonuniform(md.SamplePoints.explicit(z), n).to_complex()
+    v = build_nonuniform(md.SamplePoints.explicit(z), n).to_complex()
     direct = np.array([sum(x[m] * z[k] ** (-m) for m in range(n)) for k in range(n)])
     assert np.max(np.abs(v @ x - direct)) < 1e-12
 
 
 def test_build_nonuniform_overflow_is_an_error():
     with pytest.raises(md.ArgumentError):
-        md.build_nonuniform([1e-200, 1.0], 3)
+        build_nonuniform([1e-200, 1.0], 3)
 
 
 def test_matrix_for_dispatch():
@@ -131,16 +131,16 @@ def test_slice_rows_errors():
 
 
 def test_phase_slice_single_core_is_all_ones():
-    p = md.build_phase_slice(4, 1, 0).to_complex()
+    p = build_phase_slice(4, 1, 0).to_complex()
     assert p.shape == (4, 1)
     assert np.allclose(p, 1.0)
 
 
 def test_phase_slice_two_core_values():
-    p = md.build_phase_slice(4, 2, 0).to_complex()
+    p = build_phase_slice(4, 2, 0).to_complex()
     assert np.allclose(p, [[1, 1], [1, -1j]], atol=1e-15)
     # second core's rows continue at global frequency 2
-    q = md.build_phase_slice(4, 2, 1).to_complex()
+    q = build_phase_slice(4, 2, 1).to_complex()
     assert np.allclose(q, [[1, -1], [1, 1j]], atol=1e-15)
 
 
@@ -153,7 +153,7 @@ def test_phase_slices_recombine_subsequence_ffts():
     sub_fft = [np.fft.fft(x[b::parts]) for b in range(parts)]
     full = np.empty(n, dtype=np.complex128)
     for p in range(parts):
-        phase = md.build_phase_slice(n, parts, p).to_complex()
+        phase = build_phase_slice(n, parts, p).to_complex()
         for r in range(m):
             full[p * m + r] = sum(phase[r, b] * sub_fft[b][r % m] for b in range(parts))
     assert np.max(np.abs(full - np.fft.fft(x))) < 1e-12
@@ -161,9 +161,9 @@ def test_phase_slices_recombine_subsequence_ffts():
 
 def test_phase_slice_errors():
     with pytest.raises(md.DimensionError):
-        md.build_phase_slice(4, 3, 0)
+        build_phase_slice(4, 3, 0)
     with pytest.raises(md.ArgumentError):
-        md.build_phase_slice(4, 2, 2)
+        build_phase_slice(4, 2, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 65))
