@@ -202,13 +202,13 @@ class ComplexTensor:
 # ---------------------------------------------------------------------------
 
 
-def bf16_array(values, saturate=False):
-    """Round a float32 array to bfloat16-representable float32 values.
+def bf16_array(values):
+    """Round a float32 array to bfloat16-representable float32 values, saturating.
 
     Round-to-nearest-even on the top 16 bits: add 0x7FFF plus the kept LSB,
     then clear the low half. Finite inputs cannot wrap uint32; inf and NaN
-    patterns keep their top half. With ``saturate=True`` finite inputs that
-    would round to infinity clamp to the largest finite bfloat16 instead.
+    patterns keep their top half. Finite inputs that would round to infinity
+    clamp to the largest finite bfloat16 instead.
     """
     values = np.ascontiguousarray(values, dtype=np.float32)
     bits = values.view(np.uint32)
@@ -217,27 +217,26 @@ def bf16_array(values, saturate=False):
     out += np.uint32(0x7FFF)
     out += bits
     out &= np.uint32(0xFFFF0000)
-    if saturate:
-        overflowed = np.isinf(out.view(np.float32))
-        if overflowed.any():
-            overflowed &= np.isfinite(values)
-            out[overflowed] = (out[overflowed] & np.uint32(0x80000000)) | _BF16_MAX_BITS
+    overflowed = np.isinf(out.view(np.float32))
+    if overflowed.any():
+        overflowed &= np.isfinite(values)
+        out[overflowed] = (out[overflowed] & np.uint32(0x80000000)) | _BF16_MAX_BITS
     return out.view(np.float32)
 
 
 def _split3(values):
     """Split a float32 array into three bfloat16 terms that sum back to it.
 
-    Each term is the saturating round of the running residual; residual
+    Each term is the (saturating) round of the running residual; residual
     subtraction is exact in float32 (the operands are always within a factor
     of two of each other), so the terms telescope. Returns three float32
     arrays.
     """
-    t1 = bf16_array(values, saturate=True)
+    t1 = bf16_array(values)
     r1 = np.subtract(values, t1).astype(np.float32, copy=False)
-    t2 = bf16_array(r1, saturate=True)
+    t2 = bf16_array(r1)
     r2 = np.subtract(r1, t2).astype(np.float32, copy=False)
-    t3 = bf16_array(r2, saturate=True)
+    t3 = bf16_array(r2)
     return t1, t2, t3
 
 

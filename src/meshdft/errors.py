@@ -26,7 +26,7 @@ class CommunicationError(MeshDftError):
 
 
 class ProtocolError(MeshDftError):
-    """Cores disagreed about the next collective; the program would deadlock."""
+    """A run's measured ledger differs from its closed form (CLI exit 3)."""
 
 
 class AssemblyError(MeshDftError):

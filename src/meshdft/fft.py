@@ -8,14 +8,13 @@ decimated subsequences, recombined with per-frequency phase factors:
 
 Per distributed dimension the engine does exactly one all_to_all (moving
 contiguous blocks into decimated subsequences), one local in-order radix-2
-FFT, and a shift-by-one phase combination costing P-1 permutes. Each core
-yields the phase combination as one Ring request; each ring step reads the
-phase factors of every core at once from the length-N unit-root table, so
-no plan holds per-core phase blocks.
+FFT, and a shift-by-one phase combination costing P-1 permutes, run as one
+mesh ring; each ring step reads the phase factors of every core at once from
+the length-N unit-root table, so no plan holds per-core phase blocks.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 import math
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .ctensor import ComplexTensor, PrecisionMode, Prepared, _complex_product
 from .decomposition import ComputationShape
 from .errors import ArgumentError, DimensionError, PlanError
-from .mesh import AllToAll, Ring, _check_blocks, _check_plan, _check_tensors
+from .mesh import _check_blocks, _check_plan, _check_tensors
 from .vandermonde import _unit_roots
 
 
@@ -35,26 +34,7 @@ def bit_reversal_permutation(n):
     """Source indices for the standard radix-2 input reorder."""
     if not _is_pow2(n):
         raise ArgumentError(f"length must be a power of two, got {n!r}")
-    bits = n.bit_length() - 1
-    i = np.arange(n, dtype=np.int64)
-    perm = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        perm |= ((i >> b) & 1) << (bits - 1 - b)
-    return perm
-
-
-@lru_cache(maxsize=64)
-def _twiddles(m, dtype_name):
-    """Per-stage twiddle factors exp(-2j*pi*t/size) for t < size/2."""
-    dtype = np.dtype(dtype_name)
-    tables = {}
-    size = 2
-    while size <= m:
-        t = np.arange(size // 2, dtype=np.float64)
-        ang = 2.0 * np.pi * t / size
-        tables[size] = (np.cos(ang).astype(dtype), (-np.sin(ang)).astype(dtype))
-        size *= 2
-    return tables
+    return np.arange(n).reshape((2,) * (n.bit_length() - 1)).transpose().ravel()
 
 
 def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
@@ -85,15 +65,17 @@ def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
         .astype(dtype, copy=False)
         for p in (tensor.re, tensor.im)
     )
-    tables = _twiddles(m, dtype.name)
+    cos, neg_sin = _unit_roots(m)
     # every stage's half-plane holds m/2 rows: three scratch buffers serve all
     t_re_buf, t_im_buf, s_buf = (np.empty(re.size // 2, dtype=dtype) for _ in range(3))
     size = 2
     while size <= m:
         half = size // 2
-        w_re, w_im = tables[size]
-        w_re = w_re[None, :, None]
-        w_im = w_im[None, :, None]
+        # exp(-2j*pi*t/size) for t < size/2 is entry t*(m/size) of the table
+        w_re, w_im = (
+            table[: m // 2 : m // size].astype(dtype)[None, :, None]
+            for table in (cos, neg_sin)
+        )
         re3 = re.reshape(m // size, size, -1)
         im3 = im.reshape(m // size, size, -1)
         a_re, b_re = re3[:, :half], re3[:, half:]
@@ -207,20 +189,20 @@ def _bshape(axis, rank):
     return tuple(-1 if a == axis else 1 for a in range(rank))
 
 
-def _phase_ring(core, pos, x, axis, parts, groups, factors, mode, tag):
-    """The shift-by-one phase combination for one core, as a Ring request.
+def _phase_ring(mesh, each, xs, axis, parts, positions, groups, factors, mode, tag):
+    """The shift-by-one phase combination on every core, as one mesh ring.
 
-    Each step multiplies the held subsequence FFT by this position's phase
-    factors, with :func:`scale_along_axis`'s arithmetic, and sums the terms
-    in ring order. Each payload's planes are prepared for the mode once,
-    when the ring starts, and travel with it. The first term's planes are
-    fresh, so the others are summed into them; a non-finite partial sum
-    stays non-finite, so one scan at the last step catches any overflow.
+    Core c sits at ring position ``positions[c]``. Each step multiplies the
+    held subsequence FFT by this position's phase factors, with
+    :func:`scale_along_axis`'s arithmetic, and sums the terms in ring order.
+    Each payload's planes are prepared for the mode once, when the ring
+    starts, and travel with it. The first term's planes are fresh, so the
+    others are summed into them; a non-finite partial sum stays non-finite,
+    so one scan at the last step catches any overflow.
     """
-    core.add_flops("einsum", 4 * x.size * parts, tag)
 
-    def kernel(step, held, acc, table):
-        f_re, f_im = table[pos]
+    def kernel(core, step, held, acc, table):
+        f_re, f_im = table[positions[core]]
         term = _complex_product(held.re, held.im, f_re, f_im, mode)
         if acc is not None:
             np.add(acc[0], term[0], out=acc[0])
@@ -228,7 +210,11 @@ def _phase_ring(core, pos, x, axis, parts, groups, factors, mode, tag):
             term = acc
         return ComplexTensor._own_checked(*term) if step == parts - 1 else term
 
-    return Ring(groups, x, kernel, parts - 1, tag, factors, partial(Prepared, mode=mode))
+    flops = sum(4 * x.size * parts for x in xs)
+    prepare = partial(Prepared, mode=mode)
+    xs = mesh.ring(each, groups, xs, kernel, parts - 1, tag, factors, prepare)
+    mesh.ledger.add_flops("einsum", flops, tag)
+    return xs
 
 
 def fft_forward(mesh, plan, blocks, workers=1):
@@ -239,30 +225,22 @@ def fft_forward(mesh, plan, blocks, workers=1):
     """
     _check_blocks(mesh, plan, blocks)
     mode = plan.precision
-    # the per-dimension schedule, built once and shared by every core
-    schedule = []
-    for d in range(plan.rank):
-        n, parts = plan.extents[d], plan.shape.dims[d]
-        m = n // parts
-        lines = plan.shape.lines(d)
-        schedule.append((
-            parts, m, _gather_groups(lines, parts, m), lines,
-            _unit_root_factors(n, parts, plan.beta_maps[d], d, plan.rank, mode),
-        ))
-
-    def program(core, x):
-        x = x.astype(mode.real_dtype)
-        for d, (parts, m, gather_groups, lines, factors) in enumerate(schedule):
-            tag = f"dim{d + 1}"
-            x = yield AllToAll(gather_groups, x, split_axis=d, tag=tag)
-            x = local_fft(x, axis=d, mode=mode)
-            core.add_flops("local_fft", local_fft_flops(m, x.size // m), tag)
-            x = yield _phase_ring(
-                core, core.coords[d], x, d, parts, lines, factors, mode, tag
+    coords = [plan.shape.coords(c) for c in range(mesh.num_cores)]
+    with mesh.cores(workers) as each:
+        xs = each(lambda c, x: x.astype(mode.real_dtype), blocks)
+        for d in range(plan.rank):
+            n, parts = plan.extents[d], plan.shape.dims[d]
+            m, lines, tag = n // parts, plan.shape.lines(d), f"dim{d + 1}"
+            xs = mesh.all_to_all_groups(
+                _gather_groups(lines, parts, m), xs, split_axis=d, tag=tag
             )
-        return x
-
-    return mesh.run_spmd(program, blocks, workers=workers)
+            xs = each(lambda c, x: local_fft(x, axis=d, mode=mode), xs)
+            flops = sum(local_fft_flops(m, x.size // m) for x in xs)
+            mesh.ledger.add_flops("local_fft", flops, tag)
+            factors = _unit_root_factors(n, parts, plan.beta_maps[d], d, plan.rank, mode)
+            positions = [pos[d] for pos in coords]
+            xs = _phase_ring(mesh, each, xs, d, parts, positions, lines, factors, mode, tag)
+    return xs
 
 
 def strided_gather(mesh, blocks):
@@ -295,12 +273,8 @@ def phase_adjust(mesh, blocks, mode=PrecisionMode.F64_REFERENCE):
     _check_tensors(blocks, parts)
     m, rank = blocks[0].shape[0], blocks[0].rank
     factors = _unit_root_factors(m * parts, parts, tuple(range(parts)), 0, rank, mode)
-    groups = (range(parts),)
-
-    def program(core, x):
-        x = x.astype(mode.real_dtype)
-        return (yield _phase_ring(
-            core, core.rank, x, 0, parts, groups, factors, mode, "phase"
-        ))
-
-    return mesh.run_spmd(program, blocks)
+    with mesh.cores() as each:
+        xs = each(lambda c, x: x.astype(mode.real_dtype), blocks)
+        return _phase_ring(
+            mesh, each, xs, 0, parts, range(parts), (range(parts),), factors, mode, "phase"
+        )

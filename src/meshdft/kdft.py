@@ -5,8 +5,8 @@ dimension. One dimension at a time, cores run the shift-by-one schedule:
 contract the column block matching the payload currently held, pass the
 payload one step around the ring, repeat until every column block has been
 applied. P cores need exactly P-1 permutes per dimension and never hold
-more than one remote block at a time. Each core yields the whole schedule
-of a dimension as one Ring request, whose kernel makes one contraction.
+more than one remote block at a time. A dimension's whole schedule is one
+mesh ring, whose kernel makes one contraction per core and step.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ import numpy as np
 from .ctensor import ComplexTensor, Operand, PrecisionMode, Prepared, contract
 from .decomposition import ComputationShape
 from .errors import DimensionError, UnsupportedOperationError
-from .mesh import Ring, _check_blocks, _check_plan, _check_tensors
+from .mesh import _check_blocks, _check_plan, _check_tensors
 from .vandermonde import SamplePoints, column_blocks
 
 
@@ -78,29 +78,33 @@ def create_kdft_plan(shape, samples_per_dim, precision=PrecisionMode.F64_REFEREN
     )
 
 
-def _shift_ring(core, cols, x, axis, parts, pos, groups, mode, tag, trace_log=None):
-    """The shift-by-one schedule for one dimension on one core, as a Ring request.
+def _shift_ring(mesh, each, cols, xs, axis, positions, groups, mode, tag, trace_logs=None):
+    """The shift-by-one schedule for one dimension on every core, as one mesh ring.
 
-    ``cols[j]`` is this core's :class:`Prepared` column block matching
-    payloads that started at ring position j, and ``groups`` are the rings
-    (grid lines) with their cores in position order. At ring step s the core
-    holds the payload that started at position pos + s, so the payload goes
-    around the ring parts-1 times, prepared once as an :class:`Operand`. ``trace_log`` gets each
-    step's column block and the first element of the payload it holds.
+    Core c sits at ring position ``positions[c]`` of one of the rings
+    ``groups`` (grid lines, their cores in position order), and ``cols[c][j]``
+    is its :class:`Prepared` column block matching payloads that started at
+    ring position j. At ring step s core c holds the payload that started at
+    its position + s, so the payload goes around the ring parts-1 times,
+    prepared once as an :class:`Operand`. ``trace_logs[c]`` gets each step's
+    column block and the first element of the payload core c holds.
     """
-    rows, width = cols[0].shape
-    core.add_flops("einsum", 4 * rows * width * (x.size // width) * parts, tag)
+    parts = len(cols[0])
 
-    def kernel(step, held, acc, _):
-        j = (pos + step) % parts
-        if trace_log is not None:
+    def kernel(core, step, held, acc, _):
+        j = (positions[core] + step) % parts
+        if trace_logs is not None:
             first = complex(float(held.tensor.re.flat[0]), float(held.tensor.im.flat[0]))
-            trace_log.append({"core": core.rank, "v_col": j, "x_first": first})
-        term = contract(cols[j], held, axis=axis, mode=mode)
+            trace_logs[core].append({"core": core, "v_col": j, "x_first": first})
+        term = contract(cols[core][j], held, axis=axis, mode=mode)
         return term if acc is None else acc.add(term)
 
+    # a square block per payload and step
+    flops = sum(4 * x.shape[axis] * x.size * parts for x in xs)
     prepare = partial(Operand, axis=axis, mode=mode)
-    return Ring(groups, x, kernel, parts - 1, tag, prepare=prepare)
+    xs = mesh.ring(each, groups, xs, kernel, parts - 1, tag, prepare=prepare)
+    mesh.ledger.add_flops("einsum", flops, tag)
+    return xs
 
 
 def kdft_forward(mesh, plan, blocks, workers=1):
@@ -111,20 +115,16 @@ def kdft_forward(mesh, plan, blocks, workers=1):
     """
     _check_blocks(mesh, plan, blocks)
     mode = plan.precision
-    # one ring schedule per dimension, shared by every core
-    rings = [plan.shape.lines(d) for d in range(plan.rank)]
-
-    def program(core, x):
-        x = x.astype(mode.real_dtype)
-        for d, groups in enumerate(rings):
-            pos = core.coords[d]
-            x = yield _shift_ring(
-                core, plan.col_blocks[(d, pos)], x, d, plan.shape.dims[d], pos,
-                groups, mode, f"dim{d + 1}",
+    coords = [plan.shape.coords(c) for c in range(mesh.num_cores)]
+    with mesh.cores(workers) as each:
+        xs = each(lambda c, x: x.astype(mode.real_dtype), blocks)
+        for d in range(plan.rank):
+            positions = [pos[d] for pos in coords]
+            cols = [plan.col_blocks[(d, pos)] for pos in positions]
+            xs = _shift_ring(
+                mesh, each, cols, xs, d, positions, plan.shape.lines(d), mode, f"dim{d + 1}"
             )
-        return x
-
-    return mesh.run_spmd(program, blocks, workers=workers)
+    return xs
 
 
 def kdft_inverse_uniform(mesh, plan, blocks, workers=1):
@@ -173,15 +173,11 @@ def one_shuffle(mesh, v_slices, x_blocks, mode=PrecisionMode.F64_REFERENCE, trac
         ))
     group = tuple(range(parts))
     trace_logs = [[] for _ in range(parts)] if trace is not None else None
-
-    def program(core, x):
-        log = trace_logs[core.rank] if trace_logs is not None else None
-        return (yield _shift_ring(
-            core, cols[core.rank], x.astype(mode.real_dtype), 0, parts, core.rank,
-            (group,), mode, "one_shuffle", log
-        ))
-
-    results = mesh.run_spmd(program, x_blocks)
+    with mesh.cores() as each:
+        xs = each(lambda c, x: x.astype(mode.real_dtype), x_blocks)
+        results = _shift_ring(
+            mesh, each, cols, xs, 0, group, (group,), mode, "one_shuffle", trace_logs
+        )
     if trace is not None:
         # one record per step: every core's operand, then the permute after
         # it as (source, target) pairs, member i receiving from member i+1

@@ -1,35 +1,30 @@
 """Deterministic simulator for a grid of cores exchanging tensors collectively.
 
-Core programs are generators: they yield a collective request (AllToAll or
-Ring) and receive the result back at the yield point. The coordinator
-advances every core one step, checks that all cores agreed on the same
-collective, performs the exchange, and resumes them. A Ring is a run of
-permutes, such as one dimension's whole shift-by-one ring: the coordinator
-records its P-1 permutes and runs every step's kernel for all cores itself,
-so a core is resumed once per dimension, not once per step. Worker threads
-run the per-core compute (between collectives, and the ring kernels in slabs
-of cores), so results and ledgers are bit-identical for any worker count.
-While a program runs, BLAS runs single-threaded: the simulated cores are the
-source of parallelism, and a second BLAS pool would compete with them (and
-with anything else on the host) for the same cores.
+The engines are bulk-synchronous: per-core compute on every core, then one
+collective over the mesh. An engine call opens one context,
+``with mesh.cores(workers) as each:``, runs the per-core compute as
+``each(fn, values)`` and calls the collectives directly:
+:meth:`MeshSim.all_to_all_groups`, and :meth:`MeshSim.ring`, which records a
+run of permutes (such as one dimension's whole shift-by-one ring) and runs
+every step's kernel for all cores. Worker threads take contiguous slabs of
+cores, so results and ledgers are bit-identical for any worker count. Inside
+the context BLAS runs single-threaded: the simulated cores are the source of
+parallelism, and a second BLAS pool would compete with them for the host.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 import ctypes
-from dataclasses import dataclass
 from functools import lru_cache
 import glob
-from inspect import isgenerator
 import json
 import os
-from typing import Callable, Optional
 
 import numpy as np
 
 from .ctensor import ComplexTensor, PrecisionMode
 from .decomposition import BlockAssignment, ComputationShape
-from .errors import ArgumentError, CommunicationError, DimensionError, ProtocolError
+from .errors import ArgumentError, CommunicationError, DimensionError
 
 LEDGER_FIELDS = (
     "permute_count",
@@ -41,7 +36,13 @@ LEDGER_FIELDS = (
 
 
 class CommLedger:
-    """Counts collective invocations, bytes moved, and arithmetic work."""
+    """Counts collective invocations, bytes moved, and arithmetic work.
+
+    A collective is recorded when it is issued (each permute of a ring as its
+    step starts) and a stage's flops when the stage completes, so a run that
+    fails leaves the collectives issued before the failure and the flops of
+    the stages that completed.
+    """
 
     def __init__(self):
         self.permute_count = 0
@@ -88,86 +89,6 @@ class CommLedger:
         return json.dumps(self.as_dict(), indent=2, sort_keys=False) + "\n"
 
 
-@dataclass(frozen=True)
-class AllToAll:
-    """SPMD request: within each group, member i gets every member's slices i, i+n, ..."""
-
-    groups: tuple
-    value: ComplexTensor
-    split_axis: int = 0
-    tag: str = ""
-
-    def meta(self):
-        return ("all_to_all", self.groups, self.split_axis, self.tag)
-
-
-@dataclass(frozen=True)
-class Ring:
-    """SPMD request: ``steps`` shifts within each group, each followed by a compute step.
-
-    ``groups`` are disjoint ordered groups of cores: at every step member i
-    receives the payload member i+1 held, the last member the first's (cycle
-    notation, so any permutation can be written), and a core in no group
-    keeps its payload. The coordinator records ``steps`` permutes tagged
-    ``tag`` and folds this core's ``kernel`` over the payloads it holds in
-    turn, ``acc = kernel(step, held, acc, table)`` for step 0..steps,
-    starting from ``acc = None`` with ``held = value``; the last ``acc``
-    comes back at the yield point. ``table``, if given, is called once per
-    step and its result goes to every core's kernel, so every core must
-    pass the same one. With ``prepare``, ``held`` is ``prepare(value)``
-    instead, made once on the core that starts with ``value`` and moved
-    with it until the ring ends; the permutes still count the bytes of
-    ``value``. A single permute is ``steps=1`` with a kernel that returns
-    ``held``.
-    """
-
-    groups: tuple
-    value: ComplexTensor
-    kernel: Callable
-    steps: int
-    tag: str = ""
-    table: Optional[Callable] = None
-    prepare: Optional[Callable] = None
-
-    def meta(self):
-        prepares = self.prepare is not None
-        return ("ring", self.groups, self.steps, self.table, prepares, self.tag)
-
-
-class Core:
-    """Per-core handle passed to SPMD programs."""
-
-    __slots__ = ("rank", "coords", "shape", "_flops")
-
-    def __init__(self, rank, shape):
-        self.rank = rank
-        self.coords = shape.coords(rank)
-        self.shape = shape
-        self._flops = []
-
-    @property
-    def num_cores(self):
-        return self.shape.num_cores
-
-    def add_flops(self, kind, count, tag=""):
-        self._flops.append((kind, int(count), tag))
-
-
-class _Entry:
-    __slots__ = ("gen", "request", "result", "done")
-
-    def __init__(self):
-        self.gen = None
-        self.request = None
-        self.result = None
-        self.done = False
-
-
-def _check_payload(value, context):
-    if not isinstance(value, ComplexTensor):
-        raise CommunicationError(f"{context}: payload must be a ComplexTensor")
-
-
 def _check_plan(shape, precision, extents):
     """The checks both engines' plans make on their grid, precision and extents."""
     if not isinstance(shape, ComputationShape):
@@ -197,9 +118,8 @@ def _check_blocks(mesh, plan, blocks):
             raise DimensionError(f"block {i} must have shape {expected}")
 
 
-def _run_slab(fn, args_list):
-    for args in args_list:
-        fn(*args)
+def _run_slab(fn, values, cores):
+    return [fn(c, values[c]) for c in cores]
 
 
 _OPENBLAS_THREAD_CALLS = (
@@ -255,111 +175,52 @@ class MeshSim:
         self.num_cores = shape.num_cores
         self.ledger = CommLedger()
 
-    # -- SPMD execution ----------------------------------------------------
+    @contextmanager
+    def cores(self, workers=1):
+        """Per-core compute for one engine call: yields ``each``.
 
-    def run_spmd(self, program, inputs=None, workers=1):
-        """Run ``program(core, value)`` on every core to completion.
-
-        ``program`` may return a value directly or be a generator that yields
-        AllToAll/Ring requests. Returns the per-core results in rank
-        order. Disagreement between cores about the next collective raises
-        ProtocolError; the ledger on this mesh accumulates all traffic. At
-        most one worker thread runs per core. BLAS runs single-threaded until
-        the run ends, for any ``workers``.
+        ``each(fn, values)`` returns ``[fn(c, values[c])]`` for every core c,
+        computed in one contiguous slab of cores per thread over at most
+        ``min(workers, P)`` threads. BLAS runs single-threaded until the block
+        ends, for any ``workers``.
         """
         if not isinstance(workers, int) or workers < 1:
             raise ArgumentError(f"workers must be a positive int, got {workers!r}")
         workers = min(workers, self.num_cores)
-        if inputs is None:
-            inputs = [None] * self.num_cores
-        if len(inputs) != self.num_cores:
-            raise ArgumentError(
-                f"expected {self.num_cores} inputs, got {len(inputs)}"
-            )
-        cores = [Core(rank, self.shape) for rank in range(self.num_cores)]
-        entries = [_Entry() for _ in range(self.num_cores)]
-
-        def start(rank):
-            res = program(cores[rank], inputs[rank])
-            e = entries[rank]
-            if isgenerator(res):
-                e.gen = res
-                _advance(rank, None)
-            else:
-                e.result, e.done = res, True
-
-        def _advance(rank, send_value):
-            e = entries[rank]
-            try:
-                e.request = e.gen.send(send_value)
-            except StopIteration as stop:
-                e.result, e.done = stop.value, True
-                e.request = None
-                return
-            if not isinstance(e.request, (AllToAll, Ring)):
-                raise ProtocolError(
-                    f"core {rank} yielded {type(e.request).__name__}, "
-                    "expected AllToAll or Ring"
-                )
-
+        cores = range(self.num_cores)
+        cuts = [i * self.num_cores // workers for i in range(workers + 1)]
         with _single_threaded_blas(), ThreadPoolExecutor(workers) as pool:
 
-            def run_all(fn, args_list):
-                """``fn(*args)`` for every args, in one contiguous slab per worker."""
+            def each(fn, values):
+                if len(values) != self.num_cores:
+                    raise ArgumentError(
+                        f"expected {self.num_cores} values, got {len(values)}"
+                    )
                 if workers == 1:
-                    return _run_slab(fn, args_list)
-                cuts = [i * len(args_list) // workers for i in range(workers + 1)]
+                    return _run_slab(fn, values, cores)
                 futures = [
-                    pool.submit(_run_slab, fn, args_list[a:b])
+                    pool.submit(_run_slab, fn, values, cores[a:b])
                     for a, b in zip(cuts, cuts[1:])
                 ]
-                for f in futures:
-                    f.result()
+                return [y for f in futures for y in f.result()]
 
-            self._run_rounds(start, _advance, entries, run_all)
+            yield each
 
-        for core in cores:
-            for kind, count, tag in core._flops:
-                self.ledger.add_flops(kind, count, tag=tag)
-        return [e.result for e in entries]
+    def _check_groups(self, groups, values):
+        """``groups`` as tuples of core ids: at least one, each non-empty, on the mesh and disjoint.
 
-    def _run_rounds(self, start, advance, entries, run_all):
-        run_all(start, [(rank,) for rank in range(len(entries))])
-        while not all(e.done for e in entries):
-            if any(e.done for e in entries):
-                raise ProtocolError(
-                    "some cores finished while others still wait on a collective"
-                )
-            # engines share one groups/table object across cores, so
-            # comparing with the first request mostly compares by identity
-            metas = [e.request.meta() for e in entries]
-            if any(meta != metas[0] for meta in metas):
-                distinct = [meta for i, meta in enumerate(metas) if meta not in metas[:i]]
-                raise ProtocolError(
-                    f"cores disagree on the next collective: {sorted(distinct, key=repr)}"
-                )
-            # every core is pending here; no reference to the requests or the
-            # responses outlives the round, so the cores free them as they go
-            responses = self._exchange([e.request for e in entries], run_all)
-            run_all(advance, list(enumerate(responses)))
-            responses = None
-
-    def _exchange(self, requests, run_all):
-        for r in requests:
-            _check_payload(r.value, "spmd collective")
-        first = requests[0]
-        if isinstance(first, Ring):
-            return self._ring(requests, run_all)
-        return self.all_to_all_groups(
-            first.groups, [r.value for r in requests], first.split_axis, tag=first.tag
-        )
-
-    def _check_groups(self, groups):
-        """``groups`` as tuples of core ids, each non-empty, on the mesh and disjoint.
-
-        The one check of the core groups that ``AllToAll`` and ``Ring`` take.
+        The one check that both collectives make of their core groups and of
+        their payloads, one ComplexTensor per core.
         """
+        if len(values) != self.num_cores:
+            raise CommunicationError(
+                f"expected {self.num_cores} payloads, got {len(values)}"
+            )
+        if not all(isinstance(v, ComplexTensor) for v in values):
+            raise CommunicationError("every payload must be a ComplexTensor")
         groups = tuple(tuple(int(c) for c in g) for g in groups)
+        if not groups:
+            raise CommunicationError("no core groups")
         seen = set()
         for g in groups:
             if not g:
@@ -372,18 +233,22 @@ class MeshSim:
                 seen.add(c)
         return groups
 
-    def _ring(self, requests, run_all):
-        """Run a Ring: every step's permute and every core's kernel.
+    def ring(self, each, groups, values, kernel, steps, tag="", table=None, prepare=None):
+        """``steps`` shifts within each group, each followed by a kernel on every core.
 
-        The payloads only move, so their shapes are checked once and every
-        step records the same bytes. Each step's kernels run over the worker
-        pool in slabs of cores, step 0's after each core's ``prepare``; the
-        prepared payloads are dropped when the ring returns.
+        At every step member i of a group receives the payload member i+1
+        held, the last member the first's (cycle notation); a core in no group
+        keeps its payload. Records ``steps`` permutes of the values' bytes and
+        returns every core's last ``acc = kernel(core, step, held, acc, t)``
+        for step 0..steps, from ``acc = None`` and ``held = values[core]`` (or
+        ``prepare(values[core])``, made at step 0 and moved with the payload);
+        ``t`` is ``table(step)``, made once per step for all cores, or None.
+        Kernels run through ``each``. A single permute is ``steps=1`` with a
+        kernel that returns ``held``.
         """
-        first = requests[0]
-        groups = self._check_groups(first.groups)
+        groups = self._check_groups(groups, values)
         members = [c for g in groups for c in g]
-        held = [r.value for r in requests]
+        held = list(values)
         if len({(held[c].shape, held[c].dtype) for c in members}) != 1:
             raise CommunicationError("payload shapes/dtypes differ across the groups")
         nbytes = sum(held[c].nbytes for c in members)
@@ -392,19 +257,21 @@ class MeshSim:
         for g in groups:
             for c, s in zip(g, g[1:] + g[:1]):
                 source_of[c] = s
+        # each core's accumulator is replaced in place, so the one it
+        # replaces is freed as soon as that core's kernel returns
         accs = [None] * self.num_cores
 
-        def step_core(step, c, table):
-            if not step and first.prepare is not None:
-                held[c] = requests[c].prepare(held[c])
-            accs[c] = requests[c].kernel(step, held[c], accs[c], table)
+        def step_core(c, acc):
+            if not step and prepare is not None:
+                held[c] = prepare(held[c])
+            accs[c] = kernel(c, step, held[c], acc, t)
 
-        for step in range(first.steps + 1):
+        for step in range(steps + 1):
             if step:
-                self.ledger.record_permute(nbytes, tag=first.tag)
+                self.ledger.record_permute(nbytes, tag=tag)
                 held = [held[s] for s in source_of]
-            table = None if first.table is None else first.table(step)
-            run_all(step_core, [(step, c, table) for c in range(self.num_cores)])
+            t = None if table is None else table(step)
+            each(step_core, accs)
         return accs
 
     def all_to_all_groups(self, groups, values, split_axis=0, tag=""):
@@ -416,16 +283,10 @@ class MeshSim:
         n this is the transpose of single slices. Cores outside every group
         keep their payload. Counts as a single ledger entry.
         """
-        if len(values) != self.num_cores:
-            raise CommunicationError(
-                f"expected {self.num_cores} payloads, got {len(values)}"
-            )
-        groups = self._check_groups(groups)
+        groups = self._check_groups(groups, values)
         responses = list(values)
         nbytes = 0
         for g in groups:
-            for c in g:
-                _check_payload(values[c], "all_to_all")
             shapes = {(values[c].shape, values[c].dtype) for c in g}
             if len(shapes) != 1:
                 raise CommunicationError("payload shapes/dtypes differ in group")

@@ -3,7 +3,9 @@
 All-uniform sampling is checked against ``numpy.fft.fftn`` in complex128:
 O(N log N), with error growing like log N rather than a direct sum's N.
 Explicit points take the direct sum X_k = sum_n x_n * z_k**(-n) in float64,
-one power row per output point and no matrix. The CLI skips the reference
+one power row per output point and no matrix. Each row is accumulated in
+extended precision and rounded once, so its error does not repeat the
+engine's own iterated-division rounding. The CLI skips the reference
 above ``reports.ORACLE_ELEMENT_LIMIT`` elements, for both: the direct sum is
 O(N^2), and lifting it for uniform runs alone would change their reports.
 """
@@ -32,13 +34,11 @@ def _as_samples(samples, n):
 
 
 def _power_row(z_k, n):
-    # [1, z^-1, ..., z^-(n-1)] by repeated division (cumprod keeps the
-    # sequential semantics; no matrix is ever materialized)
-    row = np.empty(n, dtype=np.complex128)
-    row[0] = 1.0
-    if n > 1:
-        row[1:] = np.cumprod(np.full(n - 1, 1.0 / z_k, dtype=np.complex128))
-    return row
+    # [1, z^-1, ..., z^-(n-1)] by repeated division in np.clongdouble,
+    # rounded once to complex128 (no matrix is ever materialized)
+    row = np.ones(n, dtype=np.clongdouble)
+    row[1:] = np.cumprod(np.full(n - 1, 1 / np.clongdouble(z_k)))
+    return row.astype(np.complex128)
 
 
 def _fill(out, partial, points, index):

@@ -5,6 +5,8 @@ z_k, so ``V @ x`` evaluates X_k = sum_n x_n * z_k**(-n). On the unit circle
 with uniformly spaced points this is exactly the DFT matrix.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .ctensor import ComplexTensor
@@ -56,14 +58,18 @@ class SamplePoints:
         return cls(values)
 
 
+@lru_cache(maxsize=64)
 def _unit_roots(n):
-    """cos and -sin of the angle table 2*pi*e/n for exponents e in [0, n).
+    """cos and -sin of the angle table 2*pi*e/n for exponents e in [0, n), read-only.
 
-    Every uniform matrix entry is one of these n values, looked up by its
-    exponent reduced mod n, so n trig calls serve all n*n entries.
+    Every uniform matrix entry, phase factor and local FFT twiddle is one of
+    these n values, looked up by its exponent reduced mod n, so n trig calls
+    serve all n*n entries, and every caller shares one table per n.
     """
     angles = 2.0 * np.pi * np.arange(n, dtype=np.int64) / n
-    return np.cos(angles), -np.sin(angles)
+    cos, neg_sin = np.cos(angles), -np.sin(angles)
+    cos.flags.writeable = neg_sin.flags.writeable = False
+    return cos, neg_sin
 
 
 def build_uniform(n):

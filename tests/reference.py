@@ -25,16 +25,15 @@ def round_bits_to_bf16(bits32):
     return ((bits32 + np.uint32(0x7FFF) + lsb) >> np.uint32(16)).astype(np.uint16)
 
 
-def bf16_array_reference(values, saturate=False):
-    """``meshdft.bf16_array`` computed through the 16-bit patterns."""
+def bf16_array_reference(values):
+    """``meshdft.bf16_array`` (saturating) computed through the 16-bit patterns."""
     values = np.ascontiguousarray(values, dtype=np.float32)
     bits32 = values.view(np.uint32)
     top = round_bits_to_bf16(bits32)
-    if saturate:
-        overflowed = ((top & np.uint16(0x7FFF)) >= _BF16_INF_PATTERN) & np.isfinite(values)
-        if overflowed.any():
-            sign = top & np.uint16(0x8000)
-            top = np.where(overflowed, sign | np.uint16(_BF16_MAX_BITS), top)
+    overflowed = ((top & np.uint16(0x7FFF)) >= _BF16_INF_PATTERN) & np.isfinite(values)
+    if overflowed.any():
+        sign = top & np.uint16(0x8000)
+        top = np.where(overflowed, sign | np.uint16(_BF16_MAX_BITS), top)
     out = (top.astype(np.uint32) << np.uint32(16)).view(np.float32)
     return out.reshape(values.shape)
 
@@ -81,7 +80,7 @@ def bf16_split(value, terms=3):
     out = []
     residual = value
     for _ in range(terms):
-        rounded = bf16_array(np.float32(residual).reshape(1), saturate=True)[0]
+        rounded = bf16_array(np.float32(residual).reshape(1))[0]
         out.append(Bf16Value.from_float32(rounded))
         residual = np.float32(residual - rounded)
     return out

@@ -380,3 +380,22 @@ def test_bf16_forward_splits_each_payload_plane_once_per_ring(monkeypatch):
     assert len(payload) == 2 * shape.num_cores * 2
     assert sorted(set(splits) - {(8, 8)}) == [(2, 1, 8), (4, 8, 1)]
     assert len(splits) == len(payload) + 2 * (4 + 2)
+
+
+def test_ledger_after_a_failed_run():
+    # collectives are recorded as issued and a stage's flops when it
+    # completes: the first local FFT overflows f32 after the first all_to_all
+    shape = md.ComputationShape(4, 1, 1)
+    x = md.ComplexTensor(np.full(64, 3e38), np.full(64, -3e38))
+    plan = md.create_fft_plan(shape, x.shape, F32)
+    blocks, _ = md.decompose(x, shape)
+    mesh = md.MeshSim(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(md.ArgumentError, match="non-finite"):
+            md.fft_forward(mesh, plan, blocks)
+    nbytes = 64 * 2 * 4
+    assert mesh.ledger.as_dict() == {
+        "permute_count": 0, "all_to_all_count": 1, "bytes_moved": nbytes,
+        "einsum_flops": 0, "local_fft_flops": 0,
+    }
+    assert mesh.ledger.per_tag() == {"dim1": mesh.ledger.as_dict()}

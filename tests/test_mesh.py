@@ -1,4 +1,4 @@
-"""Collectives, the communication ledger, and SPMD execution."""
+"""Collectives, the communication ledger, and per-core execution."""
 
 from concurrent.futures import ThreadPoolExecutor
 import json
@@ -9,7 +9,7 @@ import pytest
 import meshdft as md
 from meshdft import mesh as mesh_module
 from meshdft.ctensor import contract
-from meshdft.mesh import AllToAll, CommLedger, LEDGER_FIELDS, Ring, _openblas_threads
+from meshdft.mesh import CommLedger, LEDGER_FIELDS, _openblas_threads
 from helpers import F32, F64, BF16, rand_tensor
 
 
@@ -58,17 +58,14 @@ def test_ledger_json_field_names_are_pinned():
 # -- permutes (one-step rings) -----------------------------------------------
 
 
-def keep_held(step, held, acc, table):
+def keep_held(core, step, held, acc, table):
     return held
 
 
-def permute(groups, x, tag=""):
-    """One permute: a one-step Ring whose kernel keeps the payload it receives."""
-    return Ring(groups, x, keep_held, 1, tag)
-
-
 def run_permutes(mesh, groups, payloads, times=1):
-    return mesh.run_spmd(lambda core, x: (yield Ring(groups, x, keep_held, times)), payloads)
+    """``times`` permutes: a ring whose kernel keeps the payload it receives."""
+    with mesh.cores() as each:
+        return mesh.ring(each, groups, payloads, keep_held, times)
 
 
 def test_permute_three_cycle():
@@ -111,17 +108,29 @@ def test_ring_on_grid_lines_shifts_each_line():
     assert [p.re[0] for p in out] == [1.0, 0.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0]
 
 
-@pytest.mark.parametrize(
-    "request_for", [AllToAll, lambda groups, x: Ring(groups, x, keep_held, 1)],
-    ids=["AllToAll", "Ring"],
-)
-def test_core_groups_are_checked_in_one_place(request_for):
+COLLECTIVES = {
+    "AllToAll": lambda mesh, groups, xs: mesh.all_to_all_groups(groups, xs),
+    "Ring": run_permutes,
+}
+
+
+@pytest.mark.parametrize("collective", COLLECTIVES.values(), ids=COLLECTIVES.keys())
+def test_core_groups_are_checked_in_one_place(collective):
     mesh = md.MeshSim(3)
     payloads = [vec(*range(6))] * 3
     # an empty group, a core off the mesh, a core in two groups, a core twice in one
     for groups in (((0, 1), ()), ((0, 1, 3),), ((0, 1), (1, 2)), ((2, 2),)):
         with pytest.raises(md.CommunicationError) as err:
-            mesh.run_spmd(lambda core, x: (yield request_for(groups, x)), payloads)
+            collective(mesh, groups, payloads)
+        assert err.traceback[-1].name == "_check_groups"
+    assert mesh.ledger.as_dict() == CommLedger().as_dict()
+
+
+def test_both_collectives_reject_an_empty_group_list():
+    mesh = md.MeshSim(2)
+    for collective in COLLECTIVES.values():
+        with pytest.raises(md.CommunicationError, match="no core groups") as err:
+            collective(mesh, (), [vec(0.0, 1.0)] * 2)
         assert err.traceback[-1].name == "_check_groups"
     assert mesh.ledger.as_dict() == CommLedger().as_dict()
 
@@ -144,7 +153,8 @@ def test_permute_validation():
         run_permutes(mesh, ((0, 1, 5),), [vec(0.0)] * 3)
     with pytest.raises(md.CommunicationError):
         run_permutes(mesh, groups, [vec(0.0), vec(1.0), np.zeros(1)])
-    with pytest.raises(md.ArgumentError):
+    # one payload per core, as for all_to_all
+    with pytest.raises(md.CommunicationError, match="expected 3 payloads, got 2"):
         run_permutes(mesh, groups, [vec(0.0), vec(1.0)])
 
 
@@ -229,17 +239,14 @@ def test_all_to_all_groups_one_ledger_record():
         mesh.all_to_all_groups(((0, 9),), values)
 
 
-# -- run_spmd ----------------------------------------------------------------
+# -- per-core execution -------------------------------------------------------
 
 
 def test_spmd_plain_map_without_collectives():
     mesh = md.MeshSim(4)
-
-    def program(core, x):
-        return x.scaled(float(core.rank))
-
     inputs = [vec(1.0) for _ in range(4)]
-    out = mesh.run_spmd(program, inputs)
+    with mesh.cores(workers=2) as each:
+        out = each(lambda core, x: x.scaled(float(core)), inputs)
     assert [o.re[0] for o in out] == [0.0, 1.0, 2.0, 3.0]
     assert mesh.ledger.as_dict() == CommLedger().as_dict()
 
@@ -247,92 +254,52 @@ def test_spmd_plain_map_without_collectives():
 def test_spmd_generator_ring_program():
     mesh = md.MeshSim(3)
     groups = ((0, 1, 2),)
-
-    def program(core, x):
-        x = yield permute(groups, x, tag="step")
-        x = yield permute(groups, x, tag="step")
-        return x
-
-    out = mesh.run_spmd(program, [vec(float(i)) for i in range(3)])
+    with mesh.cores() as each:
+        x = [vec(float(i)) for i in range(3)]
+        x = mesh.ring(each, groups, x, keep_held, 1, tag="step")
+        x = mesh.ring(each, groups, x, keep_held, 1, tag="step")
     # two shift-by-one steps: core i ends up with the payload of core i+2
-    assert [o.re[0] for o in out] == [2.0, 0.0, 1.0]
+    assert [o.re[0] for o in x] == [2.0, 0.0, 1.0]
     assert mesh.ledger.permute_count == 2
     assert mesh.ledger.per_tag()["step"]["permute_count"] == 2
 
 
 def test_spmd_all_to_all_request():
+    # per-core compute, the collective, then per-core compute again
     mesh = md.MeshSim(2)
-
-    def program(core, x):
-        x = yield AllToAll(((0, 1),), x)
-        return x
-
-    out = mesh.run_spmd(program, [vec(10.0, 11.0), vec(20.0, 21.0)])
+    with mesh.cores(workers=2) as each:
+        x = each(lambda core, v: v.scaled(2.0), [vec(10.0, 11.0), vec(20.0, 21.0)])
+        x = mesh.all_to_all_groups(((0, 1),), x)
+        out = each(lambda core, v: v.scaled(0.5), x)
     assert np.array_equal(out[0].re, [10.0, 20.0])
     assert np.array_equal(out[1].re, [11.0, 21.0])
 
 
 def test_spmd_flops_merge_deterministically():
+    # per-core counts come back in rank order from every slab
     mesh = md.MeshSim(3)
-
-    def program(core, x):
-        core.add_flops("einsum", 10 * (core.rank + 1), tag="t")
-        return x
-
-    mesh.run_spmd(program, [vec(0.0)] * 3)
+    with mesh.cores(workers=2) as each:
+        counts = each(lambda core, x: 10 * (core + 1), [vec(0.0)] * 3)
+    assert counts == [10, 20, 30]
+    mesh.ledger.add_flops("einsum", sum(counts), tag="t")
     assert mesh.ledger.einsum_flops == 60
     assert mesh.ledger.per_tag()["t"]["einsum_flops"] == 60
 
 
-def test_spmd_detects_disagreeing_collectives():
-    mesh = md.MeshSim(2)
-    groups = ((0, 1),)
-
-    def program(core, x):
-        x = yield permute(groups, x, tag=f"tag{core.rank}")
-        return x
-
-    with pytest.raises(md.ProtocolError):
-        mesh.run_spmd(program, [vec(0.0), vec(1.0)])
-
-
-def test_spmd_detects_early_finisher():
-    mesh = md.MeshSim(2)
-    groups = ((0, 1),)
-
-    def program(core, x):
-        if core.rank == 0:
-            return x
-        x = yield permute(groups, x)
-        return x
-
-    with pytest.raises(md.ProtocolError):
-        mesh.run_spmd(program, [vec(0.0), vec(1.0)])
-
-
-def test_spmd_rejects_non_collective_yield():
-    mesh = md.MeshSim(2)
-
-    def program(core, x):
-        yield 42
-
-    with pytest.raises(md.ProtocolError):
-        mesh.run_spmd(program, [vec(0.0), vec(1.0)])
-
-
 def test_spmd_worker_count_does_not_change_anything():
-    def program(core, x):
-        groups = (range(core.num_cores),)
-        x = yield permute(groups, x, tag="a")
-        core.add_flops("einsum", core.rank + 1)
-        x = yield permute(groups, x, tag="b")
-        return x.scaled(2.0)
+    def program(mesh, each, x):
+        groups = (range(mesh.num_cores),)
+        x = mesh.ring(each, groups, x, keep_held, 1, tag="a")
+        mesh.ledger.add_flops("einsum", sum(each(lambda core, _: core + 1, x)))
+        x = mesh.ring(each, groups, x, keep_held, 1, tag="b")
+        return each(lambda core, v: v.scaled(2.0), x)
 
     results = []
     ledgers = []
     for workers in (1, 2, 4):
         mesh = md.MeshSim(4)
-        out = mesh.run_spmd(program, [vec(float(i)) for i in range(4)], workers=workers)
+        with mesh.cores(workers) as each:
+            out = program(mesh, each, [vec(float(i)) for i in range(4)])
         results.append([tuple(o.re) for o in out])
         ledgers.append(mesh.ledger.as_dict())
     assert results[0] == results[1] == results[2]
@@ -355,12 +322,11 @@ def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
 
     monkeypatch.setattr(mesh_module, "ThreadPoolExecutor", RecordingPool)
     mesh = md.MeshSim(2)
-    out = mesh.run_spmd(
-        lambda core, x: (yield AllToAll(((0, 1),), x)), [vec(0.0, 1.0), vec(2.0, 3.0)],
-        workers=8,
-    )
+    with mesh.cores(workers=8) as each:
+        x = each(lambda core, v: v, [vec(0.0, 1.0), vec(2.0, 3.0)])
+        out = each(lambda core, v: v, mesh.all_to_all_groups(((0, 1),), x))
     assert [tuple(o.re) for o in out] == [(0.0, 2.0), (1.0, 3.0)]
-    # two rounds (start, and resume after the all_to_all), one core per slab
+    # two rounds of per-core compute, one core per slab
     assert pools == [2]
     assert slabs == [1, 1, 1, 1]
 
@@ -368,9 +334,11 @@ def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
 def test_spmd_input_validation():
     mesh = md.MeshSim(2)
     with pytest.raises(md.ArgumentError):
-        mesh.run_spmd(lambda core, x: x, [vec(0.0)])
+        with mesh.cores() as each:
+            each(lambda core, x: x, [vec(0.0)])
     with pytest.raises(md.ArgumentError):
-        mesh.run_spmd(lambda core, x: x, [vec(0.0), vec(1.0)], workers=0)
+        with mesh.cores(workers=0):
+            pass
     with pytest.raises(md.ArgumentError):
         md.MeshSim("2x2")
 
@@ -392,23 +360,20 @@ def blas_threads():
     set_(before)
 
 
-def _reads_blas_threads(get):
-    def program(core, x):
-        seen = [get()]
-        x = yield permute((range(core.num_cores),), x)
-        seen.append(get())
-        return seen
-
-    return program
-
-
 @needs_openblas
 @pytest.mark.parametrize("workers", [1, 2])
 def test_blas_runs_single_threaded_inside_a_run(blas_threads, workers):
     get, _ = blas_threads
+
+    def kernel(core, step, held, acc, table):
+        return (acc or []) + [get()]
+
     mesh = md.MeshSim(4)
-    seen = mesh.run_spmd(_reads_blas_threads(get), [vec(0.0)] * 4, workers=workers)
-    assert seen == [[1, 1]] * 4
+    with mesh.cores(workers) as each:
+        before = each(lambda core, x: get(), [vec(0.0)] * 4)
+        during = mesh.ring(each, (range(4),), [vec(0.0)] * 4, kernel, 1)
+    assert before == [1] * 4
+    assert during == [[1, 1]] * 4
     assert get() == 2
 
 
@@ -421,8 +386,10 @@ def test_blas_threads_restored_after_a_core_raises(blas_threads, workers):
         assert get() == 1
         raise RuntimeError("core failed")
 
+    mesh = md.MeshSim(2)
     with pytest.raises(RuntimeError, match="core failed"):
-        md.MeshSim(2).run_spmd(program, workers=workers)
+        with mesh.cores(workers) as each:
+            each(program, [None] * 2)
     assert get() == 2
 
 

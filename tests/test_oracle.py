@@ -12,11 +12,10 @@ from helpers import rand_tensor
 
 
 def _power_row(z_k, n):
-    row = np.empty(n, dtype=np.complex128)
-    row[0] = 1.0
-    if n > 1:
-        row[1:] = np.cumprod(np.full(n - 1, 1.0 / z_k, dtype=np.complex128))
-    return row
+    # the oracle's power row: extended-precision iterated division, rounded once
+    row = np.ones(n, dtype=np.clongdouble)
+    row[1:] = np.cumprod(np.full(n - 1, 1 / np.clongdouble(z_k)))
+    return row.astype(np.complex128)
 
 
 def _direct_dft_1d(x, samples):

@@ -1,9 +1,9 @@
-"""The Ring request against the per-core ring loops it replaced.
+"""The mesh ring against the per-core ring loops it replaced.
 
-The references below are the engines' earlier per-core generators: every core
-yields one single-step permute per ring step and runs its own step kernel
-(``scale_along_axis`` on a column of its ``build_phase_slice`` block, or one
-``contract``) between them. The coordinator-run Ring must give the same bits,
+The references below run the engines' earlier per-core schedule: one
+single-step permute per ring step, and between them every core's own step
+kernel (``scale_along_axis`` on a column of its ``build_phase_slice`` block,
+or one ``contract``). The ring with its step table must give the same bits,
 the same ledger and the same per-tag ledger.
 """
 
@@ -17,7 +17,6 @@ from meshdft import fft
 from meshdft.ctensor import contract, scale_along_axis
 from meshdft.decomposition import ComputationShape
 from meshdft.fft import local_fft_flops
-from meshdft.mesh import AllToAll, Ring
 from meshdft.vandermonde import build_phase_slice, column_blocks
 from helpers import BF16, F32, F64, rand_tensor
 
@@ -34,31 +33,34 @@ CASES = [
 ]
 
 
-def keep_held(step, held, acc, table):
+def keep_held(core, step, held, acc, table):
     return held
 
 
-def permute(groups, x, tag):
-    """One shift: a one-step Ring whose kernel keeps the payload it receives."""
-    return Ring(groups, x, keep_held, 1, tag)
+def _phase_steps_reference(mesh, each, xs, axis, parts, positions, beta_map, phases, groups,
+                           mode, tag):
+    def term(c, x, s):
+        b = beta_map[(positions[c] + s) % parts]
+        col = md.ComplexTensor(phases[c].re[:, b], phases[c].im[:, b])
+        return scale_along_axis(x, axis, col, mode)
 
+    def first(c, x):
+        acc = term(c, x, 0)
+        return np.array(acc.re), np.array(acc.im)
 
-def _phase_steps_reference(core, x, axis, parts, pos, beta_map, phase, groups, mode, tag):
-    def col(b):
-        return md.ComplexTensor(phase.re[:, b], phase.im[:, b])
-
-    held = beta_map[pos]
-    acc = scale_along_axis(x, axis, col(held), mode)
-    core.add_flops("einsum", 4 * x.size, tag)
-    acc_re, acc_im = np.array(acc.re), np.array(acc.im)
+    accs = each(first, xs)
+    mesh.ledger.add_flops("einsum", sum(4 * x.size for x in xs), tag)
     for s in range(1, parts):
-        x = yield permute(groups, x, tag)
-        held = beta_map[(pos + s) % parts]
-        term = scale_along_axis(x, axis, col(held), mode)
-        np.add(acc_re, term.re, out=acc_re)
-        np.add(acc_im, term.im, out=acc_im)
-        core.add_flops("einsum", 4 * x.size, tag)
-    return md.ComplexTensor(acc_re, acc_im)
+        xs = mesh.ring(each, groups, xs, keep_held, 1, tag)
+
+        def add(c, x):
+            t = term(c, x, s)
+            np.add(accs[c][0], t.re, out=accs[c][0])
+            np.add(accs[c][1], t.im, out=accs[c][1])
+
+        each(add, xs)
+        mesh.ledger.add_flops("einsum", sum(4 * x.size for x in xs), tag)
+    return [md.ComplexTensor(*acc) for acc in accs]
 
 
 def fft_forward_reference(mesh, plan, blocks, workers):
@@ -67,40 +69,44 @@ def fft_forward_reference(mesh, plan, blocks, workers):
         (d, pos): build_phase_slice(plan.extents[d], plan.shape.dims[d], pos)
         for d in range(plan.rank) for pos in range(plan.shape.dims[d])
     }
-
-    def program(core, x):
-        x = x.astype(mode.real_dtype)
+    coords = [plan.shape.coords(c) for c in range(mesh.num_cores)]
+    with mesh.cores(workers) as each:
+        xs = each(lambda c, x: x.astype(mode.real_dtype), blocks)
         for d in range(plan.rank):
             parts = plan.shape.dims[d]
             m = plan.extents[d] // parts
-            pos = core.coords[d]
+            positions = [pos[d] for pos in coords]
             tag = f"dim{d + 1}"
             lines = plan.shape.lines(d)
-            x = yield AllToAll(fft._gather_groups(lines, parts, m), x, split_axis=d, tag=tag)
-            x = md.local_fft(x, axis=d, mode=mode)
-            core.add_flops("local_fft", local_fft_flops(m, x.size // m), tag)
-            x = yield from _phase_steps_reference(
-                core, x, d, parts, pos, plan.beta_maps[d], phase[(d, pos)],
-                lines, mode, tag,
+            xs = mesh.all_to_all_groups(
+                fft._gather_groups(lines, parts, m), xs, split_axis=d, tag=tag
             )
-        return x
+            xs = each(lambda c, x: md.local_fft(x, axis=d, mode=mode), xs)
+            flops = sum(local_fft_flops(m, x.size // m) for x in xs)
+            mesh.ledger.add_flops("local_fft", flops, tag)
+            xs = _phase_steps_reference(
+                mesh, each, xs, d, parts, positions, plan.beta_maps[d],
+                [phase[(d, pos)] for pos in positions], lines, mode, tag,
+            )
+    return xs
 
-    return mesh.run_spmd(program, blocks, workers=workers)
 
+def _shift_steps_reference(mesh, each, cols, xs, axis, parts, positions, groups, mode, tag):
+    def tally(xs, s):
+        matrices = [cols[c][(positions[c] + s) % parts] for c in range(len(xs))]
+        mesh.ledger.add_flops("einsum", sum(
+            4 * v.shape[0] * v.shape[1] * (x.size // x.shape[axis])
+            for v, x in zip(matrices, xs)
+        ), tag)
 
-def _shift_steps_reference(core, cols, x, axis, parts, pos, groups, mode, tag):
-    def tally(matrix):
-        core.add_flops("einsum", 4 * matrix.shape[0] * matrix.shape[1] * (x.size // x.shape[axis]), tag)
-
-    j = pos
-    acc = contract(cols[j], x, axis=axis, mode=mode)
-    tally(cols[j])
-    for _ in range(parts - 1):
-        x = yield permute(groups, x, tag)
-        j = (j + 1) % parts
-        acc = acc.add(contract(cols[j], x, axis=axis, mode=mode))
-        tally(cols[j])
-    return acc
+    accs = each(lambda c, x: contract(cols[c][positions[c]], x, axis=axis, mode=mode), xs)
+    tally(xs, 0)
+    for s in range(1, parts):
+        xs = mesh.ring(each, groups, xs, keep_held, 1, tag)
+        accs = each(lambda c, x: accs[c].add(
+            contract(cols[c][(positions[c] + s) % parts], x, axis=axis, mode=mode)), xs)
+        tally(xs, s)
+    return accs
 
 
 def kdft_reference(mesh, plan, blocks, workers, conjugate):
@@ -115,20 +121,18 @@ def kdft_reference(mesh, plan, blocks, workers, conjugate):
         ]
         for d, pos in plan.col_blocks
     }
-
-    def program(core, x):
-        x = x.astype(mode.real_dtype)
+    coords = [plan.shape.coords(c) for c in range(mesh.num_cores)]
+    with mesh.cores(workers) as each:
+        xs = each(lambda c, x: x.astype(mode.real_dtype), blocks)
         for d in range(plan.rank):
-            pos = core.coords[d]
-            x = yield from _shift_steps_reference(
-                core, cols[(d, pos)], x, d, plan.shape.dims[d], pos,
-                plan.shape.lines(d), mode, f"dim{d + 1}",
+            positions = [pos[d] for pos in coords]
+            xs = _shift_steps_reference(
+                mesh, each, [cols[(d, pos)] for pos in positions], xs, d,
+                plan.shape.dims[d], positions, plan.shape.lines(d), mode, f"dim{d + 1}",
             )
         if conjugate:
-            x = x.scaled(1.0 / plan.total_elements)
-        return x
-
-    return mesh.run_spmd(program, blocks, workers=workers)
+            xs = each(lambda c, x: x.scaled(1.0 / plan.total_elements), xs)
+    return xs
 
 
 def assert_same_run(out, mesh, ref, ref_mesh):
@@ -179,31 +183,28 @@ def test_standalone_rings_match_per_core_loops(mode):
         mesh, ref_mesh = md.MeshSim(parts), md.MeshSim(parts)
         out = md.phase_adjust(mesh, blocks, mode)
         phases = [build_phase_slice(n, parts, p) for p in range(parts)]
-
-        def phase_program(core, x):
-            return (yield from _phase_steps_reference(
-                core, x.astype(mode.real_dtype), 0, parts, core.rank, tuple(range(parts)),
-                phases[core.rank], groups, mode, "phase",
-            ))
-
-        ref = ref_mesh.run_spmd(phase_program, blocks)
+        with ref_mesh.cores() as each:
+            xs = each(lambda c, x: x.astype(mode.real_dtype), blocks)
+            ref = _phase_steps_reference(
+                ref_mesh, each, xs, 0, parts, range(parts), tuple(range(parts)), phases,
+                groups, mode, "phase",
+            )
         assert_same_run(out, mesh, ref, ref_mesh)
 
         mesh, ref_mesh = md.MeshSim(parts), md.MeshSim(parts)
         slices = md.slice_rows(md.build_uniform(n), parts)
         out = md.one_shuffle(mesh, slices, blocks, mode)
         r = n // parts
-
-        def shuffle_program(core, x):
-            rows = slices[core.rank]
-            cols = [md.ComplexTensor(rows.re[:, j * r:(j + 1) * r], rows.im[:, j * r:(j + 1) * r])
-                    for j in range(parts)]
-            return (yield from _shift_steps_reference(
-                core, cols, x.astype(mode.real_dtype), 0, parts, core.rank, groups, mode,
-                "one_shuffle",
-            ))
-
-        ref = ref_mesh.run_spmd(shuffle_program, blocks)
+        cols = [
+            [md.ComplexTensor(rows.re[:, j * r:(j + 1) * r], rows.im[:, j * r:(j + 1) * r])
+             for j in range(parts)]
+            for rows in slices
+        ]
+        with ref_mesh.cores() as each:
+            xs = each(lambda c, x: x.astype(mode.real_dtype), blocks)
+            ref = _shift_steps_reference(
+                ref_mesh, each, cols, xs, 0, parts, range(parts), groups, mode, "one_shuffle"
+            )
         assert_same_run(out, mesh, ref, ref_mesh)
 
 
@@ -238,28 +239,6 @@ def test_fft_forward_builds_each_line_set_once(monkeypatch, extents, grid):
     assert sorted(calls) == list(range(len(extents)))
 
 
-def test_cores_that_disagree_on_a_ring_raise():
-    mesh = md.MeshSim(2)
-    groups = ((0, 1),)
-    x = [rand_tensor((2,), seed=i) for i in range(2)]
-    variants = {
-        "steps": lambda core: Ring(groups, x[core.rank], keep_held, 1 + core.rank),
-        "tag": lambda core: Ring(groups, x[core.rank], keep_held, 1, f"t{core.rank}"),
-        "groups": lambda core: Ring(
-            groups if core.rank else ((0,), (1,)), x[core.rank], keep_held, 1),
-        "table": lambda core: Ring(
-            groups, x[core.rank], keep_held, 1, "", (lambda step: step) if core.rank else None),
-    }
-    for request in variants.values():
-        with pytest.raises(md.ProtocolError):
-            mesh.run_spmd(lambda core, _: (yield request(core)))
-    # a Ring and an AllToAll are different collectives
-    with pytest.raises(md.ProtocolError):
-        mesh.run_spmd(lambda core, _: (
-            yield AllToAll(((0, 1),), x[core.rank]) if core.rank
-            else Ring(groups, x[0], keep_held, 1)))
-
-
 def test_ring_runs_every_step_kernel_with_its_table():
     # member i receives from member i+1; the table is computed once per step
     mesh = md.MeshSim(3)
@@ -270,14 +249,12 @@ def test_ring_runs_every_step_kernel_with_its_table():
         tables.append(step)
         return 10 * step
 
-    def kernel(step, held, acc, t):
+    def kernel(core, step, held, acc, t):
         return (acc or []) + [(step, float(held.re[0]), t)]
 
-    def program(core, x):
-        return (yield Ring(groups, x, kernel, 2, "r", table))
-
-    out = mesh.run_spmd(program, [md.ComplexTensor([float(i)], [0.0]) for i in range(3)],
-                        workers=2)
+    with mesh.cores(workers=2) as each:
+        xs = [md.ComplexTensor([float(i)], [0.0]) for i in range(3)]
+        out = mesh.ring(each, groups, xs, kernel, 2, "r", table)
     assert out[0] == [(0, 0.0, 0), (1, 1.0, 10), (2, 2.0, 20)]
     assert out[2] == [(0, 2.0, 0), (1, 0.0, 10), (2, 1.0, 20)]
     assert tables == [0, 1, 2]
@@ -294,12 +271,12 @@ def test_ring_accumulators_survive_thread_switching():
         mesh = md.MeshSim(16)
         groups = (range(16),)
 
-        def kernel(step, held, acc, table):
+        def kernel(core, step, held, acc, table):
             return (acc or 0) + int(held.re[0]) * (step + 1)
 
         inputs = [md.ComplexTensor([float(c)], [0.0]) for c in range(16)]
-        out = mesh.run_spmd(lambda core, x: (yield Ring(groups, x, kernel, 15)),
-                            inputs, workers=8)
+        with mesh.cores(workers=8) as each:
+            out = mesh.ring(each, groups, inputs, kernel, 15)
     finally:
         sys.setswitchinterval(old)
     assert out == [sum((c + s) % 16 * (s + 1) for s in range(16)) for c in range(16)]
