@@ -1,4 +1,7 @@
-"""Run the decimation engine one stage at a time on a single dimension.
+"""Walk through the decimation engine's stages on a single dimension.
+
+Stages 2 and 3 run here one at a time; stage 4 is computed on the host from
+its formula and checked against fft_forward, which runs every stage.
 
 Pipeline for N samples on P cores (M = N/P each):
   1. every core holds a contiguous block of the input;
@@ -26,7 +29,8 @@ print("stage 1, contiguous blocks:")
 for c, b in enumerate(blocks):
     print(f"  core {c}: x[{c * m}:{(c + 1) * m}]")
 
-gathered = md.strided_gather(mesh, blocks)
+# the engine's gather for M >= P: one group of the whole line
+gathered = mesh.all_to_all_groups([range(parts)], blocks, tag="gather")
 offsets = md.gather_positions(parts, m)
 print("stage 2, after one all_to_all each core holds a subsequence:")
 ok = True
@@ -39,10 +43,16 @@ assert ok
 print("stage 3, local in-order FFT of each subsequence")
 local = [md.local_fft(g) for g in gathered]
 
-# with M >= P the gather leaves position i holding subsequence i, which is
-# exactly the layout the standalone phase helper expects
-assert offsets == tuple(range(parts))
-combined = md.phase_adjust(mesh, local)
+# stage 4 on the host, X_k = sum_b exp(-2j*pi*b*k/N) * F_b[k mod M], to
+# check the engine's phase ring, which runs stages 2-4 on a mesh of its own
+k = np.arange(n)
+phased = sum(
+    np.exp(-2j * np.pi * beta * k / n) * local[pos].to_complex()[k % m]
+    for pos, beta in enumerate(offsets)
+)
+engine_mesh = md.MeshSim(shape)
+plan = md.create_fft_plan(shape, (n,))
+combined = md.fft_forward(engine_mesh, plan, blocks)
 
 print("stage 4, phase combination; compare with numpy:")
 full = np.fft.fft(x.to_complex())
@@ -51,14 +61,11 @@ for p in range(parts):
     diff = np.max(np.abs(got - full[p * m : (p + 1) * m]))
     print(f"  core {p} rows [{p * m}:{(p + 1) * m}] max diff {diff:.2e}")
     assert diff < 1e-12
+    assert np.max(np.abs(got - phased[p * m : (p + 1) * m])) < 1e-12
+out = md.gather_to_host(combined, assignment)
+assert np.max(np.abs(out.to_complex() - full)) < 1e-12
 
 print()
 # stage 3 ran host-side, outside the mesh, so its flops are not metered here
-print("ledger for the staged run:", mesh.ledger.as_dict())
-
-# same thing end to end through the engine
-mesh2 = md.MeshSim(shape)
-plan = md.create_fft_plan(shape, (n,))
-out = md.gather_to_host(md.fft_forward(mesh2, plan, blocks), assignment)
-assert np.max(np.abs(out.to_complex() - full)) < 1e-12
-print("fft_forward ledger:          ", mesh2.ledger.as_dict())
+print("ledger for stage 2:          ", mesh.ledger.as_dict())
+print("fft_forward ledger:          ", engine_mesh.ledger.as_dict())

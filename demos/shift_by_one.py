@@ -13,9 +13,9 @@ import meshdft as md
 
 
 def main():
-    mesh = md.MeshSim(md.ComputationShape(3, 1, 1))
-    matrix = md.build_uniform(6)
-    slices = md.slice_rows(matrix, 3)
+    shape = md.ComputationShape(3, 1, 1)
+    mesh = md.MeshSim(shape)
+    plan = md.create_kdft_plan(shape, (6,))
 
     x = np.array([10.0, 11.0, 20.0, 21.0, 30.0, 31.0])
     blocks = [md.ComplexTensor(x[2 * c : 2 * c + 2], np.zeros(2)) for c in range(3)]
@@ -25,7 +25,7 @@ def main():
     print()
 
     trace = []
-    results = md.one_shuffle(mesh, slices, blocks, trace=trace)
+    results = md.kdft_forward(mesh, plan, blocks, trace=trace)
 
     for s, step in enumerate(trace):
         print(f"step {s}:")
@@ -42,7 +42,7 @@ def main():
     print(f"ledger: {mesh.ledger.permute_count} permutes for 3 cores (P-1 rule)")
 
     # the pieces really are the full matrix-vector product
-    full = matrix.to_complex() @ x.astype(np.complex128)
+    full = md.build_uniform(6).to_complex() @ x.astype(np.complex128)
     for c, res in enumerate(results):
         mine = res.to_complex()
         print(f"core {c} output {np.round(mine, 6)} vs direct {np.round(full[2 * c : 2 * c + 2], 6)}")

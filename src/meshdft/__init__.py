@@ -3,8 +3,9 @@
 Two interchangeable engines compute the same distributed transform: a
 direct matrix engine (arbitrary sample points, quadratic work) and a
 decimation-based engine (power-of-two sizes, log-linear work). Both run
-as SPMD programs on :class:`MeshSim`, whose ledger counts every collective
-and every arithmetic operation deterministically.
+as bulk-synchronous steps on :class:`MeshSim`: per-core compute on every
+core, then one collective, with a ledger that counts every collective and
+every arithmetic operation deterministically.
 """
 
 from .ctensor import ComplexTensor, PrecisionMode, matmul_mixed
@@ -19,18 +20,11 @@ from .errors import (
     ProtocolError,
     UnsupportedOperationError,
 )
-from .fft import (
-    create_fft_plan,
-    fft_forward,
-    gather_positions,
-    local_fft,
-    phase_adjust,
-    strided_gather,
-)
-from .kdft import create_kdft_plan, kdft_forward, kdft_inverse_uniform, one_shuffle
+from .fft import create_fft_plan, fft_forward, gather_positions, local_fft
+from .kdft import create_kdft_plan, kdft_forward, kdft_inverse_uniform
 from .mesh import MeshSim
 from .oracle import direct_dft, relative_l2_error
-from .vandermonde import SamplePoints, build_uniform, slice_rows
+from .vandermonde import SamplePoints, build_uniform
 
 __version__ = "0.1.0"
 
@@ -60,9 +54,5 @@ __all__ = [
     "kdft_inverse_uniform",
     "local_fft",
     "matmul_mixed",
-    "one_shuffle",
-    "phase_adjust",
     "relative_l2_error",
-    "slice_rows",
-    "strided_gather",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 from .ctensor import ComplexTensor, PrecisionMode, Prepared, _complex_product
 from .decomposition import ComputationShape
 from .errors import ArgumentError, DimensionError, PlanError
-from .mesh import _check_blocks, _check_plan, _check_tensors
+from .mesh import _check_blocks, _check_plan, _stage
 from .vandermonde import _unit_roots
 
 
@@ -234,47 +234,12 @@ def fft_forward(mesh, plan, blocks, workers=1):
             xs = mesh.all_to_all_groups(
                 _gather_groups(lines, parts, m), xs, split_axis=d, tag=tag
             )
-            xs = each(lambda c, x: local_fft(x, axis=d, mode=mode), xs)
+            with _stage("local FFT", d, mode):
+                xs = each(lambda c, x: local_fft(x, axis=d, mode=mode), xs)
             flops = sum(local_fft_flops(m, x.size // m) for x in xs)
             mesh.ledger.add_flops("local_fft", flops, tag)
             factors = _unit_root_factors(n, parts, plan.beta_maps[d], d, plan.rank, mode)
             positions = [pos[d] for pos in coords]
-            xs = _phase_ring(mesh, each, xs, d, parts, positions, lines, factors, mode, tag)
+            with _stage("phase ring", d, mode):
+                xs = _phase_ring(mesh, each, xs, d, parts, positions, lines, factors, mode, tag)
     return xs
-
-
-def strided_gather(mesh, blocks):
-    """Standalone block-to-subsequence exchange along axis 0 of every core's block.
-
-    ``blocks[i]`` is core i's contiguous input block, in rank order;
-    afterwards core i holds the decimated subsequence
-    ``gather_positions(P, M)[i]`` with local slots in transform order. The
-    all_to_all's strided slices do the decimation, so no block is permuted
-    first. Counts one all_to_all on the mesh ledger.
-    """
-    parts = mesh.num_cores
-    _check_tensors(blocks, parts)
-    m = blocks[0].shape[0]
-    if parts > 1 and not (_is_pow2(parts) and _is_pow2(m)):
-        raise DimensionError("core count and block extent must be powers of two")
-    groups = _gather_groups([range(parts)], parts, m)
-    return mesh.all_to_all_groups(groups, blocks, tag="gather")
-
-
-def phase_adjust(mesh, blocks, mode=PrecisionMode.F64_REFERENCE):
-    """Standalone phase combination along axis 0: core i holds subsequence i's local FFT.
-
-    With M-point blocks on P cores, core p ends with output rows
-    [p*M, (p+1)*M) of the N = M*P-point transform, its phase factors read
-    from the unit-root table as :func:`fft_forward` reads them. Returns the
-    per-core combined blocks in rank order; costs P-1 permutes.
-    """
-    parts = mesh.num_cores
-    _check_tensors(blocks, parts)
-    m, rank = blocks[0].shape[0], blocks[0].rank
-    factors = _unit_root_factors(m * parts, parts, tuple(range(parts)), 0, rank, mode)
-    with mesh.cores() as each:
-        xs = each(lambda c, x: x.astype(mode.real_dtype), blocks)
-        return _phase_ring(
-            mesh, each, xs, 0, parts, range(parts), (range(parts),), factors, mode, "phase"
-        )

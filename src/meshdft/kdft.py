@@ -14,10 +14,10 @@ from functools import partial
 
 import numpy as np
 
-from .ctensor import ComplexTensor, Operand, PrecisionMode, Prepared, contract
+from .ctensor import Operand, PrecisionMode, Prepared, contract
 from .decomposition import ComputationShape
-from .errors import DimensionError, UnsupportedOperationError
-from .mesh import _check_blocks, _check_plan, _check_tensors
+from .errors import UnsupportedOperationError
+from .mesh import _check_blocks, _check_plan, _stage
 from .vandermonde import SamplePoints, column_blocks
 
 
@@ -78,7 +78,7 @@ def create_kdft_plan(shape, samples_per_dim, precision=PrecisionMode.F64_REFEREN
     )
 
 
-def _shift_ring(mesh, each, cols, xs, axis, positions, groups, mode, tag, trace_logs=None):
+def _shift_ring(mesh, each, cols, xs, axis, positions, groups, mode, tag, trace=None):
     """The shift-by-one schedule for one dimension on every core, as one mesh ring.
 
     Core c sits at ring position ``positions[c]`` of one of the rings
@@ -86,16 +86,17 @@ def _shift_ring(mesh, each, cols, xs, axis, positions, groups, mode, tag, trace_
     is its :class:`Prepared` column block matching payloads that started at
     ring position j. At ring step s core c holds the payload that started at
     its position + s, so the payload goes around the ring parts-1 times,
-    prepared once as an :class:`Operand`. ``trace_logs[c]`` gets each step's
-    column block and the first element of the payload core c holds.
+    prepared once as an :class:`Operand`. ``trace`` gets one record per step
+    (:func:`kdft_forward`).
     """
     parts = len(cols[0])
+    logs = [[] for _ in xs]
 
     def kernel(core, step, held, acc, _):
         j = (positions[core] + step) % parts
-        if trace_logs is not None:
+        if trace is not None:
             first = complex(float(held.tensor.re.flat[0]), float(held.tensor.im.flat[0]))
-            trace_logs[core].append({"core": core, "v_col": j, "x_first": first})
+            logs[core].append({"core": core, "v_col": j, "x_first": first})
         term = contract(cols[core][j], held, axis=axis, mode=mode)
         return term if acc is None else acc.add(term)
 
@@ -104,14 +105,29 @@ def _shift_ring(mesh, each, cols, xs, axis, positions, groups, mode, tag, trace_
     prepare = partial(Operand, axis=axis, mode=mode)
     xs = mesh.ring(each, groups, xs, kernel, parts - 1, tag, prepare=prepare)
     mesh.ledger.add_flops("einsum", flops, tag)
+    if trace is not None:
+        # member i of a group receives from member i+1
+        pairs = tuple(p for g in groups for p in zip(g[1:] + g[:1], g))
+        trace.extend(
+            {"einsums": [log[s] for log in logs], "pairs": pairs if s < parts - 1 else None}
+            for s in range(parts)
+        )
     return xs
 
 
-def kdft_forward(mesh, plan, blocks, workers=1):
+def kdft_forward(mesh, plan, blocks, workers=1, trace=None):
     """Run the forward transform; returns per-core frequency blocks.
 
     Output block p covers contiguous frequency rows [p*N/P, (p+1)*N/P) along
     each distributed dimension.
+
+    A ``trace`` list gets one record per ring step, dimension by dimension:
+    ``{"einsums": [{"core", "v_col", "x_first"}, ...], "pairs": ...}``.
+    ``einsums`` holds every core in core order: the column block it
+    contracts (the ring position its payload started at) and the first
+    element of that payload. ``pairs`` holds the (source, target) cores of
+    the permute after the step, over every grid line of the dimension, or
+    None at the last step.
     """
     _check_blocks(mesh, plan, blocks)
     mode = plan.precision
@@ -121,9 +137,9 @@ def kdft_forward(mesh, plan, blocks, workers=1):
         for d in range(plan.rank):
             positions = [pos[d] for pos in coords]
             cols = [plan.col_blocks[(d, pos)] for pos in positions]
-            xs = _shift_ring(
-                mesh, each, cols, xs, d, positions, plan.shape.lines(d), mode, f"dim{d + 1}"
-            )
+            with _stage("shift ring", d, mode):
+                xs = _shift_ring(mesh, each, cols, xs, d, positions, plan.shape.lines(d),
+                                 mode, f"dim{d + 1}", trace)
     return xs
 
 
@@ -141,50 +157,3 @@ def kdft_inverse_uniform(mesh, plan, blocks, workers=1):
         )
     out = kdft_forward(mesh, plan, [b.conj() for b in blocks], workers=workers)
     return [y.conj().scaled(1.0 / plan.total_elements) for y in out]
-
-
-def one_shuffle(mesh, v_slices, x_blocks, mode=PrecisionMode.F64_REFERENCE, trace=None):
-    """Standalone shift-by-one contraction along axis 0 on every core of the mesh.
-
-    ``v_slices[i]`` (a rank-2 row block, as from ``slice_rows``) and
-    ``x_blocks[i]`` belong to core i; each slice is split into P column
-    blocks internally. Returns the per-core partial-sum results in rank order.
-    """
-    parts = mesh.num_cores
-    if len(v_slices) != parts:
-        raise DimensionError(f"expected {parts} slices, got {len(v_slices)}")
-    _check_tensors(x_blocks, parts)
-    cols = []
-    for rows, x in zip(v_slices, x_blocks):
-        if not isinstance(rows, ComplexTensor) or rows.rank != 2:
-            raise DimensionError("each slice must be a rank-2 ComplexTensor")
-        r, n = rows.shape
-        if n != r * parts:
-            raise DimensionError(
-                f"slice {rows.shape} does not split into {parts} square column blocks"
-            )
-        if x.shape[0] != r:
-            raise DimensionError(f"block extent along axis 0 must be {r}, got {x.shape}")
-        cols.append(tuple(
-            Prepared(ComplexTensor(
-                rows.re[:, j * r : (j + 1) * r], rows.im[:, j * r : (j + 1) * r]
-            ), mode)
-            for j in range(parts)
-        ))
-    group = tuple(range(parts))
-    trace_logs = [[] for _ in range(parts)] if trace is not None else None
-    with mesh.cores() as each:
-        xs = each(lambda c, x: x.astype(mode.real_dtype), x_blocks)
-        results = _shift_ring(
-            mesh, each, cols, xs, 0, group, (group,), mode, "one_shuffle", trace_logs
-        )
-    if trace is not None:
-        # one record per step: every core's operand, then the permute after
-        # it as (source, target) pairs, member i receiving from member i+1
-        pairs = tuple(zip(group[1:] + group[:1], group))
-        trace.extend(
-            {"einsums": [log[s] for log in trace_logs],
-             "pairs": pairs if s < parts - 1 else None}
-            for s in range(parts)
-        )
-    return results

@@ -98,28 +98,40 @@ def _check_plan(shape, precision, extents):
     BlockAssignment(extents, shape)
 
 
-def _check_tensors(blocks, num_cores):
-    """Reject anything but one ComplexTensor block per core."""
-    if len(blocks) != num_cores:
-        raise DimensionError(f"expected {num_cores} blocks, got {len(blocks)}")
-    for i, b in enumerate(blocks):
-        if not isinstance(b, ComplexTensor):
-            raise DimensionError(f"block {i} must be a ComplexTensor")
-
-
 def _check_blocks(mesh, plan, blocks):
     """Reject a mesh or per-core block list that does not fit an engine's plan."""
     if not isinstance(mesh, MeshSim) or mesh.shape != plan.shape:
         raise ArgumentError("mesh and plan must share the same computation shape")
-    _check_tensors(blocks, plan.shape.num_cores)
+    num_cores = plan.shape.num_cores
+    if len(blocks) != num_cores:
+        raise DimensionError(f"expected {num_cores} blocks, got {len(blocks)}")
     expected = BlockAssignment(plan.extents, plan.shape).block_shape
     for i, b in enumerate(blocks):
+        if not isinstance(b, ComplexTensor):
+            raise DimensionError(f"block {i} must be a ComplexTensor")
         if b.shape != expected:
             raise DimensionError(f"block {i} must have shape {expected}")
 
 
+@contextmanager
+def _stage(name, dim, mode):
+    """Name an engine stage, its dimension and precision in the errors it raises.
+
+    A stage's arithmetic raises ``ArgumentError`` from the finite scan of its
+    results, as when f32 sums overflow.
+    """
+    try:
+        yield
+    except ArgumentError as exc:
+        raise ArgumentError(f"{name} of dim {dim + 1} in {mode.value}: {exc}") from None
+
+
 def _run_slab(fn, values, cores):
-    return [fn(c, values[c]) for c in cores]
+    # an overflow raises from the finite scan of the result it spoils, so
+    # numpy's warnings would only repeat it; errstate is per thread, so each
+    # slab sets its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [fn(c, values[c]) for c in cores]
 
 
 _OPENBLAS_THREAD_CALLS = (
@@ -181,12 +193,12 @@ class MeshSim:
 
         ``each(fn, values)`` returns ``[fn(c, values[c])]`` for every core c,
         computed in one contiguous slab of cores per thread over at most
-        ``min(workers, P)`` threads. BLAS runs single-threaded until the block
-        ends, for any ``workers``.
+        ``min(workers, P, os.cpu_count())`` threads. BLAS runs single-threaded
+        until the block ends, for any ``workers``.
         """
         if not isinstance(workers, int) or workers < 1:
             raise ArgumentError(f"workers must be a positive int, got {workers!r}")
-        workers = min(workers, self.num_cores)
+        workers = min(workers, self.num_cores, os.cpu_count() or 1)
         cores = range(self.num_cores)
         cuts = [i * self.num_cores // workers for i in range(workers + 1)]
         with _single_threaded_blas(), ThreadPoolExecutor(workers) as pool:

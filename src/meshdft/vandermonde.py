@@ -144,25 +144,6 @@ def column_blocks(samples, parts, pos, dtype=np.float64):
     )
 
 
-def slice_rows(matrix, parts):
-    """Partition a matrix into ``parts`` contiguous row blocks, one per core."""
-    if not isinstance(matrix, ComplexTensor) or matrix.rank != 2:
-        raise ArgumentError("slice_rows expects a rank-2 ComplexTensor")
-    if not isinstance(parts, int) or parts < 1:
-        raise ArgumentError(f"parts must be a positive int, got {parts!r}")
-    n = matrix.shape[0]
-    if n % parts != 0:
-        raise DimensionError(f"{n} rows do not split into {parts} equal blocks")
-    rows_per = n // parts
-    return [
-        ComplexTensor(
-            matrix.re[p * rows_per : (p + 1) * rows_per],
-            matrix.im[p * rows_per : (p + 1) * rows_per],
-        )
-        for p in range(parts)
-    ]
-
-
 def build_phase_slice(n, parts, part_index):
     """Per-core phase block [r][b] = exp(-2j*pi*b*(p*n/parts + r)/n).
 

@@ -260,15 +260,16 @@ def test_criterion_9_split_precision(criterion):
 
 def test_criterion_10_shift_by_one_trace(criterion):
     with criterion(10):
-        mesh = md.MeshSim(md.ComputationShape(3, 1, 1))
-        slices = md.slice_rows(md.build_uniform(6), 3)
+        shape = md.ComputationShape(3, 1, 1)
+        mesh = md.MeshSim(shape)
+        plan = md.create_kdft_plan(shape, (6,))
         blocks = [
             md.ComplexTensor([10.0, 11.0], [0.0, 0.0]),
             md.ComplexTensor([20.0, 21.0], [0.0, 0.0]),
             md.ComplexTensor([30.0, 31.0], [0.0, 0.0]),
         ]
         trace = []
-        results = md.one_shuffle(mesh, slices, blocks, trace=trace)
+        results = md.kdft_forward(mesh, plan, blocks, trace=trace)
 
         pairs = ((1, 0), (2, 1), (0, 2))  # member i receives from member i+1
         expected = [

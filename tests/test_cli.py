@@ -161,6 +161,26 @@ def test_malformed_generator_exits_2(capsys, gen):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("precision", ["f32", "bf16split3"])
+@pytest.mark.parametrize("algo,dims,stage", [
+    ("fft", "64", "local FFT"), ("fft", "4", "phase ring"), ("kdft", "64", "shift ring"),
+])
+def test_overflow_names_its_stage_and_warns_nothing(capsys, algo, dims, stage, precision,
+                                                    workers):
+    # 3e38 fits float32, but sums of it do not; any numpy warning would fail
+    # the run under the suite's RuntimeWarning-as-error filter
+    code = cli.main([
+        "transform", "--algo", algo, "--dims", dims, "--shape", "4",
+        "--gen", "constant:3e38", "--precision", precision, "--workers", workers,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {stage} of dim 1 in {precision}: non-finite values in tensor planes\n"
+    )
+
+
 def test_scaling_skips_points_with_malformed_generator(capsys):
     code = cli.main([
         "scaling", "--algo", "fft", "--mode", "strong", "--dims", "16",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
+from meshdft import fft
 from meshdft.vandermonde import build_nonuniform
 from helpers import plan_block, rand_tensor
 
@@ -73,9 +74,10 @@ def _cvec(values):
 
 
 def test_global_to_local_examples():
-    """The decimation rule n = P*l + beta, as strided_gather applies it."""
+    """The decimation rule n = P*l + beta, as the fft engine's gather applies it."""
     x = np.arange(8, dtype=np.float64)
-    out = md.strided_gather(md.MeshSim(2), [_cvec(x[:4]), _cvec(x[4:])])
+    groups = fft._gather_groups([range(2)], 2, 4)
+    out = md.MeshSim(2).all_to_all_groups(groups, [_cvec(x[:4]), _cvec(x[4:])])
     assert out[0].re[0] == 0  # index 0: position 0, offset 0
     assert out[1].re[2] == 5  # index 5 = 2*2 + 1: position 1, offset 2
 
@@ -86,7 +88,8 @@ def test_strided_maps_are_mutually_inverse(parts):
     x = np.arange(n, dtype=np.float64)
     m = n // parts
     blocks = [_cvec(x[i * m : (i + 1) * m]) for i in range(parts)]
-    out = md.strided_gather(md.MeshSim(parts), blocks)
+    groups = fft._gather_groups([range(parts)], parts, m)
+    out = md.MeshSim(parts).all_to_all_groups(groups, blocks)
     # member beta's offset l holds global index P*l + beta, and every index
     # lands exactly once
     images = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
+from meshdft import fft
 from meshdft.fft import bit_reversal_permutation, local_fft_flops
 from helpers import BF16, F32, counting_split3, rand_tensor, run_fft, err_vs
 
@@ -92,87 +93,67 @@ def test_gather_positions_both_regimes():
     assert md.gather_positions(8, 1) == (0, 1, 2, 3, 4, 5, 6, 7)
 
 
-def test_strided_gather_single_core_keeps_order():
+def _gather(mesh, blocks):
+    """The engine's gather along axis 0 of one line of every core."""
+    parts, m = mesh.num_cores, blocks[0].shape[0]
+    return mesh.all_to_all_groups(fft._gather_groups([range(parts)], parts, m), blocks)
+
+
+def test_gather_single_core_keeps_order():
     mesh = md.MeshSim(1)
     x = cvec(np.arange(4, dtype=np.float64))
-    out = md.strided_gather(mesh, [x])
+    out = _gather(mesh, [x])
     assert np.array_equal(out[0].re, [0, 1, 2, 3])
     assert mesh.ledger.all_to_all_count == 1
 
 
-def test_strided_gather_two_cores():
+def test_gather_two_cores():
     mesh = md.MeshSim(2)
     blocks = [cvec([0.0, 1.0, 2.0, 3.0]), cvec([4.0, 5.0, 6.0, 7.0])]
-    out = md.strided_gather(mesh, blocks)
+    out = _gather(mesh, blocks)
     # member 0 takes the even subsequence in local order l, member 1 the odd
     assert np.array_equal(out[0].re, [0, 2, 4, 6])
     assert np.array_equal(out[1].re, [1, 3, 5, 7])
     assert mesh.ledger.all_to_all_count == 1
 
 
-def test_strided_gather_four_cores_long_blocks():
+def test_gather_four_cores_long_blocks():
     mesh = md.MeshSim(4)
     x = np.arange(16, dtype=np.float64)
     blocks = [cvec(x[4 * i : 4 * i + 4]) for i in range(4)]
-    out = md.strided_gather(mesh, blocks)
+    out = _gather(mesh, blocks)
     for beta in range(4):
         assert np.array_equal(out[beta].re, x[beta::4])
 
 
-def test_strided_gather_short_blocks_regime():
+def test_gather_short_blocks_regime():
     # N=8 over 8 cores: single-element blocks, every line position ends up
     # holding exactly its own decimation offset
     mesh = md.MeshSim(8)
     x = np.arange(8, dtype=np.float64)
-    out = md.strided_gather(mesh, [cvec([v]) for v in x])
+    out = _gather(mesh, [cvec([v]) for v in x])
     for beta in range(8):
         assert np.array_equal(out[beta].re, [beta])
     # N=8 over 4 cores: M=2 < P, positions hold offsets (0, 2, 1, 3)
     mesh = md.MeshSim(4)
     blocks = [cvec(x[2 * i : 2 * i + 2]) for i in range(4)]
-    out = md.strided_gather(mesh, blocks)
+    out = _gather(mesh, blocks)
     for pos, beta in enumerate(md.gather_positions(4, 2)):
         assert np.array_equal(out[pos].re, x[beta::4])
 
 
-def test_strided_gather_validation():
-    mesh = md.MeshSim(2)
-    blocks = [cvec([0.0, 1.0, 2.0]), cvec([3.0, 4.0, 5.0])]
-    with pytest.raises(md.DimensionError):
-        md.strided_gather(mesh, blocks)  # extent 3 is not a power of two
-
-
-def test_strided_gather_rejects_non_tensor_blocks():
-    blocks = [np.arange(4.0), np.arange(4.0)]
-    with pytest.raises(md.DimensionError):
-        md.strided_gather(md.MeshSim(2), blocks)
-
-
-def test_phase_adjust_recombines_subsequence_ffts():
+def test_phase_ring_recombines_subsequence_ffts():
     rng = np.random.default_rng(80)
     n, parts = 8, 4
     m = n // parts
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     mesh = md.MeshSim(parts)
-    sub_ffts = [md.local_fft(cvec(x[b::parts])) for b in range(parts)]
-    out = md.phase_adjust(mesh, sub_ffts)
+    plan = md.create_fft_plan(mesh.shape, (n,))
+    out = md.fft_forward(mesh, plan, md.decompose(cvec(x), mesh.shape)[0])
     ref = np.fft.fft(x)
     for p in range(parts):
         assert np.max(np.abs(out[p].to_complex() - ref[p * m : (p + 1) * m])) < 1e-12
     assert mesh.ledger.permute_count == parts - 1
-
-
-def test_phase_adjust_single_core_is_identity():
-    mesh = md.MeshSim(1)
-    x = rand_tensor((4,), seed=81)
-    out = md.phase_adjust(mesh, [x])
-    assert np.max(np.abs(out[0].to_complex() - x.to_complex())) < 1e-15
-
-
-def test_phase_adjust_rejects_non_tensor_blocks():
-    blocks = [rand_tensor((4,), seed=82), np.arange(4.0)]
-    with pytest.raises(md.DimensionError):
-        md.phase_adjust(md.MeshSim(2), blocks)
 
 
 def test_plan_validation():
@@ -286,17 +267,17 @@ def test_f32_overflow_raises(dims):
     shape = md.ComputationShape(*dims)
     plan = md.create_fft_plan(shape, (n,), F32)
     blocks, _ = md.decompose(x, shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(md.ArgumentError):
-            md.fft_forward(md.MeshSim(shape), plan, blocks)
+    with pytest.raises(md.ArgumentError):
+        md.fft_forward(md.MeshSim(shape), plan, blocks)
 
 
 def test_phase_sum_overflow_raises():
-    # each phase term is finite; only their sum at frequency 0 overflows
-    blocks = [md.ComplexTensor(np.full(4, 3e38, np.float32), np.zeros(4, np.float32))] * 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(md.ArgumentError):
-            md.phase_adjust(md.MeshSim(2), blocks, mode=F32)
+    # each local FFT is finite; only the phase terms' sum at frequency 0 overflows
+    shape = md.ComputationShape(2, 1, 1)
+    plan = md.create_fft_plan(shape, (4,), F32)
+    blocks, _ = md.decompose(cvec([2e38, 2e38, 0.0, 0.0]), shape)
+    with pytest.raises(md.ArgumentError):
+        md.fft_forward(md.MeshSim(shape), plan, blocks)
 
 
 def _local_fft_copy_per_stage(tensor, axis, mode):
@@ -356,7 +337,7 @@ def test_moved_and_computed_planes_are_read_only():
     x = rand_tensor((8, 4), seed=98)
     shape = md.ComputationShape(2, 1, 1)
     blocks, _ = md.decompose(x, shape)
-    exchanged = md.strided_gather(md.MeshSim(2), blocks)
+    exchanged = _gather(md.MeshSim(2), blocks)
     transformed = md.local_fft(blocks[0], axis=1)
     plan = md.create_fft_plan(shape, x.shape)
     forward = md.fft_forward(md.MeshSim(shape), plan, blocks)
@@ -390,9 +371,8 @@ def test_ledger_after_a_failed_run():
     plan = md.create_fft_plan(shape, x.shape, F32)
     blocks, _ = md.decompose(x, shape)
     mesh = md.MeshSim(shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(md.ArgumentError, match="non-finite"):
-            md.fft_forward(mesh, plan, blocks)
+    with pytest.raises(md.ArgumentError, match="non-finite"):
+        md.fft_forward(mesh, plan, blocks)
     nbytes = 64 * 2 * 4
     assert mesh.ledger.as_dict() == {
         "permute_count": 0, "all_to_all_count": 1, "bytes_moved": nbytes,

@@ -199,53 +199,58 @@ def test_inverse_rejects_nonuniform_plans():
         md.kdft_inverse_uniform(md.MeshSim(shape), plan, blocks)
 
 
-# -- one_shuffle -------------------------------------------------------------
+# -- the shift ring ------------------------------------------------------------
 
 
-def test_one_shuffle_matches_dense_product():
+def test_shift_ring_matches_dense_product():
     mesh = md.MeshSim(3)
     v = md.build_uniform(6)
-    slices = md.slice_rows(v, 3)
+    plan = md.create_kdft_plan(mesh.shape, (6,))
     x = rand_tensor((6,), seed=60)
     x_blocks, _ = md.decompose(x, md.ComputationShape(3, 1, 1))
-    out = md.one_shuffle(mesh, slices, x_blocks)
+    out = md.kdft_forward(mesh, plan, x_blocks)
     dense = v.to_complex() @ x.to_complex()
     for p in range(3):
         assert np.max(np.abs(out[p].to_complex() - dense[2 * p : 2 * p + 2])) < 1e-13
     assert mesh.ledger.permute_count == 2
 
 
-def test_one_shuffle_accepts_raw_tensors():
-    mesh = md.MeshSim(3)
-    rng = np.random.default_rng(61)
-    v = md.ComplexTensor(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
-    slices = md.slice_rows(v, 3)
-    x = rand_tensor((6,), seed=62)
-    x_blocks, _ = md.decompose(x, md.ComputationShape(3, 1, 1))
-    out = md.one_shuffle(mesh, slices, x_blocks)
-    dense = v.to_complex() @ np.concatenate([b.to_complex() for b in x_blocks])
-    # results are in rank order: out[i] is core i's partial sums
-    for i in range(3):
-        assert np.max(np.abs(out[i].to_complex() - dense[2 * i : 2 * i + 2])) < 1e-13
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trace_records_every_ring_step_of_every_dimension(workers):
+    shape = md.ComputationShape(4, 2, 1)
+    plan = md.create_kdft_plan(shape, (16, 8))
+    blocks, _ = md.decompose(rand_tensor((16, 8), seed=64), shape)
+    mesh, traced_mesh = md.MeshSim(shape), md.MeshSim(shape)
+    out = md.kdft_forward(mesh, plan, blocks, workers=workers)
+    trace = []
+    traced = md.kdft_forward(traced_mesh, plan, blocks, workers=workers, trace=trace)
+    for a, b in zip(out, traced):
+        assert np.array_equal(a.re, b.re) and np.array_equal(a.im, b.im)
+    assert traced_mesh.ledger.as_dict() == mesh.ledger.as_dict()
+    assert traced_mesh.ledger.per_tag() == mesh.ledger.per_tag()
 
-
-def test_one_shuffle_validation():
-    mesh = md.MeshSim(2)
-    v = md.build_uniform(4)
-    slices = md.slice_rows(v, 2)
-    x_blocks, _ = md.decompose(rand_tensor((4,), seed=63), md.ComputationShape(2, 1, 1))
-    with pytest.raises(md.DimensionError):
-        md.one_shuffle(mesh, slices[:1], x_blocks)
-    with pytest.raises(md.DimensionError):
-        md.one_shuffle(mesh, md.slice_rows(md.build_uniform(6), 2), x_blocks)
-    with pytest.raises(md.DimensionError):
-        md.one_shuffle(mesh, [v.re[:2], v.re[2:]], x_blocks)
-
-
-def test_one_shuffle_rejects_non_tensor_blocks():
-    slices = md.slice_rows(md.build_uniform(4), 2)
-    with pytest.raises(md.DimensionError):
-        md.one_shuffle(md.MeshSim(2), slices, [np.arange(2.0), np.arange(2.0)])
+    assert len(trace) == 4 + 2
+    for d, steps in ((0, trace[:4]), (1, trace[4:])):
+        parts = shape.dims[d]
+        shifts = {
+            (line[(i + 1) % parts], c)
+            for line in shape.lines(d) for i, c in enumerate(line)
+        }
+        for s, record in enumerate(steps):
+            assert [e["core"] for e in record["einsums"]] == list(range(8))
+            for e in record["einsums"]:
+                pos = shape.coords(e["core"])[d]
+                assert e["v_col"] == (pos + s) % parts
+                if d == 0:
+                    # the first ring holds the input blocks themselves
+                    line = next(line for line in shape.lines(d) if e["core"] in line)
+                    x = blocks[line[(pos + s) % parts]]
+                    assert e["x_first"] == complex(x.re.flat[0], x.im.flat[0])
+            if s < parts - 1:
+                assert set(record["pairs"]) == shifts
+                assert len(record["pairs"]) == len(shifts)
+            else:
+                assert record["pairs"] is None
 
 
 def test_f32_partial_sum_overflow_raises():
@@ -255,9 +260,8 @@ def test_f32_partial_sum_overflow_raises():
     shape = md.ComputationShape(4, 1, 1)
     plan = md.create_kdft_plan(shape, (n,), F32)
     blocks, _ = md.decompose(x, shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(md.ArgumentError):
-            md.kdft_forward(md.MeshSim(shape), plan, blocks)
+    with pytest.raises(md.ArgumentError):
+        md.kdft_forward(md.MeshSim(shape), plan, blocks)
 
 
 # -- plan blocks ---------------------------------------------------------------
@@ -336,14 +340,14 @@ def test_bf16_forward_splits_no_plan_block_and_each_payload_once_per_dim(monkeyp
     assert splits == [(4, 8)] * (shape.num_cores * 2)
 
 
-def test_bf16_one_shuffle_trace_reads_the_raw_payload():
+def test_bf16_trace_reads_the_raw_payload():
     # x_first is the held payload's own first element, not its leading split term
     mesh = md.MeshSim(2)
-    slices = md.slice_rows(md.build_uniform(4), 2)
+    plan = md.create_kdft_plan(mesh.shape, (4,), BF16)
     blocks = [md.ComplexTensor([0.1, 1.0], [0.3, 0.0]),
               md.ComplexTensor([0.2, 1.0], [0.0, 0.0])]
     trace = []
-    md.one_shuffle(mesh, slices, blocks, BF16, trace=trace)
+    md.kdft_forward(mesh, plan, blocks, trace=trace)
     a = complex(float(np.float32(0.1)), float(np.float32(0.3)))
     b = complex(float(np.float32(0.2)), 0.0)
     assert [[e["x_first"] for e in step["einsums"]] for step in trace] == [[a, b], [b, a]]

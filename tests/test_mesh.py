@@ -1,7 +1,8 @@
 """Collectives, the communication ledger, and per-core execution."""
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 import json
+import os
 
 import numpy as np
 import pytest
@@ -321,6 +322,7 @@ def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
             return super().submit(fn, *args)
 
     monkeypatch.setattr(mesh_module, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     mesh = md.MeshSim(2)
     with mesh.cores(workers=8) as each:
         x = each(lambda core, v: v, [vec(0.0, 1.0), vec(2.0, 3.0)])
@@ -329,6 +331,38 @@ def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
     # two rounds of per-core compute, one core per slab
     assert pools == [2]
     assert slabs == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("cpus,pool,slabs", [(3, [3], [1365, 1365, 1366]), (None, [1], [])])
+def test_worker_pool_is_capped_at_the_host_cpus(monkeypatch, cpus, pool, slabs):
+    # a stand-in pool runs each slab inline, so no thread starts; an unknown
+    # cpu count means one worker, which runs its slab without the pool
+    pools, submitted = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(len(args[-1]))
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(mesh_module, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    mesh = md.MeshSim(4096)
+    with mesh.cores(workers=4096) as each:
+        out = each(lambda core, v: core, [None] * 4096)
+    assert out == list(range(4096))
+    assert pools == pool
+    assert submitted == slabs
 
 
 def test_spmd_input_validation():

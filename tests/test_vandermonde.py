@@ -110,26 +110,6 @@ def test_matrix_for_dispatch():
     assert np.allclose(nu.to_complex(), [[1.0, 0.5], [1.0, 0.25]])
 
 
-def test_slice_rows_partition():
-    v = md.build_uniform(4)
-    whole = md.slice_rows(v, 1)
-    assert len(whole) == 1 and whole[0].shape == (4, 4)
-    halves = md.slice_rows(v, 2)
-    assert all(isinstance(s, md.ComplexTensor) for s in halves)
-    assert np.array_equal(halves[1].re, v.re[2:4])
-    rebuilt = np.concatenate([s.to_complex() for s in halves], axis=0)
-    assert np.array_equal(rebuilt, v.to_complex())
-    assert halves[0].shape == (2, 4)
-
-
-def test_slice_rows_errors():
-    v = md.build_uniform(4)
-    with pytest.raises(md.DimensionError):
-        md.slice_rows(v, 3)
-    with pytest.raises(md.ArgumentError):
-        md.slice_rows(md.ComplexTensor(np.zeros(4), np.zeros(4)), 2)
-
-
 def test_phase_slice_single_core_is_all_ones():
     p = build_phase_slice(4, 1, 0).to_complex()
     assert p.shape == (4, 1)
