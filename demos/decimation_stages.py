@@ -29,8 +29,11 @@ print("stage 1, contiguous blocks:")
 for c, b in enumerate(blocks):
     print(f"  core {c}: x[{c * m}:{(c + 1) * m}]")
 
-# the engine's gather for M >= P: one group of the whole line
-gathered = mesh.all_to_all_groups([range(parts)], blocks, tag="gather")
+# the engine's gather for M >= P: one group of the whole line, on the
+# blocks' planes; it returns stacked planes, one row per core
+planes = ([b.re for b in blocks], [b.im for b in blocks])
+gathered = [md.ComplexTensor(re, im) for re, im in zip(*mesh.all_to_all_groups(
+    [range(parts)], planes, tag="gather"))]
 offsets = md.gather_positions(parts, m)
 print("stage 2, after one all_to_all each core holds a subsequence:")
 ok = True

@@ -43,13 +43,13 @@ class PrecisionMode(Enum):
             return _split3(plane)
         return (plane,)
 
-    def product(self, a, b, op):
+    def product(self, a, b, op, out=None):
         """``op(a, b)`` of prepared operands; ``op`` is ``np.matmul`` or ``np.multiply``.
 
         Under bf16split3 it sums the six partial products of the split terms
-        in :data:`_SPLIT_PRODUCT_ORDER`. Returns a fresh array.
+        in :data:`_SPLIT_PRODUCT_ORDER`. Returns a fresh array, or ``out``.
         """
-        acc = op(a[0], b[0])
+        acc = op(a[0], b[0], out=out)
         if len(a) > 1:
             for i, j in _SPLIT_PRODUCT_ORDER[1:]:
                 acc += op(a[i], b[j])
@@ -72,6 +72,12 @@ class PrecisionMode(Enum):
             ) from None
 
 
+def _check_finite(*planes):
+    """Raise ``ArgumentError`` unless every value of every plane is finite."""
+    if not all(np.isfinite(p).all() for p in planes):
+        raise ArgumentError("non-finite values in tensor planes")
+
+
 class ComplexTensor:
     """Immutable rank-1..3 complex tensor stored as two same-dtype real planes."""
 
@@ -88,8 +94,7 @@ class ComplexTensor:
             raise ArgumentError(f"re/im dtype mismatch: {re.dtype} vs {im.dtype}")
         if re.dtype not in _REAL_DTYPES:
             raise ArgumentError(f"planes must be float32 or float64, got {re.dtype}")
-        if not (np.isfinite(re).all() and np.isfinite(im).all()):
-            raise ArgumentError("non-finite values in tensor planes")
+        _check_finite(re, im)
         re = np.array(re, copy=True)
         im = np.array(im, copy=True)
         re.setflags(write=False)
@@ -122,8 +127,7 @@ class ComplexTensor:
         so the finite scan stays and raises ``ArgumentError`` as the
         constructor does.
         """
-        if not (np.isfinite(re).all() and np.isfinite(im).all()):
-            raise ArgumentError("non-finite values in tensor planes")
+        _check_finite(re, im)
         return cls._own(re, im)
 
     def __setattr__(self, name, value):
@@ -208,9 +212,10 @@ def bf16_array(values):
     Round-to-nearest-even on the top 16 bits: add 0x7FFF plus the kept LSB,
     then clear the low half. Finite inputs cannot wrap uint32; inf and NaN
     patterns keep their top half. Finite inputs that would round to infinity
-    clamp to the largest finite bfloat16 instead.
+    clamp to the largest finite bfloat16 instead. The result keeps the input's
+    memory layout, so products of split terms add like to like.
     """
-    values = np.ascontiguousarray(values, dtype=np.float32)
+    values = np.atleast_1d(np.asarray(values, dtype=np.float32))
     bits = values.view(np.uint32)
     out = bits >> np.uint32(16)
     out &= np.uint32(1)
@@ -358,38 +363,15 @@ def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
     return ComplexTensor._own_checked(out_re, out_im)
 
 
-def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
-    """Multiply elementwise by a rank-1 complex factor vector along ``axis``."""
-    if not isinstance(tensor, ComplexTensor) or not isinstance(factors, ComplexTensor):
-        raise ArgumentError("scale_along_axis expects ComplexTensor operands")
-    if factors.rank != 1:
-        raise DimensionError(f"factors must be rank 1, got rank {factors.rank}")
-    if not -tensor.rank <= axis < tensor.rank:
-        raise DimensionError(f"axis {axis} out of range for rank {tensor.rank}")
-    axis %= tensor.rank
-    if factors.shape[0] != tensor.shape[axis]:
-        raise DimensionError(
-            f"factor length {factors.shape[0]} != extent {tensor.shape[axis]}"
-        )
-    bshape = [1] * tensor.rank
-    bshape[axis] = factors.shape[0]
-    # each plane takes part in two of the four products: prepare it once
-    f_re = mode.prepare(factors.re.reshape(bshape))
-    f_im = mode.prepare(factors.im.reshape(bshape))
-    x_re = mode.prepare(tensor.re)
-    x_im = mode.prepare(tensor.im)
-    return ComplexTensor._own_checked(*_complex_product(x_re, x_im, f_re, f_im, mode))
-
-
-def _complex_product(x_re, x_im, f_re, f_im, mode):
+def _complex_product(x_re, x_im, f_re, f_im, mode, out=(None, None)):
     """Elementwise (broadcasting) complex product of planes prepared for ``mode``.
 
-    Returns the fresh (re, im) planes; each difference and sum is taken in
-    its first product's plane.
+    Returns the (re, im) planes, fresh or ``out``; each difference and sum is
+    taken in its first product's plane.
     """
     product, mul = mode.product, np.multiply
-    out_re = product(x_re, f_re, mul)
+    out_re = product(x_re, f_re, mul, out[0])
     np.subtract(out_re, product(x_im, f_im, mul), out=out_re)
-    out_im = product(x_re, f_im, mul)
+    out_im = product(x_re, f_im, mul, out[1])
     np.add(out_im, product(x_im, f_re, mul), out=out_im)
     return out_re, out_im

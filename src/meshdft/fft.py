@@ -14,15 +14,14 @@ the length-N unit-root table, so no plan holds per-core phase blocks.
 """
 
 from dataclasses import dataclass
-from functools import partial
 import math
 
 import numpy as np
 
-from .ctensor import ComplexTensor, PrecisionMode, Prepared, _complex_product
+from .ctensor import ComplexTensor, PrecisionMode, _check_finite, _complex_product
 from .decomposition import ComputationShape
 from .errors import ArgumentError, DimensionError, PlanError
-from .mesh import _check_blocks, _check_plan, _stage
+from .mesh import _check_blocks, _check_plan, _empty_stack, _entry, _stage
 from .vandermonde import _unit_roots
 
 
@@ -43,27 +42,30 @@ def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
     Input is bit-reverse reordered first, so output index k directly holds
     frequency k. Runs in float64 for the reference mode and float32
     otherwise (the split emulation applies to contractions, not butterflies).
+    ``tensor`` is a :class:`ComplexTensor`, or an (re, im) pair of planes of
+    any rank, such as a slab of stacked cores, for which a pair comes back.
     """
-    if not isinstance(tensor, ComplexTensor):
-        raise ArgumentError("local_fft expects a ComplexTensor")
-    if not -tensor.rank <= axis < tensor.rank:
-        raise DimensionError(f"axis {axis} out of range for rank {tensor.rank}")
-    axis %= tensor.rank
-    m = tensor.shape[axis]
+    if isinstance(tensor, ComplexTensor):
+        return ComplexTensor._own(*local_fft((tensor.re, tensor.im), axis, mode))
+    if not (isinstance(tensor, tuple) and len(tensor) == 2):
+        raise ArgumentError("local_fft expects a ComplexTensor or an (re, im) pair")
+    rank = tensor[0].ndim
+    if not -rank <= axis < rank:
+        raise DimensionError(f"axis {axis} out of range for rank {rank}")
+    axis %= rank
+    m = tensor[0].shape[axis]
     if not _is_pow2(m):
         raise DimensionError(f"extent {m} along axis {axis} is not a power of two")
     dtype = mode.real_dtype
-    if m == 1:
-        return tensor.astype(dtype)
     perm = bit_reversal_permutation(m)
-    moved_shape = np.moveaxis(tensor.re, axis, 0).shape
+    moved_shape = np.moveaxis(tensor[0], axis, 0).shape
     # bit-reverse straight into the contiguous (m, rest) layout that the
     # butterflies update in place
     re, im = (
         np.take(np.moveaxis(p, axis, 0), perm, axis=0)
         .reshape(m, -1)
         .astype(dtype, copy=False)
-        for p in (tensor.re, tensor.im)
+        for p in tensor
     )
     cos, neg_sin = _unit_roots(m)
     # every stage's half-plane holds m/2 rows: three scratch buffers serve all
@@ -94,9 +96,8 @@ def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
         np.add(a_re, t_re, out=a_re)
         np.add(a_im, t_im, out=a_im)
         size *= 2
-    out_re = np.moveaxis(re.reshape(moved_shape), 0, axis)
-    out_im = np.moveaxis(im.reshape(moved_shape), 0, axis)
-    return ComplexTensor._own_checked(out_re, out_im)
+    _check_finite(re, im)
+    return tuple(np.moveaxis(p.reshape(moved_shape), 0, axis) for p in (re, im))
 
 
 def local_fft_flops(m, rest=1):
@@ -165,56 +166,73 @@ def create_fft_plan(shape, extents, precision=PrecisionMode.F64_REFERENCE):
 def _unit_root_factors(n, parts, beta_map, axis, rank, mode):
     """Each step's phase factors for one dimension: one read of the unit-root table.
 
-    At ring step s, position p holds the subsequence of offset
-    b = beta_map[(p + s) % parts], whose row r (frequency k = p*m + r) takes
-    exp(-2j*pi*b*k/n): entry [r, b] of ``build_phase_slice(n, parts, p)``,
-    bit for bit. A step's factors are prepared for the mode once for all
-    positions (:func:`scale_along_axis` prepares them per core), and each
-    position's (f_re, f_im) are its rows of every term.
+    At ring step s the payload that started at position i, the FFT of the
+    subsequence of offset b = beta_map[i], sits at position p = (i - s) mod
+    parts, whose row r (frequency k = p*m + r) takes exp(-2j*pi*b*k/n), the
+    table's entry b*k mod n. A step's factors are prepared for the mode once
+    for every payload, as the terms of (re, im), each indexed ``[0, i, 0]``
+    and then the block's axes, as the ring views stacked planes.
     """
-    cos, neg_sin = _unit_roots(n)
-    k = np.arange(n, dtype=np.int64).reshape((parts,) + _bshape(axis, rank))
-    beta = np.asarray(beta_map, dtype=np.int64).reshape((parts,) + (1,) * rank)
+    # one gather of (cos, -sin) pairs reads the table once
+    table = np.empty(n, np.complex128)
+    table.real, table.imag = _unit_roots(n)
+    bshape = tuple(-1 if a == axis else 1 for a in range(rank))
+    k = np.arange(n, dtype=np.int64).reshape((1, parts, 1) + bshape)
+    beta = np.asarray(beta_map, dtype=np.int64).reshape((1, parts, 1) + (1,) * rank)
+    # b*k mod n at step 0; position p - s holds frequency k - s*m = k + (P-s)*m (mod n)
+    beta_k = beta * k % n
 
     def factors(step):
-        exponents = k * np.roll(beta, -step, axis=0)
+        exponents = beta_k + beta * ((parts - step) * (n // parts))
         np.mod(exponents, n, out=exponents)
-        re, im = (mode.prepare(table[exponents]) for table in (cos, neg_sin))
-        return list(zip(zip(*re), zip(*im)))
+        roots = np.take(table, exponents)
+        return mode.prepare(roots.real), mode.prepare(roots.imag)
 
     return factors
 
 
-def _bshape(axis, rank):
-    return tuple(-1 if a == axis else 1 for a in range(rank))
+def _local_ffts(each, xs, view, axis, mode, core_bytes):
+    """Every core's local FFT along ``axis``, one call per slab of the view, prepared
+    for the mode at once: under bf16split3 only the split terms outlive a slab."""
+    planes = tuple(x.reshape(view + x.shape[1:]) for x in xs)
+
+    def fft_slab(box):
+        return tuple(map(mode.prepare, local_fft(tuple(p[box] for p in planes), 3 + axis, mode)))
+
+    return each(fft_slab, view, core_bytes)
 
 
-def _phase_ring(mesh, each, xs, axis, parts, positions, groups, factors, mode, tag):
+def _phase_ring(mesh, each, held, lines, view, axis, factors, mode, tag):
     """The shift-by-one phase combination on every core, as one mesh ring.
 
-    Core c sits at ring position ``positions[c]``. Each step multiplies the
-    held subsequence FFT by this position's phase factors, with
-    :func:`scale_along_axis`'s arithmetic, and sums the terms in ring order.
-    Each payload's planes are prepared for the mode once, when the ring
-    starts, and travel with it. The first term's planes are fresh, so the
-    others are summed into them; a non-finite partial sum stays non-finite,
-    so one scan at the last step catches any overflow.
+    ``held`` has each slab's subsequence FFTs, prepared for the mode. At each
+    step a slab multiplies its payloads by the phase factors of the positions
+    holding them, in one product, added into those positions' sums in ring
+    order. A non-finite partial sum stays non-finite, so one scan of each sum
+    at the last step catches any overflow. Returns the sums as stacked planes.
     """
+    block = held[0][0][0].shape[3:]
+    out = tuple(_empty_stack(mesh.num_cores, block, axis, mode.real_dtype) for _ in "ri")
+    sums = tuple(o.reshape(view + block) for o in out)
+    last = view[1] - 1
 
-    def kernel(core, step, held, acc, table):
-        f_re, f_im = table[positions[core]]
-        term = _complex_product(held.re, held.im, f_re, f_im, mode)
-        if acc is not None:
-            np.add(acc[0], term[0], out=acc[0])
-            np.add(acc[1], term[1], out=acc[1])
-            term = acc
-        return ComplexTensor._own_checked(*term) if step == parts - 1 else term
+    def kernel(step, box, x, moves, table):
+        f_re, f_im = (tuple(t[:, box[1]] for t in terms) for terms in table)
+        if step == 0:
+            _complex_product(*x, f_re, f_im, mode, out=tuple(s[box] for s in sums))
+        else:
+            term = _complex_product(*x, f_re, f_im, mode)
+            for src, dst in moves:
+                for s, t in zip(sums, term):
+                    np.add(s[dst], t[:, src], out=s[dst])
+        if step == last:
+            for _, dst in moves:
+                _check_finite(*(s[dst] for s in sums))
 
-    flops = sum(4 * x.size * parts for x in xs)
-    prepare = partial(Prepared, mode=mode)
-    xs = mesh.ring(each, groups, xs, kernel, parts - 1, tag, factors, prepare)
-    mesh.ledger.add_flops("einsum", flops, tag)
-    return xs
+    nbytes = sum(o.nbytes for o in out)
+    mesh.ring(each, lines, held, nbytes, kernel, last, tag, factors)
+    mesh.ledger.add_flops("einsum", 4 * out[0].size * view[1], tag)
+    return out
 
 
 def fft_forward(mesh, plan, blocks, workers=1):
@@ -224,22 +242,21 @@ def fft_forward(mesh, plan, blocks, workers=1):
     frequency rows [p*N/P, (p+1)*N/P) along each distributed dimension.
     """
     _check_blocks(mesh, plan, blocks)
-    mode = plan.precision
-    coords = [plan.shape.coords(c) for c in range(mesh.num_cores)]
+    mode, num = plan.precision, mesh.num_cores
+    core_bytes = 2 * mode.real_dtype.itemsize * blocks[0].size
     with mesh.cores(workers) as each:
-        xs = each(lambda c, x: x.astype(mode.real_dtype), blocks)
+        xs = _entry(each, blocks, mode)
         for d in range(plan.rank):
             n, parts = plan.extents[d], plan.shape.dims[d]
             m, lines, tag = n // parts, plan.shape.lines(d), f"dim{d + 1}"
             xs = mesh.all_to_all_groups(
                 _gather_groups(lines, parts, m), xs, split_axis=d, tag=tag
             )
+            view = mesh.view(lines)
             with _stage("local FFT", d, mode):
-                xs = each(lambda c, x: local_fft(x, axis=d, mode=mode), xs)
-            flops = sum(local_fft_flops(m, x.size // m) for x in xs)
-            mesh.ledger.add_flops("local_fft", flops, tag)
+                xs = _local_ffts(each, xs, view, d, mode, core_bytes)
+            mesh.ledger.add_flops("local_fft", local_fft_flops(m, num * blocks[0].size // m), tag)
             factors = _unit_root_factors(n, parts, plan.beta_maps[d], d, plan.rank, mode)
-            positions = [pos[d] for pos in coords]
             with _stage("phase ring", d, mode):
-                xs = _phase_ring(mesh, each, xs, d, parts, positions, lines, factors, mode, tag)
-    return xs
+                xs = _phase_ring(mesh, each, xs, lines, view, d, factors, mode, tag)
+    return [ComplexTensor._own(re, im) for re, im in zip(*xs)]

@@ -10,14 +10,13 @@ mesh ring, whose kernel makes one contraction per core and step.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .ctensor import Operand, PrecisionMode, Prepared, contract
+from .ctensor import ComplexTensor, Operand, PrecisionMode, Prepared, _check_finite, contract
 from .decomposition import ComputationShape
 from .errors import UnsupportedOperationError
-from .mesh import _check_blocks, _check_plan, _stage
+from .mesh import _check_blocks, _check_plan, _empty_stack, _entry, _stage
 from .vandermonde import SamplePoints, column_blocks
 
 
@@ -78,41 +77,53 @@ def create_kdft_plan(shape, samples_per_dim, precision=PrecisionMode.F64_REFEREN
     )
 
 
-def _shift_ring(mesh, each, cols, xs, axis, positions, groups, mode, tag, trace=None):
+def _shift_ring(mesh, each, xs, lines, cols, axis, mode, tag, core_bytes, trace=None):
     """The shift-by-one schedule for one dimension on every core, as one mesh ring.
 
-    Core c sits at ring position ``positions[c]`` of one of the rings
-    ``groups`` (grid lines, their cores in position order), and ``cols[c][j]``
-    is its :class:`Prepared` column block matching payloads that started at
-    ring position j. At ring step s core c holds the payload that started at
-    its position + s, so the payload goes around the ring parts-1 times,
-    prepared once as an :class:`Operand`. ``trace`` gets one record per step
-    (:func:`kdft_forward`).
+    Core c sits at position i of one of the rings ``lines`` (grid lines, their
+    cores in position order); ``cols[i][j]`` is the :class:`Prepared` column
+    block of position i for payloads that started at position j. Each slab
+    prepares its payloads once, as :class:`Operand`s. At step s position i
+    holds the payload that started at i + s and contracts it into its sum.
+    A non-finite partial sum stays non-finite, so one scan of each sum at the
+    last step catches any overflow. Returns the sums as stacked planes.
+    ``trace`` gets one record per step (:func:`kdft_forward`).
     """
-    parts = len(cols[0])
-    logs = [[] for _ in xs]
+    num, block = mesh.num_cores, xs[0][0].shape
+    view = mesh.view(lines)
+    ids, parts = np.arange(num).reshape(view), view[1]
+    held = each(lambda box: {c: Operand(ComplexTensor._own(xs[0][c], xs[1][c]), axis, mode)
+                             for c in ids[box].ravel().tolist()}, view, core_bytes)
+    sums = tuple(_empty_stack(num, block, axis, mode.real_dtype) for _ in "ri")
+    logs = [[] for _ in range(num)]
 
-    def kernel(core, step, held, acc, _):
-        j = (positions[core] + step) % parts
-        if trace is not None:
-            first = complex(float(held.tensor.re.flat[0]), float(held.tensor.im.flat[0]))
-            logs[core].append({"core": core, "v_col": j, "x_first": first})
-        term = contract(cols[core][j], held, axis=axis, mode=mode)
-        return term if acc is None else acc.add(term)
+    def kernel(step, box, ops, moves, _):
+        for src, dst in moves:
+            for cs, cd in zip(ids[box][:, src].ravel().tolist(), ids[dst].ravel().tolist()):
+                j, op = cs // view[2] % parts, ops[cs]
+                if trace is not None:
+                    first = complex(float(op.tensor.re.flat[0]), float(op.tensor.im.flat[0]))
+                    logs[cd].append({"core": cd, "v_col": j, "x_first": first})
+                term = contract(cols[cd // view[2] % parts][j], op, axis=axis, mode=mode)
+                for s, t in zip(sums, (term.re, term.im)):
+                    if step:
+                        np.add(s[cd], t, out=s[cd])
+                    else:
+                        np.copyto(s[cd], t)
+                if step == parts - 1:
+                    _check_finite(sums[0][cd], sums[1][cd])
 
+    mesh.ring(each, lines, held, num * core_bytes, kernel, parts - 1, tag)
     # a square block per payload and step
-    flops = sum(4 * x.shape[axis] * x.size * parts for x in xs)
-    prepare = partial(Operand, axis=axis, mode=mode)
-    xs = mesh.ring(each, groups, xs, kernel, parts - 1, tag, prepare=prepare)
-    mesh.ledger.add_flops("einsum", flops, tag)
+    mesh.ledger.add_flops("einsum", 4 * block[axis] * sums[0].size * parts, tag)
     if trace is not None:
         # member i of a group receives from member i+1
-        pairs = tuple(p for g in groups for p in zip(g[1:] + g[:1], g))
+        pairs = tuple(p for g in lines for p in zip(g[1:] + g[:1], g))
         trace.extend(
             {"einsums": [log[s] for log in logs], "pairs": pairs if s < parts - 1 else None}
             for s in range(parts)
         )
-    return xs
+    return sums
 
 
 def kdft_forward(mesh, plan, blocks, workers=1, trace=None):
@@ -131,16 +142,15 @@ def kdft_forward(mesh, plan, blocks, workers=1, trace=None):
     """
     _check_blocks(mesh, plan, blocks)
     mode = plan.precision
-    coords = [plan.shape.coords(c) for c in range(mesh.num_cores)]
+    core_bytes = 2 * mode.real_dtype.itemsize * blocks[0].size
     with mesh.cores(workers) as each:
-        xs = each(lambda c, x: x.astype(mode.real_dtype), blocks)
+        xs = _entry(each, blocks, mode)
         for d in range(plan.rank):
-            positions = [pos[d] for pos in coords]
-            cols = [plan.col_blocks[(d, pos)] for pos in positions]
+            cols = [plan.col_blocks[(d, pos)] for pos in range(plan.shape.dims[d])]
             with _stage("shift ring", d, mode):
-                xs = _shift_ring(mesh, each, cols, xs, d, positions, plan.shape.lines(d),
-                                 mode, f"dim{d + 1}", trace)
-    return xs
+                xs = _shift_ring(mesh, each, xs, plan.shape.lines(d), cols, d, mode,
+                                 f"dim{d + 1}", core_bytes, trace)
+    return [ComplexTensor._own(re, im) for re, im in zip(*xs)]
 
 
 def kdft_inverse_uniform(mesh, plan, blocks, workers=1):

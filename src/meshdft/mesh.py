@@ -1,15 +1,23 @@
 """Deterministic simulator for a grid of cores exchanging tensors collectively.
 
-The engines are bulk-synchronous: per-core compute on every core, then one
-collective over the mesh. An engine call opens one context,
-``with mesh.cores(workers) as each:``, runs the per-core compute as
-``each(fn, values)`` and calls the collectives directly:
-:meth:`MeshSim.all_to_all_groups`, and :meth:`MeshSim.ring`, which records a
-run of permutes (such as one dimension's whole shift-by-one ring) and runs
-every step's kernel for all cores. Worker threads take contiguous slabs of
-cores, so results and ledgers are bit-identical for any worker count. Inside
-the context BLAS runs single-threaded: the simulated cores are the source of
-parallelism, and a second BLAS pool would compete with them for the host.
+The engines are bulk-synchronous: the same compute on every core, then one
+collective. So a tensor distributed over the cores is held as stacked planes:
+one array per plane, shape ``(P, *block)``, the flat core id leading. Core
+groups that are lines of evenly spaced cores view that axis as ``(outer, n,
+inner)`` (:meth:`MeshSim.view`), member i of a group at index i along n.
+
+An engine call opens one context, ``with mesh.cores(workers) as each:``.
+``each(fn, view, core_bytes)`` makes one kernel call per slab of cores, a box
+of the view of at most :data:`SLAB_BYTES` (or one core); worker threads take
+contiguous runs of slabs. :meth:`MeshSim.all_to_all_groups` is one reshaping
+copy per slab of each plane. A :meth:`MeshSim.ring` step is a cyclic shift of the member
+axis that moves no data: each slab keeps its payloads for the whole ring, and
+its kernel writes to the cores holding them at that step, at most two runs of
+members; the ledger still counts the payload bytes. Every element takes the
+same arithmetic in any slab, so results and ledgers are bit-identical for any
+worker count. Inside the context BLAS runs single-threaded: the simulated
+cores are the source of parallelism, and a second BLAS pool would compete
+with them for the host.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -17,14 +25,19 @@ from contextlib import contextmanager
 import ctypes
 from functools import lru_cache
 import glob
+import itertools
 import json
 import os
 
 import numpy as np
 
-from .ctensor import ComplexTensor, PrecisionMode
+from .ctensor import ComplexTensor, PrecisionMode, _check_finite
 from .decomposition import BlockAssignment, ComputationShape
 from .errors import ArgumentError, CommunicationError, DimensionError
+
+# The most bytes of payload one kernel call takes on: a slab of cores stays in
+# cache through the several passes of a local FFT or a phase product.
+SLAB_BYTES = 1 << 18
 
 LEDGER_FIELDS = (
     "permute_count",
@@ -118,20 +131,69 @@ def _stage(name, dim, mode):
     """Name an engine stage, its dimension and precision in the errors it raises.
 
     A stage's arithmetic raises ``ArgumentError`` from the finite scan of its
-    results, as when f32 sums overflow.
+    results, as when f32 sums overflow. ``dim`` is None for the entry cast.
     """
+    where = "" if dim is None else f" of dim {dim + 1}"
     try:
         yield
     except ArgumentError as exc:
-        raise ArgumentError(f"{name} of dim {dim + 1} in {mode.value}: {exc}") from None
+        raise ArgumentError(f"{name}{where} in {mode.value}: {exc}") from None
 
 
-def _run_slab(fn, values, cores):
+def _entry(each, blocks, mode):
+    """The blocks' planes in the mode's dtype: their own, or stacked planes cast from them."""
+    dtype = mode.real_dtype
+    if all(b.dtype == dtype for b in blocks):
+        return [b.re for b in blocks], [b.im for b in blocks]
+    out = tuple(np.empty((len(blocks),) + blocks[0].shape, dtype) for _ in "ri")
+
+    def cast(box):
+        for o, part in zip(out, ("re", "im")):
+            np.stack([getattr(b, part) for b in blocks[box[1]]], out=o[box[1]])
+        _check_finite(out[0][box[1]], out[1][box[1]])
+
+    with _stage("entry cast", None, mode):
+        each(cast, (1, len(blocks), 1), 2 * dtype.itemsize * blocks[0].size)
+    return out
+
+
+def _empty_stack(num, block, axis, dtype):
+    """Stacked ``(num, *block)`` planes, each core's ``axis`` outermost in its memory:
+    the layout a local FFT or a contraction along ``axis`` leaves."""
+    moved = (block[axis],) + block[:axis] + block[axis + 1:]
+    return np.moveaxis(np.empty((num,) + moved, dtype), 1, 1 + axis)
+
+
+@lru_cache(maxsize=256)
+def _slabs(view, core_bytes, slab_bytes, threads):
+    """Boxes (three slices) tiling an (outer, n, inner) core view in core order, each
+    of at most ``slab_bytes`` of ``core_bytes``-byte cores and a ``threads``-th of
+    the cores, or one core."""
+    share = -(-view[0] * view[1] * view[2] // threads)
+    cores, sizes = max(1, min(slab_bytes // max(1, core_bytes), share)), []
+    for extent in view[::-1]:
+        sizes.insert(0, max(1, min(extent, cores)))
+        cores = cores // extent if sizes[0] == extent else 1
+    starts = itertools.product(*(range(0, e, k) for e, k in zip(view, sizes)))
+    return tuple(tuple(slice(a, min(a + k, e)) for a, k, e in zip(s, sizes, view)) for s in starts)
+
+
+def _moves(box, step, n):
+    """Where the payloads of a box's members sit at ring ``step``: pairs (slice of
+    the box's members, box of the cores holding them), member i's at (i - step) mod n."""
+    o, i, j = box
+    s = step % n
+    runs = ((i.start, min(i.stop, s), n - s), (max(i.start, s), i.stop, -s))
+    return [(slice(lo - i.start, hi - i.start), (o, slice(lo + d, hi + d), j))
+            for lo, hi, d in runs if lo < hi]
+
+
+def _run_slabs(fn, args):
     # an overflow raises from the finite scan of the result it spoils, so
     # numpy's warnings would only repeat it; errstate is per thread, so each
-    # slab sets its own
+    # thread sets its own
     with np.errstate(over="ignore", invalid="ignore"):
-        return [fn(c, values[c]) for c in cores]
+        return [fn(*a) for a in args]
 
 
 _OPENBLAS_THREAD_CALLS = (
@@ -191,45 +253,49 @@ class MeshSim:
     def cores(self, workers=1):
         """Per-core compute for one engine call: yields ``each``.
 
-        ``each(fn, values)`` returns ``[fn(c, values[c])]`` for every core c,
-        computed in one contiguous slab of cores per thread over at most
+        ``each(fn, view, core_bytes, *per_slab)`` returns ``[fn(box, *args)]``
+        for every slab (:func:`_slabs`, at most a thread's share of the cores)
+        of an ``(outer, n, inner)`` core view in core order, ``args`` the slab's
+        entries of the ``per_slab`` lists, over at most
         ``min(workers, P, os.cpu_count())`` threads. BLAS runs single-threaded
         until the block ends, for any ``workers``.
         """
         if not isinstance(workers, int) or workers < 1:
             raise ArgumentError(f"workers must be a positive int, got {workers!r}")
         workers = min(workers, self.num_cores, os.cpu_count() or 1)
-        cores = range(self.num_cores)
-        cuts = [i * self.num_cores // workers for i in range(workers + 1)]
         with _single_threaded_blas(), ThreadPoolExecutor(workers) as pool:
 
-            def each(fn, values):
-                if len(values) != self.num_cores:
-                    raise ArgumentError(
-                        f"expected {self.num_cores} values, got {len(values)}"
-                    )
-                if workers == 1:
-                    return _run_slab(fn, values, cores)
+            def each(fn, view, core_bytes, *per_slab):
+                slabs = _slabs(view, core_bytes, SLAB_BYTES, workers)
+                if any(len(values) != len(slabs) for values in per_slab):
+                    raise ArgumentError(f"expected {len(slabs)} values, one per slab")
+                args = list(zip(slabs, *per_slab))
+                threads = min(workers, len(args))
+                if threads == 1:
+                    return _run_slabs(fn, args)
+                cuts = [i * len(args) // threads for i in range(threads + 1)]
                 futures = [
-                    pool.submit(_run_slab, fn, values, cores[a:b])
-                    for a, b in zip(cuts, cuts[1:])
+                    pool.submit(_run_slabs, fn, args[a:b]) for a, b in zip(cuts, cuts[1:])
                 ]
                 return [y for f in futures for y in f.result()]
 
             yield each
 
-    def _check_groups(self, groups, values):
-        """``groups`` as tuples of core ids: at least one, each non-empty, on the mesh and disjoint.
+    def _check_groups(self, groups, planes=()):
+        """The view ``(outer, n, inner)`` in which ``groups`` are the lines along n.
 
-        The one check that both collectives make of their core groups and of
-        their payloads, one ComplexTensor per core.
+        The one check that both collectives make of their core groups: at
+        least one, each non-empty, on the mesh and disjoint, and together the
+        lines of a view: member i of a group is core ``(o*n + i)*inner + j``.
+        ``planes`` must hold one array per core, all of one shape and dtype.
         """
-        if len(values) != self.num_cores:
-            raise CommunicationError(
-                f"expected {self.num_cores} payloads, got {len(values)}"
-            )
-        if not all(isinstance(v, ComplexTensor) for v in values):
-            raise CommunicationError("every payload must be a ComplexTensor")
+        for plane in planes:
+            if len(plane) != self.num_cores:
+                raise CommunicationError(f"expected {self.num_cores} payloads, got {len(plane)}")
+        kinds = {(a.shape, a.dtype) if isinstance(a, np.ndarray) else None
+                 for plane in planes for a in plane}
+        if len(kinds) > 1 or None in kinds:
+            raise CommunicationError("payloads must be arrays of one shape and dtype")
         groups = tuple(tuple(int(c) for c in g) for g in groups)
         if not groups:
             raise CommunicationError("no core groups")
@@ -243,84 +309,76 @@ class MeshSim:
                 if c in seen:
                     raise CommunicationError(f"core {c} appears twice in the groups")
                 seen.add(c)
-        return groups
+        n = len(groups[0])
+        inner = groups[0][1] - groups[0][0] if n > 1 else 1
+        if inner >= 1 and self.num_cores % (n * inner) == 0:
+            view = (self.num_cores // (n * inner), n, inner)
+            lines = np.arange(self.num_cores).reshape(view).transpose(0, 2, 1)
+            if sorted(groups) == sorted(map(tuple, lines.reshape(-1, n).tolist())):
+                return view
+        raise CommunicationError("core groups must be the lines of a view of the mesh")
 
-    def ring(self, each, groups, values, kernel, steps, tag="", table=None, prepare=None):
-        """``steps`` shifts within each group, each followed by a kernel on every core.
+    # the engines view their grid lines, as checked for a collective
+    view = _check_groups
 
-        At every step member i of a group receives the payload member i+1
-        held, the last member the first's (cycle notation); a core in no group
-        keeps its payload. Records ``steps`` permutes of the values' bytes and
-        returns every core's last ``acc = kernel(core, step, held, acc, t)``
-        for step 0..steps, from ``acc = None`` and ``held = values[core]`` (or
-        ``prepare(values[core])``, made at step 0 and moved with the payload);
-        ``t`` is ``table(step)``, made once per step for all cores, or None.
-        Kernels run through ``each``. A single permute is ``steps=1`` with a
-        kernel that returns ``held``.
+    def ring(self, each, groups, held, nbytes, kernel, steps, tag="", table=None):
+        """``steps`` shifts within each group, each followed by a kernel on every slab.
+
+        In the groups' view, member i receives at every step what member i+1
+        held, the last member the first's (cycle notation): at step s it holds
+        the payload member (i + s) mod n started with. No payload moves:
+        ``held`` has an entry per slab of ``each`` over the view (for cores of
+        ``nbytes / P`` bytes), such as the slab's payloads prepared once, and
+        step s calls ``kernel(s, box, held[k], moves, t)`` on slab k, whose
+        ``box`` is the same at every step; ``moves`` pairs slices of the box's
+        members with the boxes of the cores holding their payloads at step s
+        (:func:`_moves`); ``t`` is ``table(s)``, made once per step, or None.
+        Records ``steps`` permutes of ``nbytes`` each.
         """
-        groups = self._check_groups(groups, values)
-        members = [c for g in groups for c in g]
-        held = list(values)
-        if len({(held[c].shape, held[c].dtype) for c in members}) != 1:
-            raise CommunicationError("payload shapes/dtypes differ across the groups")
-        nbytes = sum(held[c].nbytes for c in members)
-        # member i receives from member i+1; a core in no group from itself
-        source_of = list(range(self.num_cores))
-        for g in groups:
-            for c, s in zip(g, g[1:] + g[:1]):
-                source_of[c] = s
-        # each core's accumulator is replaced in place, so the one it
-        # replaces is freed as soon as that core's kernel returns
-        accs = [None] * self.num_cores
-
-        def step_core(c, acc):
-            if not step and prepare is not None:
-                held[c] = prepare(held[c])
-            accs[c] = kernel(c, step, held[c], acc, t)
-
+        view = self._check_groups(groups)
         for step in range(steps + 1):
             if step:
                 self.ledger.record_permute(nbytes, tag=tag)
-                held = [held[s] for s in source_of]
             t = None if table is None else table(step)
-            each(step_core, accs)
-        return accs
+            each(lambda box, h: kernel(step, box, h, _moves(box, step, view[1]), t),
+                 view, nbytes // self.num_cores, held)
 
-    def all_to_all_groups(self, groups, values, split_axis=0, tag=""):
+    def all_to_all_groups(self, groups, planes, split_axis=0, tag=""):
         """One all_to_all invocation spanning several disjoint groups.
 
-        ``values`` holds one payload per core, by flat core id. Member i of an
-        n-member group receives slices i, i+n, i+2n, ... along ``split_axis``
-        of every member's payload, joined in group order; when the extent is
-        n this is the transpose of single slices. Cores outside every group
-        keep their payload. Counts as a single ledger entry.
+        ``planes`` hold one payload per core, by flat core id: stacked planes,
+        or a list of each core's array. Member i of an n-member group receives
+        slices i, i+n, i+2n, ... along ``split_axis`` of every member's
+        payload, joined in group order; when the extent is n this is the
+        transpose of single slices. Returns stacked planes, made by one
+        reshape-and-transpose copy per slab of source cores (the whole plane
+        when it fits a slab), and counts as a single ledger entry.
         """
-        groups = self._check_groups(groups, values)
-        responses = list(values)
-        nbytes = 0
-        for g in groups:
-            shapes = {(values[c].shape, values[c].dtype) for c in g}
-            if len(shapes) != 1:
-                raise CommunicationError("payload shapes/dtypes differ in group")
-            first = values[g[0]]
-            if not -first.rank <= split_axis < first.rank:
-                raise CommunicationError(
-                    f"split axis {split_axis} out of range for rank {first.rank}"
-                )
-            axis = split_axis % first.rank
-            n = len(g)
-            extent = first.shape[axis]
-            if extent % n != 0:
-                raise CommunicationError(
-                    f"extent {extent} along axis {axis} does not split into "
-                    f"{n} equal chunks"
-                )
-            for i, c in enumerate(g):
-                idx = (slice(None),) * axis + (slice(i, None, n),)
-                responses[c] = ComplexTensor._own(
-                    np.concatenate([values[s].re[idx] for s in g], axis=axis),
-                    np.concatenate([values[s].im[idx] for s in g], axis=axis),
-                )
-            nbytes += n * first.nbytes
-        self.ledger.record_all_to_all(nbytes, tag=tag)
-        return responses
+        view = self._check_groups(groups, planes)
+        n = view[1]
+        block = planes[0][0].shape
+        if not -len(block) <= split_axis < len(block):
+            raise CommunicationError(f"split axis {split_axis} out of range for rank {len(block)}")
+        axis = split_axis % len(block)
+        if block[axis] % n != 0:
+            raise CommunicationError(
+                f"extent {block[axis]} along axis {axis} does not split into {n} equal chunks")
+        pre, q, post = block[:axis], block[axis] // n, block[axis + 1:]
+        split = pre + (q, n) + post
+        # member i's chunk from member s: out[o, i, j, ..., s, k] = in[o, s, j][..., k*n + i]
+        order = (0, 4 + axis, 2, *range(3, 3 + axis), 1, 3 + axis, *range(5 + axis, 3 + len(split)))
+        core_bytes = sum(p[0].nbytes for p in planes)
+        outs = []
+        for plane in planes:
+            out = np.empty((self.num_cores,) + block, plane[0].dtype)
+            by_source = out.reshape(view + pre + (n, q) + post)
+            # one copy per slab of source cores, a core's own for a list of arrays
+            listed = not isinstance(plane, np.ndarray)
+            sources = plane if listed else plane.reshape(view + split)
+            for o, s, j in _slabs(view, SLAB_BYTES if listed else core_bytes, SLAB_BYTES, 1):
+                c = (o.start * n + s.start) * view[2] + j.start
+                src = sources[c].reshape((1,) * 3 + split) if listed else sources[o, s, j]
+                by_source[(o, slice(None), j) + (slice(None),) * axis + (s,)] = src.transpose(order)
+            outs.append(out)
+        self.ledger.record_all_to_all(core_bytes * self.num_cores, tag=tag)
+        return tuple(outs)

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ctensor import ComplexTensor
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError
 
 
 class SamplePoints:
@@ -142,23 +142,3 @@ def column_blocks(samples, parts, pos, dtype=np.float64):
         )
         for j in range(parts)
     )
-
-
-def build_phase_slice(n, parts, part_index):
-    """Per-core phase block [r][b] = exp(-2j*pi*b*(p*n/parts + r)/n).
-
-    Row r corresponds to global frequency k = part_index*(n//parts) + r;
-    column b is the phase factor attached to decimation offset b.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ArgumentError(f"n must be a positive int, got {n!r}")
-    if not isinstance(parts, int) or not 1 <= parts <= n or n % parts != 0:
-        raise DimensionError(f"parts {parts} must divide n {n}")
-    if not 0 <= part_index < parts:
-        raise ArgumentError(f"part_index {part_index} out of range for {parts} parts")
-    rows_per = n // parts
-    k = part_index * rows_per + np.arange(rows_per, dtype=np.int64)
-    b = np.arange(parts, dtype=np.int64)
-    exponents = np.mod(np.outer(k, b), n)
-    angles = 2.0 * np.pi * exponents / n
-    return ComplexTensor(np.cos(angles), -np.sin(angles))

@@ -4,6 +4,9 @@
   through the 16-bit pattern, the formula ``meshdft.bf16_array`` replaced.
 - ``Bf16Value`` and ``bf16_split``: one float and its three-term split,
   a value at a time.
+- ``build_phase_slice`` and ``scale_along_axis``: a core's block of the fft
+  engine's phase factors and the per-core product with one of its columns,
+  the step kernel the engine's phase ring replaced.
 """
 
 from dataclasses import dataclass
@@ -11,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 import meshdft as md
-from meshdft.ctensor import bf16_array
-from meshdft.errors import ArgumentError
+from meshdft.ctensor import ComplexTensor, PrecisionMode, _complex_product, bf16_array
+from meshdft.errors import ArgumentError, DimensionError
 
 _BF16_MAX_BITS = np.uint32(0x7F7F)  # largest finite magnitude, 3.3895314e38
 _BF16_INF_PATTERN = np.uint32(0x7F80)
@@ -84,3 +87,46 @@ def bf16_split(value, terms=3):
         out.append(Bf16Value.from_float32(rounded))
         residual = np.float32(residual - rounded)
     return out
+
+
+def build_phase_slice(n, parts, part_index):
+    """Per-core phase block [r][b] = exp(-2j*pi*b*(p*n/parts + r)/n).
+
+    Row r corresponds to global frequency k = part_index*(n//parts) + r;
+    column b is the phase factor attached to decimation offset b.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ArgumentError(f"n must be a positive int, got {n!r}")
+    if not isinstance(parts, int) or not 1 <= parts <= n or n % parts != 0:
+        raise DimensionError(f"parts {parts} must divide n {n}")
+    if not 0 <= part_index < parts:
+        raise ArgumentError(f"part_index {part_index} out of range for {parts} parts")
+    rows_per = n // parts
+    k = part_index * rows_per + np.arange(rows_per, dtype=np.int64)
+    b = np.arange(parts, dtype=np.int64)
+    exponents = np.mod(np.outer(k, b), n)
+    angles = 2.0 * np.pi * exponents / n
+    return ComplexTensor(np.cos(angles), -np.sin(angles))
+
+
+def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
+    """Multiply elementwise by a rank-1 complex factor vector along ``axis``."""
+    if not isinstance(tensor, ComplexTensor) or not isinstance(factors, ComplexTensor):
+        raise ArgumentError("scale_along_axis expects ComplexTensor operands")
+    if factors.rank != 1:
+        raise DimensionError(f"factors must be rank 1, got rank {factors.rank}")
+    if not -tensor.rank <= axis < tensor.rank:
+        raise DimensionError(f"axis {axis} out of range for rank {tensor.rank}")
+    axis %= tensor.rank
+    if factors.shape[0] != tensor.shape[axis]:
+        raise DimensionError(
+            f"factor length {factors.shape[0]} != extent {tensor.shape[axis]}"
+        )
+    bshape = [1] * tensor.rank
+    bshape[axis] = factors.shape[0]
+    # each plane takes part in two of the four products: prepare it once
+    f_re = mode.prepare(factors.re.reshape(bshape))
+    f_im = mode.prepare(factors.im.reshape(bshape))
+    x_re = mode.prepare(tensor.re)
+    x_im = mode.prepare(tensor.im)
+    return ComplexTensor._own_checked(*_complex_product(x_re, x_im, f_re, f_im, mode))

@@ -165,7 +165,8 @@ def test_criterion_6_strong_scaling_counters(criterion, tmp_path):
             assert code == 0
             with open(base + ".csv") as fh:
                 assert fh.readline().strip() == ",".join(reports.CSV_COLUMNS)
-            rows_by_algo[algo] = json.loads(open(base + ".json").read())["rows"]
+            with open(base + ".json") as fh:
+                rows_by_algo[algo] = json.load(fh)["rows"]
 
         krows = rows_by_algo["kdft"]
         assert [r["num_cores"] for r in krows] == [2, 4, 8]

@@ -30,7 +30,8 @@ def test_transform_delta(tmp_path, capsys):
     assert code == 0
     spectrum = tensorio.read_tensor(out_path)
     assert np.max(np.abs(spectrum.to_complex() - 1.0)) < 1e-13
-    report = json.loads(open(rep_path).read())
+    with open(rep_path) as fh:
+        report = json.load(fh)
     assert report["algo"] == "kdft"
     assert report["ledger"]["permute_count"] == 1
     assert report["oracle"]["relative_l2_error"] < 1e-12
@@ -101,7 +102,8 @@ def test_kdft_nonuniform_points_file(tmp_path):
         "--points-file", pts_path, "--report", rep_path,
     ])
     assert code == 0
-    report = json.loads(open(rep_path).read())
+    with open(rep_path) as fh:
+        report = json.load(fh)
     assert report["sampling"] == "nonuniform"
     assert report["oracle"]["relative_l2_error"] < 1e-10
 
@@ -121,7 +123,8 @@ def test_nonuniform_oracle_does_not_share_the_engine_rounding(tmp_path):
         "--points-file", pts_path, "--report", rep_path,
     ])
     assert code == 0
-    report = json.loads(open(rep_path).read())
+    with open(rep_path) as fh:
+        report = json.load(fh)
     assert report["oracle"]["relative_l2_error"] >= 1e-14
 
 
@@ -165,19 +168,24 @@ def test_malformed_generator_exits_2(capsys, gen):
 @pytest.mark.parametrize("precision", ["f32", "bf16split3"])
 @pytest.mark.parametrize("algo,dims,stage", [
     ("fft", "64", "local FFT"), ("fft", "4", "phase ring"), ("kdft", "64", "shift ring"),
+    ("fft", "64", "entry cast"), ("kdft", "64", "entry cast"),
 ])
 def test_overflow_names_its_stage_and_warns_nothing(capsys, algo, dims, stage, precision,
                                                     workers):
-    # 3e38 fits float32, but sums of it do not; any numpy warning would fail
-    # the run under the suite's RuntimeWarning-as-error filter
+    # 3e38 fits float32, but sums of it do not, and 1e39 does not fit it at
+    # all; any numpy warning would fail the run under the suite's
+    # RuntimeWarning-as-error filter
+    entry = stage == "entry cast"
     code = cli.main([
         "transform", "--algo", algo, "--dims", dims, "--shape", "4",
-        "--gen", "constant:3e38", "--precision", precision, "--workers", workers,
+        "--gen", "constant:" + ("1e39" if entry else "3e38"),
+        "--precision", precision, "--workers", workers,
     ])
     assert code == 2
     captured = capsys.readouterr()
+    where = "" if entry else " of dim 1"
     assert captured.err == (
-        f"error: {stage} of dim 1 in {precision}: non-finite values in tensor planes\n"
+        f"error: {stage}{where} in {precision}: non-finite values in tensor planes\n"
     )
 
 
@@ -208,7 +216,8 @@ def test_precision_alias_and_report_value(tmp_path):
         "--gen", "random", "--precision", "bf16", "--report", rep_path,
     ])
     assert code == 0
-    assert json.loads(open(rep_path).read())["precision"] == "bf16split3"
+    with open(rep_path) as fh:
+        assert json.load(fh)["precision"] == "bf16split3"
 
 
 def test_bad_shape_text(capsys):
@@ -232,7 +241,8 @@ def test_scaling_strong_kdft(tmp_path, capsys):
     assert [r["einsum_flops_per_core"] for r in rows] == ["8192", "4096", "2048"]
     assert [r["ideal_work"] for r in rows] == ["8192", "4096", "2048"]
     assert [r["expected_work"] for r in rows] == ["8192", "4096", "2048"]
-    doc = json.loads(open(base + ".json").read())
+    with open(base + ".json") as fh:
+        doc = json.load(fh)
     assert doc["mode"] == "strong"
     assert [r["num_cores"] for r in doc["rows"]] == [2, 4, 8]
     for row in doc["rows"]:
@@ -289,7 +299,8 @@ def test_scaling_strong_report_keeps_default_shape(tmp_path):
         "--sweep", "1,2", "--report", base,
     ])
     assert code == 0
-    doc = json.loads(open(base + ".json").read())
+    with open(base + ".json") as fh:
+        doc = json.load(fh)
     assert doc["base"]["shape"] == "1"
 
 

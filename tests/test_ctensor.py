@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.ctensor import Operand, Prepared, _split3, bf16_array, contract, scale_along_axis
+from meshdft.ctensor import Operand, Prepared, _split3, bf16_array, contract
 from helpers import F64, F32, BF16, rand_tensor
-from reference import Bf16Value, bf16_array_reference, bf16_split
+from reference import Bf16Value, bf16_array_reference, bf16_split, scale_along_axis
 
 MODES = (F64, F32, BF16)
 

@@ -68,18 +68,13 @@ def test_shape_lines_match_coordinate_loop(dims):
         assert all(type(c) is int for line in lines for c in line)
 
 
-def _cvec(values):
-    values = np.asarray(values, dtype=np.float64)
-    return md.ComplexTensor(values, np.zeros_like(values))
-
-
 def test_global_to_local_examples():
     """The decimation rule n = P*l + beta, as the fft engine's gather applies it."""
     x = np.arange(8, dtype=np.float64)
     groups = fft._gather_groups([range(2)], 2, 4)
-    out = md.MeshSim(2).all_to_all_groups(groups, [_cvec(x[:4]), _cvec(x[4:])])
-    assert out[0].re[0] == 0  # index 0: position 0, offset 0
-    assert out[1].re[2] == 5  # index 5 = 2*2 + 1: position 1, offset 2
+    re, _ = md.MeshSim(2).all_to_all_groups(groups, (x.reshape(2, 4), np.zeros((2, 4))))
+    assert re[0, 0] == 0  # index 0: position 0, offset 0
+    assert re[1, 2] == 5  # index 5 = 2*2 + 1: position 1, offset 2
 
 
 @pytest.mark.parametrize("parts", [2, 4, 8])
@@ -87,15 +82,14 @@ def test_strided_maps_are_mutually_inverse(parts):
     n = 64
     x = np.arange(n, dtype=np.float64)
     m = n // parts
-    blocks = [_cvec(x[i * m : (i + 1) * m]) for i in range(parts)]
     groups = fft._gather_groups([range(parts)], parts, m)
-    out = md.MeshSim(parts).all_to_all_groups(groups, blocks)
+    re, _ = md.MeshSim(parts).all_to_all_groups(groups, (x.reshape(parts, m),) * 2)
     # member beta's offset l holds global index P*l + beta, and every index
     # lands exactly once
     images = []
     for beta in range(parts):
-        assert np.array_equal(out[beta].re, parts * np.arange(m) + beta)
-        images.extend(out[beta].re)
+        assert np.array_equal(re[beta], parts * np.arange(m) + beta)
+        images.extend(re[beta])
     assert sorted(images) == list(range(n))
 
 

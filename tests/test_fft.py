@@ -94,9 +94,11 @@ def test_gather_positions_both_regimes():
 
 
 def _gather(mesh, blocks):
-    """The engine's gather along axis 0 of one line of every core."""
+    """The engine's gather along axis 0 of one line of every core, as per-core tensors."""
     parts, m = mesh.num_cores, blocks[0].shape[0]
-    return mesh.all_to_all_groups(fft._gather_groups([range(parts)], parts, m), blocks)
+    planes = ([b.re for b in blocks], [b.im for b in blocks])
+    re, im = mesh.all_to_all_groups(fft._gather_groups([range(parts)], parts, m), planes)
+    return [md.ComplexTensor._own(r, i) for r, i in zip(re, im)]
 
 
 def test_gather_single_core_keeps_order():
@@ -354,12 +356,13 @@ def test_bf16_forward_splits_each_payload_plane_once_per_ring(monkeypatch):
     blocks, _ = md.decompose(rand_tensor((32, 16), seed=62), shape)
     splits = counting_split3(monkeypatch)
     md.fft_forward(md.MeshSim(shape), plan, blocks)
-    # each core's two (8, 8) payload planes once per dimension's ring, where a
-    # split per ring step made it 2 * 8 * (4 + 2); the rest are one ring
-    # step's phase factors for all positions, (P, m, 1) or (P, 1, m)
-    payload = [s for s in splits if s == (8, 8)]
-    assert len(payload) == 2 * shape.num_cores * 2
-    assert sorted(set(splits) - {(8, 8)}) == [(2, 1, 8), (4, 8, 1)]
+    # the 8 cores' (8, 8) payloads fit one slab, whose two planes are split
+    # once per dimension's ring, stacked in the ring's (outer, n, inner)
+    # view. The rest are one ring step's phase factors for all positions,
+    # (1, n, 1) and the block's axes
+    payload = [s for s in splits if s[-2:] == (8, 8)]
+    assert payload == [(1, 4, 2, 8, 8)] * 2 + [(4, 2, 1, 8, 8)] * 2
+    assert sorted(set(splits) - set(payload)) == [(1, 2, 1, 1, 8), (1, 4, 1, 8, 1)]
     assert len(splits) == len(payload) + 2 * (4 + 2)
 
 

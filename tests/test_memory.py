@@ -104,14 +104,15 @@ def test_fft_forward_peak():
 
 def test_bf16_fft_forward_peak():
     # each core's payload travels its rings as three f32 terms per plane,
-    # 1.5x the f64 input's bytes over all cores; splitting the held payload
-    # at every step instead peaked at 1.37x
+    # 1.5x the f64 input's bytes over all cores, and its raw f32 planes are
+    # freed once split; splitting the held payload at every step instead
+    # peaked at 1.37x
     x = rand_tensor((64, 64, 64), seed=84)
     shape = md.ComputationShape(2, 2, 2)
     plan = md.create_fft_plan(shape, x.shape, BF16)
     blocks, _ = md.decompose(x, shape)
     _, peak = _peak_bytes(lambda: md.fft_forward(md.MeshSim(shape), plan, blocks))
-    assert peak <= 2.8 * x.nbytes
+    assert peak <= 2.25 * x.nbytes
 
 
 def test_fft_plan_is_linear_in_n():

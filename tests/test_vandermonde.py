@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.vandermonde import build_nonuniform, build_phase_slice, column_blocks
+from meshdft.vandermonde import build_nonuniform, column_blocks
 from helpers import plan_block
+from reference import build_phase_slice
 
 
 def test_build_uniform_smallest_cases():
