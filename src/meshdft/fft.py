@@ -202,7 +202,7 @@ def _local_ffts(each, xs, view, axis, mode, core_bytes):
     return each(fft_slab, view, core_bytes)
 
 
-def _phase_ring(mesh, each, held, lines, view, axis, factors, mode, tag):
+def _phase_ring(mesh, each, held, lines, view, axis, factors, mode, tag, core_bytes):
     """The shift-by-one phase combination on every core, as one mesh ring.
 
     ``held`` has each slab's subsequence FFTs, prepared for the mode. At each
@@ -229,8 +229,7 @@ def _phase_ring(mesh, each, held, lines, view, axis, factors, mode, tag):
             for _, dst in moves:
                 _check_finite(*(s[dst] for s in sums))
 
-    nbytes = sum(o.nbytes for o in out)
-    mesh.ring(each, lines, held, nbytes, kernel, last, tag, factors)
+    mesh.ring(each, lines, held, core_bytes, kernel, last, tag, factors)
     mesh.ledger.add_flops("einsum", 4 * out[0].size * view[1], tag)
     return out
 
@@ -252,11 +251,11 @@ def fft_forward(mesh, plan, blocks, workers=1):
             xs = mesh.all_to_all_groups(
                 _gather_groups(lines, parts, m), xs, split_axis=d, tag=tag
             )
-            view = mesh.view(lines)
+            view = mesh._check_groups(lines)
             with _stage("local FFT", d, mode):
                 xs = _local_ffts(each, xs, view, d, mode, core_bytes)
             mesh.ledger.add_flops("local_fft", local_fft_flops(m, num * blocks[0].size // m), tag)
             factors = _unit_root_factors(n, parts, plan.beta_maps[d], d, plan.rank, mode)
             with _stage("phase ring", d, mode):
-                xs = _phase_ring(mesh, each, xs, lines, view, d, factors, mode, tag)
+                xs = _phase_ring(mesh, each, xs, lines, view, d, factors, mode, tag, core_bytes)
     return [ComplexTensor._own(re, im) for re, im in zip(*xs)]

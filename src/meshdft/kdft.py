@@ -90,7 +90,7 @@ def _shift_ring(mesh, each, xs, lines, cols, axis, mode, tag, core_bytes, trace=
     ``trace`` gets one record per step (:func:`kdft_forward`).
     """
     num, block = mesh.num_cores, xs[0][0].shape
-    view = mesh.view(lines)
+    view = mesh._check_groups(lines)
     ids, parts = np.arange(num).reshape(view), view[1]
     held = each(lambda box: {c: Operand(ComplexTensor._own(xs[0][c], xs[1][c]), axis, mode)
                              for c in ids[box].ravel().tolist()}, view, core_bytes)
@@ -113,7 +113,7 @@ def _shift_ring(mesh, each, xs, lines, cols, axis, mode, tag, core_bytes, trace=
                 if step == parts - 1:
                     _check_finite(sums[0][cd], sums[1][cd])
 
-    mesh.ring(each, lines, held, num * core_bytes, kernel, parts - 1, tag)
+    mesh.ring(each, lines, held, core_bytes, kernel, parts - 1, tag)
     # a square block per payload and step
     mesh.ledger.add_flops("einsum", 4 * block[axis] * sums[0].size * parts, tag)
     if trace is not None:

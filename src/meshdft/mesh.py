@@ -2,22 +2,23 @@
 
 The engines are bulk-synchronous: the same compute on every core, then one
 collective. So a tensor distributed over the cores is held as stacked planes:
-one array per plane, shape ``(P, *block)``, the flat core id leading. Core
-groups that are lines of evenly spaced cores view that axis as ``(outer, n,
-inner)`` (:meth:`MeshSim.view`), member i of a group at index i along n.
+one array per plane, shape ``(P, *block)``, the flat core id leading. The
+collectives take core groups that are the lines of a view of that axis as
+``(outer, n, inner)`` (:meth:`MeshSim._check_groups`), member i of a group at
+index i along n: equal groups of evenly spaced cores, covering the mesh.
 
 An engine call opens one context, ``with mesh.cores(workers) as each:``.
 ``each(fn, view, core_bytes)`` makes one kernel call per slab of cores, a box
 of the view of at most :data:`SLAB_BYTES` (or one core); worker threads take
-contiguous runs of slabs. :meth:`MeshSim.all_to_all_groups` is one reshaping
-copy per slab of each plane. A :meth:`MeshSim.ring` step is a cyclic shift of the member
-axis that moves no data: each slab keeps its payloads for the whole ring, and
-its kernel writes to the cores holding them at that step, at most two runs of
-members; the ledger still counts the payload bytes. Every element takes the
-same arithmetic in any slab, so results and ledgers are bit-identical for any
-worker count. Inside the context BLAS runs single-threaded: the simulated
-cores are the source of parallelism, and a second BLAS pool would compete
-with them for the host.
+contiguous runs of slabs. :meth:`MeshSim.all_to_all_groups` is one
+reshaping copy per slab of each plane. A :meth:`MeshSim.ring` step is a cyclic
+shift of the member axis that moves no data: each slab keeps its payloads for
+the whole ring, and its kernel writes to the cores holding them at that step,
+at most two runs of members; the ledger still counts the payload bytes. Every
+element takes the same arithmetic in any slab, so results and ledgers are
+bit-identical for any worker count. Inside the context BLAS runs
+single-threaded: the simulated cores are the source of parallelism, and a
+second BLAS pool would compete with them for the host.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -318,30 +319,29 @@ class MeshSim:
                 return view
         raise CommunicationError("core groups must be the lines of a view of the mesh")
 
-    # the engines view their grid lines, as checked for a collective
-    view = _check_groups
-
-    def ring(self, each, groups, held, nbytes, kernel, steps, tag="", table=None):
+    def ring(self, each, groups, held, core_bytes, kernel, steps, tag="", table=None):
         """``steps`` shifts within each group, each followed by a kernel on every slab.
 
-        In the groups' view, member i receives at every step what member i+1
-        held, the last member the first's (cycle notation): at step s it holds
-        the payload member (i + s) mod n started with. No payload moves:
-        ``held`` has an entry per slab of ``each`` over the view (for cores of
-        ``nbytes / P`` bytes), such as the slab's payloads prepared once, and
-        step s calls ``kernel(s, box, held[k], moves, t)`` on slab k, whose
-        ``box`` is the same at every step; ``moves`` pairs slices of the box's
-        members with the boxes of the cores holding their payloads at step s
+        The groups must be the lines of a view (:meth:`_check_groups`): equal
+        groups of evenly spaced cores that together cover the mesh. Member i
+        receives at every step what member i+1 held, the last member the
+        first's (cycle notation): at step s it holds the payload member
+        (i + s) mod n started with. No payload moves: ``held`` is
+        ``each(fn, view, core_bytes)``'s list over the groups' view, such as
+        each slab's payloads prepared once, and step s calls
+        ``kernel(s, box, held[k], moves, t)`` on slab k, whose ``box`` is the
+        same at every step; ``moves`` pairs slices of the box's members with
+        the boxes of the cores holding their payloads at step s
         (:func:`_moves`); ``t`` is ``table(s)``, made once per step, or None.
-        Records ``steps`` permutes of ``nbytes`` each.
+        Records ``steps`` permutes of ``core_bytes`` per core.
         """
         view = self._check_groups(groups)
         for step in range(steps + 1):
             if step:
-                self.ledger.record_permute(nbytes, tag=tag)
+                self.ledger.record_permute(core_bytes * self.num_cores, tag=tag)
             t = None if table is None else table(step)
             each(lambda box, h: kernel(step, box, h, _moves(box, step, view[1]), t),
-                 view, nbytes // self.num_cores, held)
+                 view, core_bytes, held)
 
     def all_to_all_groups(self, groups, planes, split_axis=0, tag=""):
         """One all_to_all invocation spanning several disjoint groups.
@@ -350,9 +350,10 @@ class MeshSim:
         or a list of each core's array. Member i of an n-member group receives
         slices i, i+n, i+2n, ... along ``split_axis`` of every member's
         payload, joined in group order; when the extent is n this is the
-        transpose of single slices. Returns stacked planes, made by one
-        reshape-and-transpose copy per slab of source cores (the whole plane
-        when it fits a slab), and counts as a single ledger entry.
+        transpose of single slices. The groups must be the lines of a view
+        (:meth:`_check_groups`), as for :meth:`ring`. Returns stacked planes,
+        made by one reshape-and-transpose copy per slab of source cores (the
+        whole plane when it fits a slab), and counts as a single ledger entry.
         """
         view = self._check_groups(groups, planes)
         n = view[1]

@@ -64,12 +64,12 @@ def stacked(values):
     return np.stack([v.re for v in values]), np.stack([v.im for v in values])
 
 
-def run_permutes(mesh, groups, payloads, times=1):
+def run_permutes(mesh, groups, payloads, times=1, tag=""):
     """``times`` permutes of stacked payloads: a ring whose last step copies
     every payload to the core that holds it then."""
     x = np.stack(payloads)
     out = np.full_like(x, np.nan)
-    view = mesh.view(groups)
+    view = mesh._check_groups(groups)
     x3, out3 = (a.reshape(view + a.shape[1:]) for a in (x, out))
 
     def kernel(step, box, held, moves, table):
@@ -79,7 +79,7 @@ def run_permutes(mesh, groups, payloads, times=1):
 
     with mesh.cores() as each:
         held = each(lambda box: x3[box], view, x[0].nbytes)
-        mesh.ring(each, groups, held, x.nbytes, kernel, times)
+        mesh.ring(each, groups, held, x[0].nbytes, kernel, times, tag)
     return out
 
 
@@ -125,7 +125,7 @@ def test_ring_on_grid_lines_shifts_each_line():
     payloads = [np.array([float(i)]) for i in range(8)]
     out = run_permutes(md.MeshSim(shape), shape.lines(2), payloads)
     assert out[:, 0].tolist() == [1.0, 0.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0]
-    assert md.MeshSim(shape).view(shape.lines(1)) == (2, 2, 2)
+    assert md.MeshSim(shape)._check_groups(shape.lines(1)) == (2, 2, 2)
 
 
 def _ring_with_no_payloads(mesh, groups, planes):
@@ -179,7 +179,7 @@ def test_permute_validation():
     # one held entry per slab of the groups' view
     with pytest.raises(md.ArgumentError, match="expected 1 values, one per slab"):
         with mesh.cores() as each:
-            mesh.ring(each, ((0, 1, 2),), [1, 2], 24, lambda *args: None, 1)
+            mesh.ring(each, ((0, 1, 2),), [1, 2], 8, lambda *args: None, 1)
     assert mesh.ledger.as_dict() == CommLedger().as_dict()
 
 
@@ -245,14 +245,14 @@ def test_all_to_all_groups_matches_chunk_transpose(split_axis):
                 axis=split_axis,
             )
             assert np.array_equal(out[0][c] + 1j * out[1][c], want)
-    # per-core lists of planes give the same stacked planes
-    listed = mesh.all_to_all_groups(groups, tuple(map(list, stacked(values))), split_axis)
-    assert all(np.array_equal(a, b) for a, b in zip(out, listed))
     nbytes = sum(len(g) * values[g[0]].nbytes for g in groups)
-    assert mesh.ledger.per_tag()["t"] == {
+    assert mesh.ledger.per_tag() == {"t": {
         "permute_count": 0, "all_to_all_count": 1, "bytes_moved": nbytes,
         "einsum_flops": 0, "local_fft_flops": 0,
-    }
+    }}
+    # per-core lists of planes give the same stacked planes
+    listed = md.MeshSim(8).all_to_all_groups(groups, tuple(map(list, stacked(values))), split_axis)
+    assert all(np.array_equal(a, b) for a, b in zip(out, listed))
 
 
 def test_all_to_all_groups_one_ledger_record():
@@ -300,11 +300,12 @@ def test_spmd_plain_map_without_collectives():
 def test_spmd_generator_ring_program():
     mesh = md.MeshSim(3)
     groups = ((0, 1, 2),)
-    x = run_permutes(mesh, groups, [np.array([float(i)]) for i in range(3)])
-    x = run_permutes(mesh, groups, list(x))
+    x = run_permutes(mesh, groups, [np.array([float(i)]) for i in range(3)], tag="step")
+    x = run_permutes(mesh, groups, list(x), tag="step")
     # two shift-by-one steps: core i ends up with the payload of core i+2
     assert x[:, 0].tolist() == [2.0, 0.0, 1.0]
     assert mesh.ledger.permute_count == 2
+    assert mesh.ledger.per_tag()["step"]["permute_count"] == 2
 
 
 def test_spmd_all_to_all_request():
@@ -332,7 +333,7 @@ def test_spmd_flops_merge_deterministically():
 def test_spmd_worker_count_does_not_change_anything():
     def program(mesh, each, x):
         groups = (range(mesh.num_cores),)
-        view = mesh.view(groups)
+        view = mesh._check_groups(groups)
         sums = np.zeros_like(x)
 
         def kernel(step, box, held, moves, table):
@@ -340,8 +341,7 @@ def test_spmd_worker_count_does_not_change_anything():
                 sums[dst] += held[src] * (step + 1)
 
         held = each(lambda box: x[box[1]], view, ONE_CORE)
-        nbytes = mesh.num_cores * ONE_CORE
-        mesh.ring(each, groups, held, nbytes, kernel, mesh.num_cores - 1, tag="a")
+        mesh.ring(each, groups, held, ONE_CORE, kernel, mesh.num_cores - 1, tag="a")
         mesh.ledger.add_flops("einsum", sum(each(lambda box: 1, view, ONE_CORE)))
         return sums
 
@@ -458,7 +458,7 @@ def test_blas_runs_single_threaded_inside_a_run(blas_threads, workers):
     mesh = md.MeshSim(4)
     with mesh.cores(workers) as each:
         before = each(lambda box: get(), (1, 4, 1), ONE_CORE)
-        mesh.ring(each, (range(4),), [None] * 4, 4 * ONE_CORE, kernel, 1)
+        mesh.ring(each, (range(4),), [None] * 4, ONE_CORE, kernel, 1)
     assert before == [1] * 4
     assert during == [1] * 8
     assert get() == 2

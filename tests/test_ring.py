@@ -239,7 +239,7 @@ def test_ring_runs_every_step_kernel_with_its_table():
     x, one_core = np.arange(3.0), mesh_module.SLAB_BYTES
     with mesh.cores(workers=2) as each:
         held = each(lambda box: x[box[1]], (1, 3, 1), one_core)
-        mesh.ring(each, groups, held, 3 * one_core, kernel, 2, "r", table)
+        mesh.ring(each, groups, held, one_core, kernel, 2, "r", table)
     assert seen[0] == [(0, 0.0, 0), (1, 1.0, 10), (2, 2.0, 20)]
     assert seen[2] == [(0, 2.0, 0), (1, 0.0, 10), (2, 1.0, 20)]
     assert tables == [0, 1, 2]
@@ -265,7 +265,7 @@ def test_ring_accumulators_survive_thread_switching(monkeypatch):
 
         with mesh.cores(workers=8) as each:
             held = each(lambda box: x[box[1]], (1, 16, 1), one_core)
-            mesh.ring(each, groups, held, 16 * one_core, kernel, 15)
+            mesh.ring(each, groups, held, one_core, kernel, 15)
     finally:
         sys.setswitchinterval(old)
     assert sums.tolist() == [sum((c + s) % 16 * (s + 1) for s in range(16)) for c in range(16)]
