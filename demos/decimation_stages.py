@@ -7,7 +7,7 @@ Pipeline for N samples on P cores (M = N/P each):
   1. every core holds a contiguous block of the input;
   2. one all_to_all regroups elements so core at line position i holds the
      decimated subsequence x[b::P] (with b the offset for that position);
-  3. each core does an ordinary in-order radix-2 FFT of its M points;
+  3. each core does an in-order FFT of its M points, as matrix products;
   4. a shift-by-one pass applies per-frequency phase columns and sums,
      leaving core p with output rows [p*M, (p+1)*M).
 """

@@ -238,10 +238,9 @@ def _split3(values):
     arrays.
     """
     t1 = bf16_array(values)
-    r1 = np.subtract(values, t1).astype(np.float32, copy=False)
-    t2 = bf16_array(r1)
-    r2 = np.subtract(r1, t2).astype(np.float32, copy=False)
-    t3 = bf16_array(r2)
+    residual = np.subtract(values, t1).astype(np.float32, copy=False)
+    t2 = bf16_array(residual)
+    t3 = bf16_array(np.subtract(residual, t2, out=residual))
     return t1, t2, t3
 
 

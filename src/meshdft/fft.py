@@ -7,13 +7,14 @@ decimated subsequences, recombined with per-frequency phase factors:
     X_k = sum_b exp(-2j*pi*b*k/N) * F_b[k mod M]
 
 Per distributed dimension the engine does exactly one all_to_all (moving
-contiguous blocks into decimated subsequences), one local in-order radix-2
-FFT, and a shift-by-one phase combination costing P-1 permutes, run as one
-mesh ring; each ring step reads the phase factors of every core at once from
-the length-N unit-root table, so no plan holds per-core phase blocks.
+contiguous blocks into decimated subsequences), one local in-order FFT of
+matrix products, and a shift-by-one phase combination costing P-1 permutes,
+run as one mesh ring; each ring step reads the phase factors of every core at
+once from the length-N unit-root table, so no plan holds per-core phase blocks.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -29,21 +30,34 @@ def _is_pow2(n):
     return isinstance(n, int) and n >= 1 and (n & (n - 1)) == 0
 
 
-def bit_reversal_permutation(n):
-    """Source indices for the standard radix-2 input reorder."""
-    if not _is_pow2(n):
-        raise ArgumentError(f"length must be a power of two, got {n!r}")
-    return np.arange(n).reshape((2,) * (n.bit_length() - 1)).transpose().ravel()
+@lru_cache(maxsize=64)
+def _stage_matrices(m, mode):
+    """The prepared re and im terms of one decimation-in-time stage of extent m.
+
+    The stage takes the q-point transforms Y_j of the r subsequences x[j::r]
+    to X[k1 + q*k2] = sum_j w**(j*(k1 + q*k2)) * Y_j[k1], w = exp(-2j*pi/m),
+    as q matrices of r x r (r = 8, or m <= 8): entry (k2, j) of matrix k1 is
+    that power's table entry, twiddle included. The terms are read-only.
+    """
+    r = min(m, 8)
+    k1, k2, j = np.ogrid[: m // r, :r, :r]
+    terms = tuple(mode.prepare(table[j * (k1 + m // r * k2) % m]) for table in _unit_roots(m))
+    for term in terms[0] + terms[1]:
+        term.flags.writeable = False
+    return terms
 
 
-def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
-    """In-order radix-2 decimation-in-time FFT along one axis.
+def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE, batch=0):
+    """In-order mixed-radix decimation-in-time FFT along one axis, as matrix products.
 
-    Input is bit-reverse reordered first, so output index k directly holds
-    frequency k. Runs in float64 for the reference mode and float32
-    otherwise (the split emulation applies to contractions, not butterflies).
-    ``tensor`` is a :class:`ComplexTensor`, or an (re, im) pair of planes of
-    any rank, such as a slab of stacked cores, for which a pair comes back.
+    With m = r*q, the q-point transforms of the r decimated subsequences, made
+    the same way on the (q, r*rest) view, are combined by one batched matmul of
+    :func:`_stage_matrices`: four real products in the mode's product form
+    (bfloat16 split terms under bf16split3); m <= 8 is one m x m product.
+    ``tensor`` is a :class:`ComplexTensor`, or an (re, im) pair of planes of any
+    rank, for which a pair comes back, whose leading ``batch`` axes (a slab's
+    cores) stay on matmul's batch axis, so their bits do not depend on how many
+    share a call. Each one's ``axis`` is outermost in memory.
     """
     if isinstance(tensor, ComplexTensor):
         return ComplexTensor._own(*local_fft((tensor.re, tensor.im), axis, mode))
@@ -53,51 +67,39 @@ def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
     if not -rank <= axis < rank:
         raise DimensionError(f"axis {axis} out of range for rank {rank}")
     axis %= rank
+    if not 0 <= batch <= axis:
+        raise DimensionError(f"batch axes {batch} must precede axis {axis}")
     m = tensor[0].shape[axis]
     if not _is_pow2(m):
         raise DimensionError(f"extent {m} along axis {axis} is not a power of two")
-    dtype = mode.real_dtype
-    perm = bit_reversal_permutation(m)
-    moved_shape = np.moveaxis(tensor[0], axis, 0).shape
-    # bit-reverse straight into the contiguous (m, rest) layout that the
-    # butterflies update in place
-    re, im = (
-        np.take(np.moveaxis(p, axis, 0), perm, axis=0)
-        .reshape(m, -1)
-        .astype(dtype, copy=False)
-        for p in tensor
-    )
-    cos, neg_sin = _unit_roots(m)
-    # every stage's half-plane holds m/2 rows: three scratch buffers serve all
-    t_re_buf, t_im_buf, s_buf = (np.empty(re.size // 2, dtype=dtype) for _ in range(3))
-    size = 2
-    while size <= m:
-        half = size // 2
-        # exp(-2j*pi*t/size) for t < size/2 is entry t*(m/size) of the table
-        w_re, w_im = (
-            table[: m // 2 : m // size].astype(dtype)[None, :, None]
-            for table in (cos, neg_sin)
-        )
-        re3 = re.reshape(m // size, size, -1)
-        im3 = im.reshape(m // size, size, -1)
-        a_re, b_re = re3[:, :half], re3[:, half:]
-        a_im, b_im = im3[:, :half], im3[:, half:]
-        t_re, t_im, s = (buf.reshape(a_re.shape) for buf in (t_re_buf, t_im_buf, s_buf))
-        # t = w * b, then hi = a - t into b and lo = a + t into a: the same
-        # operations in the same order as the out-of-place form
-        np.multiply(w_re, b_re, out=t_re)
-        np.multiply(w_im, b_im, out=s)
-        np.subtract(t_re, s, out=t_re)
-        np.multiply(w_re, b_im, out=t_im)
-        np.multiply(w_im, b_re, out=s)
-        np.add(t_im, s, out=t_im)
-        np.subtract(a_re, t_re, out=b_re)
-        np.subtract(a_im, t_im, out=b_im)
-        np.add(a_re, t_re, out=a_re)
-        np.add(a_im, t_im, out=a_im)
-        size *= 2
-    _check_finite(re, im)
-    return tuple(np.moveaxis(p.reshape(moved_shape), 0, axis) for p in (re, im))
+    dtype, product = mode.real_dtype, mode.product
+    moved = [np.moveaxis(p, axis, batch) for p in tensor]
+    shape, b = moved[0].shape, math.prod(moved[0].shape[:batch])
+    # the caller's planes are read where they already have this layout, and
+    # otherwise moved and cast in one copy, which the first stage then reuses
+    owned = m == 1 or not all(p.dtype == dtype and p.flags.c_contiguous for p in moved)
+    y = tuple((np.array(p, dtype, order="C") if owned else p).reshape(b, m, -1) for p in moved)
+    del moved
+    # 2, 4 or 8 points first, then 8 times more at each stage
+    for extent in (m >> s for s in range(3 * ((m.bit_length() - 2) // 3), -1, -3)):
+        w_re, w_im = _stage_matrices(extent, mode)
+        q, r = w_re[0].shape[:2]
+        out = tuple(np.empty(y[0].shape, dtype) for _ in "ri")
+        # matrix k1's row k2 lands at frequency k1 + q*k2 of the extent
+        dest = tuple(o.reshape(b, r, q, -1).transpose(0, 2, 1, 3) for o in out)
+        y_re = mode.prepare(y[0].reshape(b, q, r, -1))
+        product(w_re, y_re, np.matmul, dest[0])
+        product(w_im, y_re, np.matmul, dest[1])
+        # spent re terms: the first takes the im products unless it is the caller's plane
+        scratch, y_im = y_re[0] if owned or len(y_re) > 1 else None, y[1].reshape(b, q, r, -1)
+        del y, y_re
+        y_im = mode.prepare(y_im)
+        np.subtract(dest[0], product(w_im, y_im, np.matmul, scratch), out=dest[0])
+        np.add(dest[1], product(w_re, y_im, np.matmul, scratch), out=dest[1])
+        y, owned = out, True
+        del y_im, scratch
+    _check_finite(*y)
+    return tuple(np.moveaxis(p.reshape(shape), batch, axis) for p in y)
 
 
 def local_fft_flops(m, rest=1):
@@ -155,12 +157,7 @@ def create_fft_plan(shape, extents, precision=PrecisionMode.F64_REFERENCE):
         if not _is_pow2(p):
             raise PlanError(f"core count {p} on dim {d} must be a power of two")
         beta_maps[d] = gather_positions(p, n // p)
-    return FftPlan(
-        shape=shape,
-        extents=extents,
-        precision=precision,
-        beta_maps=beta_maps,
-    )
+    return FftPlan(shape, extents, precision, beta_maps)
 
 
 def _unit_root_factors(n, parts, beta_map, axis, rank, mode):
@@ -197,7 +194,7 @@ def _local_ffts(each, xs, view, axis, mode, core_bytes):
     planes = tuple(x.reshape(view + x.shape[1:]) for x in xs)
 
     def fft_slab(box):
-        return tuple(map(mode.prepare, local_fft(tuple(p[box] for p in planes), 3 + axis, mode)))
+        return tuple(map(mode.prepare, local_fft(tuple(p[box] for p in planes), 3 + axis, mode, 3)))
 
     return each(fft_slab, view, core_bytes)
 

@@ -68,13 +68,7 @@ def create_kdft_plan(shape, samples_per_dim, precision=PrecisionMode.F64_REFEREN
                 Prepared(block, precision)
                 for block in column_blocks(samples[d], p, pos, precision.real_dtype)
             )
-    return KdftPlan(
-        shape=shape,
-        extents=extents,
-        samples=samples,
-        precision=precision,
-        col_blocks=col_blocks,
-    )
+    return KdftPlan(shape, extents, samples, precision, col_blocks)
 
 
 def _shift_ring(mesh, each, xs, lines, cols, axis, mode, tag, core_bytes, trace=None):

@@ -282,19 +282,21 @@ class MeshSim:
 
             yield each
 
-    def _check_groups(self, groups, planes=()):
+    def _check_groups(self, groups, planes=None):
         """The view ``(outer, n, inner)`` in which ``groups`` are the lines along n.
 
         The one check that both collectives make of their core groups: at
         least one, each non-empty, on the mesh and disjoint, and together the
         lines of a view: member i of a group is core ``(o*n + i)*inner + j``.
-        ``planes`` must hold one array per core, all of one shape and dtype.
+        ``planes``, if given, hold one array per core, all of one shape and dtype.
         """
-        for plane in planes:
+        if planes is not None and not len(planes):
+            raise CommunicationError("no payload planes")
+        for plane in planes or ():
             if len(plane) != self.num_cores:
                 raise CommunicationError(f"expected {self.num_cores} payloads, got {len(plane)}")
         kinds = {(a.shape, a.dtype) if isinstance(a, np.ndarray) else None
-                 for plane in planes for a in plane}
+                 for plane in planes or () for a in plane}
         if len(kinds) > 1 or None in kinds:
             raise CommunicationError("payloads must be arrays of one shape and dtype")
         groups = tuple(tuple(int(c) for c in g) for g in groups)

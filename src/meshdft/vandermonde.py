@@ -62,12 +62,22 @@ class SamplePoints:
 def _unit_roots(n):
     """cos and -sin of the angle table 2*pi*e/n for exponents e in [0, n), read-only.
 
-    Every uniform matrix entry, phase factor and local FFT twiddle is one of
-    these n values, looked up by its exponent reduced mod n, so n trig calls
-    serve all n*n entries, and every caller shares one table per n.
+    Every uniform matrix entry, phase factor and local FFT coefficient is one
+    of these, by its exponent mod n. Exact integer folds of u = 8e (units of
+    2*pi/8n) onto the first octant, evaluated in extended precision, keep the
+    symmetries and quarter turns exact and every entry within 2**-53 of the
+    exact value (where longdouble has more bits than float64).
     """
-    angles = 2.0 * np.pi * np.arange(n, dtype=np.int64) / n
-    cos, neg_sin = np.cos(angles), -np.sin(angles)
+    u, folds = 8 * np.arange(n, dtype=np.int64), []
+    for half in (4 * n, 2 * n, n):
+        folds.append(u > half)
+        u = np.where(folds[-1], 2 * half - u, u)
+    lower, left, swap = folds  # sin < 0, cos < 0, cos and sin swapped
+    step = int(np.gcd(8, 2 * n))  # every folded u is a multiple: evaluate those once
+    angles = np.arange(0, n + 1, step, dtype=np.longdouble) * np.arctan(np.longdouble(1)) / n
+    c, s = (f(angles).astype(np.float64)[u // step] for f in (np.cos, np.sin))
+    cos = np.where(left, -1.0, 1.0) * np.where(swap, s, c)
+    neg_sin = np.where(lower, 1.0, -1.0) * np.where(swap, c, s)
     cos.flags.writeable = neg_sin.flags.writeable = False
     return cos, neg_sin
 
@@ -125,9 +135,7 @@ def column_blocks(samples, parts, pos, dtype=np.float64):
     w = n // parts
     rows = slice(pos * w, (pos + 1) * w)
     if samples.is_uniform:
-        cos, neg_sin = _unit_roots(n)
-        cos = cos.astype(dtype, copy=False)
-        neg_sin = neg_sin.astype(dtype, copy=False)
+        cos, neg_sin = (table.astype(dtype, copy=False) for table in _unit_roots(n))
         k = np.arange(n, dtype=np.int64)
         blocks = []
         for j in range(parts):

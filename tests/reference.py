@@ -16,6 +16,7 @@ import numpy as np
 import meshdft as md
 from meshdft.ctensor import ComplexTensor, PrecisionMode, _complex_product, bf16_array
 from meshdft.errors import ArgumentError, DimensionError
+from meshdft.vandermonde import _unit_roots
 
 _BF16_MAX_BITS = np.uint32(0x7F7F)  # largest finite magnitude, 3.3895314e38
 _BF16_INF_PATTERN = np.uint32(0x7F80)
@@ -90,7 +91,7 @@ def bf16_split(value, terms=3):
 
 
 def build_phase_slice(n, parts, part_index):
-    """Per-core phase block [r][b] = exp(-2j*pi*b*(p*n/parts + r)/n).
+    """Per-core phase block [r][b] = exp(-2j*pi*b*(p*n/parts + r)/n), from the unit-root table.
 
     Row r corresponds to global frequency k = part_index*(n//parts) + r;
     column b is the phase factor attached to decimation offset b.
@@ -105,8 +106,8 @@ def build_phase_slice(n, parts, part_index):
     k = part_index * rows_per + np.arange(rows_per, dtype=np.int64)
     b = np.arange(parts, dtype=np.int64)
     exponents = np.mod(np.outer(k, b), n)
-    angles = 2.0 * np.pi * exponents / n
-    return ComplexTensor(np.cos(angles), -np.sin(angles))
+    cos, neg_sin = _unit_roots(n)
+    return ComplexTensor(cos[exponents], neg_sin[exponents])
 
 
 def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):

@@ -1,45 +1,21 @@
 """The decimation engine: local FFT, gather, phase combination, full pipeline."""
 
+from functools import lru_cache
+import math
+
 import numpy as np
 import pytest
 
 import meshdft as md
 from meshdft import fft
-from meshdft.fft import bit_reversal_permutation, local_fft_flops
-from helpers import BF16, F32, counting_split3, rand_tensor, run_fft, err_vs
+from meshdft import mesh as mesh_module
+from meshdft.fft import local_fft_flops
+from helpers import BF16, F32, F64, counting_split3, rand_tensor, run_fft, err_vs
 
 
 def cvec(values):
     values = np.asarray(values, dtype=np.complex128)
     return md.ComplexTensor(values.real, values.imag)
-
-
-def test_bit_reversal_examples():
-    assert list(bit_reversal_permutation(1)) == [0]
-    assert list(bit_reversal_permutation(2)) == [0, 1]
-    assert list(bit_reversal_permutation(8)) == [0, 4, 2, 6, 1, 5, 3, 7]
-    with pytest.raises(md.ArgumentError):
-        bit_reversal_permutation(6)
-
-
-def _bit_reversal_loop(n):
-    bits = n.bit_length() - 1
-    perm = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        r, v = 0, i
-        for _ in range(bits):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        perm[i] = r
-    return perm
-
-
-@pytest.mark.parametrize("bits", range(13))
-def test_bit_reversal_matches_loop(bits):
-    n = 1 << bits
-    got = bit_reversal_permutation(n)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, _bit_reversal_loop(n))
 
 
 def test_local_fft_smallest_sizes():
@@ -282,57 +258,75 @@ def test_phase_sum_overflow_raises():
         md.fft_forward(md.MeshSim(shape), plan, blocks)
 
 
-def _local_fft_copy_per_stage(tensor, axis, mode):
-    """The out-of-place butterfly loop the in-place one must match bit for bit."""
-    m = tensor.shape[axis]
-    dtype = mode.real_dtype
-    if m == 1:
-        return tensor.astype(dtype)
-    perm = bit_reversal_permutation(m)
-    work = md.ComplexTensor(
-        np.take(tensor.re, perm, axis=axis), np.take(tensor.im, perm, axis=axis)
-    )
-    moved_shape = np.moveaxis(work.re, axis, 0).shape
-    re = np.moveaxis(work.re, axis, 0).reshape(m, -1).astype(dtype).copy()
-    im = np.moveaxis(work.im, axis, 0).reshape(m, -1).astype(dtype).copy()
-    size = 2
-    while size <= m:
-        half = size // 2
-        t = np.arange(half, dtype=np.float64)
-        ang = 2.0 * np.pi * t / size
-        w_re = np.cos(ang).astype(dtype)[None, :, None]
-        w_im = (-np.sin(ang)).astype(dtype)[None, :, None]
-        re3 = re.reshape(m // size, size, -1)
-        im3 = im.reshape(m // size, size, -1)
-        a_re = re3[:, :half].copy()
-        a_im = im3[:, :half].copy()
-        b_re = re3[:, half:]
-        b_im = im3[:, half:]
-        t_re = w_re * b_re - w_im * b_im
-        t_im = w_re * b_im + w_im * b_re
-        re3[:, :half] = a_re + t_re
-        im3[:, :half] = a_im + t_im
-        re3[:, half:] = a_re - t_re
-        im3[:, half:] = a_im - t_im
-        size *= 2
-    return md.ComplexTensor(
-        np.moveaxis(re.reshape(moved_shape), 0, axis),
-        np.moveaxis(im.reshape(moved_shape), 0, axis),
-    )
+@lru_cache(maxsize=None)
+def _direct_dft_longdouble(m, cols):
+    """Seeded complex (m, cols) columns and their direct DFT along axis 0, in longdouble."""
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((m, cols)) + 1j * rng.standard_normal((m, cols))
+    angles = 8 * np.arctan(np.longdouble(1)) * np.arange(m, dtype=np.longdouble) / m
+    cos, neg_sin = np.cos(angles), -np.sin(angles)
+    x_re, x_im = (p.astype(np.longdouble) for p in (x.real, x.imag))
+    out_re, out_im = (np.empty((m, cols), np.longdouble) for _ in "ri")
+    n = np.arange(m)
+    for lo in range(0, m, 256):
+        k = np.arange(lo, min(m, lo + 256))
+        exponents = np.outer(k, n) % m
+        c, s = cos[exponents], neg_sin[exponents]
+        out_re[k] = c @ x_re - s @ x_im
+        out_im[k] = c @ x_im + s @ x_re
+    return x, out_re, out_im
 
 
-@pytest.mark.parametrize("mode", [md.PrecisionMode.F64_REFERENCE, F32], ids=["f64", "f32"])
+@pytest.mark.parametrize("mode", [F64, F32, BF16], ids=lambda m: m.value)
 @pytest.mark.parametrize("axis", [0, 1, 2])
-@pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
-def test_local_fft_matches_copy_per_stage_loop(mode, axis, m):
-    extents = [3, 2, 5]
-    extents[axis] = m
-    x = rand_tensor(tuple(extents), seed=m + 10 * axis)
-    got = md.local_fft(x, axis=axis, mode=mode)
-    ref = _local_fft_copy_per_stage(x, axis, mode)
-    assert got.dtype == ref.dtype == mode.real_dtype
-    assert np.array_equal(got.re, ref.re)
-    assert np.array_equal(got.im, ref.im)
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64, 128, 2048, 4096])
+def test_local_fft_accuracy_against_extended_direct_dft(mode, axis, m):
+    # the error stays under one unit roundoff per radix-2 level, a bound the
+    # radix-2 butterflies met too (at most 0.67 of it for both)
+    rest = [3, 2] if m <= 128 else [2, 1]
+    x, ref_re, ref_im = _direct_dft_longdouble(m, math.prod(rest))
+    xt = np.moveaxis(x.reshape([m] + rest), 0, axis)
+    out = md.local_fft(md.ComplexTensor(xt.real, xt.imag), axis=axis, mode=mode)
+    assert out.dtype == mode.real_dtype and out.shape == xt.shape
+    got_re, got_im = (np.moveaxis(p, axis, 0).reshape(ref_re.shape) for p in (out.re, out.im))
+    err = np.sqrt(np.sum((got_re - ref_re) ** 2 + (got_im - ref_im) ** 2))
+    norm = np.sqrt(np.sum(ref_re ** 2 + ref_im ** 2))
+    unit = 2.0 ** -53 if mode is F64 else 2.0 ** -24
+    assert err <= unit * max(1, math.log2(m)) * norm
+
+
+def test_local_fft_batch_axes_are_separate_transforms():
+    rng = np.random.default_rng(73)
+    planes = tuple(rng.standard_normal((3, 2, 16, 5)) for _ in "ri")
+    batched = md.local_fft(planes, axis=2, batch=2)
+    for i in range(3):
+        for j in range(2):
+            one = md.local_fft(md.ComplexTensor(planes[0][i, j], planes[1][i, j]), axis=0)
+            assert np.array_equal(batched[0][i, j], one.re)
+            assert np.array_equal(batched[1][i, j], one.im)
+    with pytest.raises(md.DimensionError):
+        md.local_fft(planes, axis=1, batch=2)
+
+
+@pytest.mark.parametrize("mode", [F64, F32, BF16], ids=lambda m: m.value)
+@pytest.mark.parametrize("extents,grid", [
+    ((64,), (4,)), ((4096,), (64,)), ((8, 8, 8), (2, 2, 2)), ((16, 4, 8), (8, 1, 2)),
+])
+def test_forward_bits_do_not_depend_on_slabs(monkeypatch, extents, grid, mode):
+    # criterion 8: the local FFT keeps each core on matmul's batch axis, so
+    # one slab of every core, a share per thread, or one core per slab give
+    # the same products
+    x = rand_tensor(extents, seed=len(extents) + grid[0])
+    runs = [run_fft(x, grid, mode, workers) for workers in (1, 2)]
+    monkeypatch.setattr(mesh_module, "SLAB_BYTES", 1)
+    runs.append(run_fft(x, grid, mode))
+    (out, blocks, mesh), others = runs[0], runs[1:]
+    for other_out, other_blocks, other_mesh in others:
+        assert out.re.tobytes() == other_out.re.tobytes()
+        assert out.im.tobytes() == other_out.im.tobytes()
+        assert mesh.ledger.per_tag() == other_mesh.ledger.per_tag()
+    tolerance = {F64: 1e-10, F32: 1e-5, BF16: 1e-4}[mode]
+    assert err_vs(out, md.ComplexTensor.from_complex(np.fft.fftn(x.to_complex()))) < tolerance
 
 
 def test_moved_and_computed_planes_are_read_only():
@@ -354,16 +348,22 @@ def test_bf16_forward_splits_each_payload_plane_once_per_ring(monkeypatch):
     shape = md.ComputationShape(4, 2, 1)
     plan = md.create_fft_plan(shape, (32, 16), BF16)
     blocks, _ = md.decompose(rand_tensor((32, 16), seed=62), shape)
+    fft._stage_matrices.cache_clear()
     splits = counting_split3(monkeypatch)
     md.fft_forward(md.MeshSim(shape), plan, blocks)
     # the 8 cores' (8, 8) payloads fit one slab, whose two planes are split
     # once per dimension's ring, stacked in the ring's (outer, n, inner)
-    # view. The rest are one ring step's phase factors for all positions,
+    # view. Then come one ring step's phase factors for all positions,
     # (1, n, 1) and the block's axes
-    payload = [s for s in splits if s[-2:] == (8, 8)]
+    ring = [s for s in splits if len(s) == 5]
+    payload = [s for s in ring if s[-2:] == (8, 8)]
     assert payload == [(1, 4, 2, 8, 8)] * 2 + [(4, 2, 1, 8, 8)] * 2
-    assert sorted(set(splits) - set(payload)) == [(1, 2, 1, 1, 8), (1, 4, 1, 8, 1)]
-    assert len(splits) == len(payload) + 2 * (4 + 2)
+    assert sorted(set(ring) - set(payload)) == [(1, 2, 1, 1, 8), (1, 4, 1, 8, 1)]
+    assert len(ring) == len(payload) + 2 * (4 + 2)
+    # each dimension's 8-point local FFTs are one product per slab: its two
+    # planes split as (cores, q, r, columns), and the 8 x 8 matrix split once
+    local = [s for s in splits if len(s) < 5]
+    assert local == [(1, 8, 8)] * 2 + [(8, 1, 8, 8)] * 4
 
 
 def test_ledger_after_a_failed_run():

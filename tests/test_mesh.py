@@ -229,6 +229,14 @@ def test_all_to_all_validation():
         mesh.all_to_all_groups(((0, 1),), stacked([vec(1.0, 2.0)] * 3))
 
 
+def test_all_to_all_rejects_no_planes():
+    mesh = md.MeshSim(2)
+    with pytest.raises(md.CommunicationError, match="no payload planes") as err:
+        mesh.all_to_all_groups(((0, 1),), ())
+    assert err.traceback[-1].name == "_check_groups"
+    assert mesh.ledger.as_dict() == CommLedger().as_dict()
+
+
 @pytest.mark.parametrize("split_axis", [0, 1, 2, -1])
 def test_all_to_all_groups_matches_chunk_transpose(split_axis):
     """Member i of a group gets slices i, i+n, ... of every member, joined in group order."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.vandermonde import build_nonuniform, column_blocks
+from meshdft.vandermonde import _unit_roots, build_nonuniform, column_blocks
 from helpers import plan_block
 from reference import build_phase_slice
 
@@ -147,14 +147,49 @@ def test_phase_slice_errors():
         build_phase_slice(4, 2, 2)
 
 
+# longdouble carries more bits than float64 on this platform
+EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+
+
+def _exact_roots(angles_over_2pi):
+    """cos and -sin of 2*pi times the given fractions, in longdouble."""
+    angles = 8 * np.arctan(np.longdouble(1)) * angles_over_2pi
+    return np.cos(angles), -np.sin(angles)
+
+
 @pytest.mark.parametrize("n", range(1, 65))
 def test_build_uniform_matches_the_dense_formula(n):
-    # reference: cos/sin evaluated at every one of the N^2 angles
+    # every entry is the table entry of its exponent reduced mod n, and within
+    # 2**-53 of cos/sin evaluated at every one of the N^2 angles
     k = np.arange(n, dtype=np.int64)
-    angles = 2.0 * np.pi * np.mod(np.outer(k, k), n) / n
+    exponents = np.mod(np.outer(k, k), n)
     v = md.build_uniform(n)
-    assert v.re.tobytes() == np.cos(angles).tobytes()
-    assert v.im.tobytes() == (-np.sin(angles)).tobytes()
+    cos, neg_sin = _unit_roots(n)
+    assert v.re.tobytes() == cos[exponents].tobytes()
+    assert v.im.tobytes() == neg_sin[exponents].tobytes()
+    if EXTENDED:
+        c, s = _exact_roots(np.outer(k, k).astype(np.longdouble) / n)
+        assert np.max(np.abs(v.re - c)) <= 2.0 ** -53
+        assert np.max(np.abs(v.im - s)) <= 2.0 ** -53
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 4096, 65536])
+def test_unit_root_table_is_accurate_and_symmetric(n):
+    cos, neg_sin = _unit_roots(n)
+    e = np.arange(n)
+    if EXTENDED:
+        c, s = _exact_roots(e.astype(np.longdouble) / n)
+        assert np.max(np.abs(cos - c)) <= 2.0 ** -53
+        assert np.max(np.abs(neg_sin - s)) <= 2.0 ** -53
+    mirror = (n - e) % n
+    assert np.array_equal(cos, cos[mirror])
+    assert np.array_equal(neg_sin, -neg_sin[mirror])
+    # quarter turns are exact
+    for quarter, (c, s) in enumerate([(1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 1.0)]):
+        if quarter * n % 4 == 0:
+            e = quarter * n // 4
+            assert (cos[e], neg_sin[e]) == (c, s)
+    assert not cos.flags.writeable and not neg_sin.flags.writeable
 
 
 @pytest.mark.parametrize("clone", [
