@@ -295,6 +295,59 @@ def test_local_fft_accuracy_against_extended_direct_dft(mode, axis, m):
     assert err <= unit * max(1, math.log2(m)) * norm
 
 
+def _local_fft_copy_per_stage(tensor, axis, mode):
+    """Out-of-place radix-2 butterflies on a bit-reversed copy: an independent reference."""
+    m = tensor.shape[axis]
+    dtype = mode.real_dtype
+    if m == 1:
+        return tensor.astype(dtype)
+    bits = m.bit_length() - 1
+    perm = [int(format(i, f"0{bits}b")[::-1], 2) for i in range(m)]
+    moved_shape = np.moveaxis(tensor.re, axis, 0).shape
+    re = np.take(np.moveaxis(tensor.re, axis, 0), perm, axis=0).reshape(m, -1).astype(dtype)
+    im = np.take(np.moveaxis(tensor.im, axis, 0), perm, axis=0).reshape(m, -1).astype(dtype)
+    size = 2
+    while size <= m:
+        half = size // 2
+        ang = 2.0 * np.pi * np.arange(half, dtype=np.float64) / size
+        w_re = np.cos(ang).astype(dtype)[None, :, None]
+        w_im = (-np.sin(ang)).astype(dtype)[None, :, None]
+        re3 = re.reshape(m // size, size, -1)
+        im3 = im.reshape(m // size, size, -1)
+        a_re, a_im = re3[:, :half].copy(), im3[:, :half].copy()
+        b_re, b_im = re3[:, half:], im3[:, half:]
+        t_re = w_re * b_re - w_im * b_im
+        t_im = w_re * b_im + w_im * b_re
+        re3[:, :half], im3[:, :half] = a_re + t_re, a_im + t_im
+        re3[:, half:], im3[:, half:] = a_re - t_re, a_im - t_im
+        size *= 2
+    return md.ComplexTensor(
+        np.moveaxis(re.reshape(moved_shape), 0, axis),
+        np.moveaxis(im.reshape(moved_shape), 0, axis),
+    )
+
+
+@pytest.mark.parametrize("mode", [md.PrecisionMode.F64_REFERENCE, F32], ids=["f64", "f32"])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
+def test_local_fft_matches_copy_per_stage_loop(mode, axis, m):
+    # the matmul step and radix-2 butterflies round differently, but each stays
+    # within u·max(1, log2 m) of the exact DFT, so they differ by at most twice that
+    extents = [3, 2, 5]
+    extents[axis] = m
+    x = rand_tensor(tuple(extents), seed=m + 10 * axis)
+    got = md.local_fft(x, axis=axis, mode=mode)
+    ref = _local_fft_copy_per_stage(x, axis, mode)
+    assert got.dtype == ref.dtype == mode.real_dtype
+    assert got.shape == ref.shape == x.shape
+    diff = np.sqrt(np.sum((got.re - ref.re) ** 2 + (got.im - ref.im) ** 2, dtype=np.float64))
+    norm = np.sqrt(np.sum(ref.re.astype(np.float64) ** 2 + ref.im.astype(np.float64) ** 2))
+    unit = 2.0 ** -53 if mode is md.PrecisionMode.F64_REFERENCE else 2.0 ** -24
+    assert diff <= 2 * unit * max(1, math.log2(m)) * norm
+    if m == 1:
+        assert np.array_equal(got.re, ref.re) and np.array_equal(got.im, ref.im)
+
+
 def test_local_fft_batch_axes_are_separate_transforms():
     rng = np.random.default_rng(73)
     planes = tuple(rng.standard_normal((3, 2, 16, 5)) for _ in "ri")
