@@ -137,15 +137,6 @@ class ComplexTensor:
         # copies and pickles rebuild through the checking constructor
         return ComplexTensor, (self.re, self.im)
 
-    @classmethod
-    def from_complex(cls, values, dtype=np.float64):
-        values = np.asarray(values)
-        return cls(values.real.astype(dtype), values.imag.astype(dtype))
-
-    @classmethod
-    def zeros(cls, shape, dtype=np.float64):
-        return cls(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
-
     @property
     def shape(self):
         return self.re.shape
@@ -249,49 +240,6 @@ def _split3(values):
 _SPLIT_PRODUCT_ORDER = ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1))
 
 
-class Prepared:
-    """A complex tensor whose planes are prepared once for a precision mode.
-
-    ``re`` and ``im`` hold :meth:`PrecisionMode.prepare`'s terms of the
-    planes: under bf16split3 three times the float32 planes' bytes, 1.5
-    times the float64 ones.
-    """
-
-    __slots__ = ("mode", "re", "im")
-
-    def __init__(self, tensor, mode):
-        self.mode = mode
-        self.re = mode.prepare(tensor.re)
-        self.im = mode.prepare(tensor.im)
-
-    @property
-    def shape(self):
-        return self.re[0].shape
-
-
-class Operand:
-    """A tensor as :func:`contract`'s right operand, prepared once for a mode.
-
-    The planes, moved so that ``axis`` leads, sit side by side as re|im in
-    one ``(k, 2*rest)`` plane whose :meth:`PrecisionMode.prepare` terms are
-    ``terms``. ``tensor`` is the tensor itself.
-    """
-
-    __slots__ = ("tensor", "axis", "mode", "rest_shape", "terms")
-
-    def __init__(self, tensor, axis, mode):
-        if not -tensor.rank <= axis < tensor.rank:
-            raise DimensionError(f"axis {axis} out of range for rank {tensor.rank}")
-        self.tensor, self.axis, self.mode = tensor, axis % tensor.rank, mode
-        k = tensor.shape[self.axis]
-        self.rest_shape = np.moveaxis(tensor.re, self.axis, 0).shape[1:]
-        # each plane is moved, cast and stacked as re|im in one copy
-        x = np.empty((k, 2) + self.rest_shape, mode.real_dtype)
-        x[:, 0] = np.moveaxis(tensor.re, self.axis, 0)
-        x[:, 1] = np.moveaxis(tensor.im, self.axis, 0)
-        self.terms = mode.prepare(x.reshape(k, -1))
-
-
 # ---------------------------------------------------------------------------
 # Real and complex contraction kernels
 # ---------------------------------------------------------------------------
@@ -315,51 +263,6 @@ def matmul_mixed(a, b, mode=PrecisionMode.F64_REFERENCE):
     if not isinstance(mode, PrecisionMode):
         raise ArgumentError(f"mode must be a PrecisionMode, got {mode!r}")
     return mode.product(mode.prepare(a), mode.prepare(b), np.matmul)
-
-
-def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
-    """Apply a complex matrix along one axis of a tensor.
-
-    ``matrix`` is a rank-2 :class:`ComplexTensor` or a :class:`Prepared` one,
-    and ``tensor`` a :class:`ComplexTensor` or an :class:`Operand`, both
-    prepared for ``mode`` (and ``axis``); a ring prepares each once and
-    contracts them many times. The operand holds the tensor's planes side by
-    side as one ``(k, 2*rest)`` plane, so each matrix plane takes part in one
-    BLAS product, summed over the split terms in :func:`matmul_mixed`'s
-    order: ``m_re @ x`` gives ``rr|ri`` and ``m_im @ x`` gives ``ir|ii``.
-    The bits are reproducible as :func:`matmul_mixed`'s are, but they need
-    not equal :func:`matmul_mixed` on each plane alone: BLAS may block a
-    ``(k, 2*rest)`` product differently from a ``(k, rest)`` one, and a
-    one-column operand (``rest`` = 1) runs as a matrix product where one
-    plane alone runs as a matrix-vector product.
-    """
-    if isinstance(matrix, ComplexTensor):
-        if matrix.rank != 2:
-            raise DimensionError(f"matrix must be rank 2, got rank {matrix.rank}")
-        matrix = Prepared(matrix, mode)
-    if isinstance(tensor, ComplexTensor):
-        tensor = Operand(tensor, axis, mode)
-    if not isinstance(matrix, Prepared) or not isinstance(tensor, Operand):
-        raise ArgumentError("contract expects ComplexTensor operands")
-    if (matrix.mode, tensor.mode) != (mode, mode) or axis % tensor.tensor.rank != tensor.axis:
-        raise ArgumentError("operands prepared for another precision mode or axis")
-    axis, k = tensor.axis, tensor.tensor.shape[tensor.axis]
-    if matrix.shape[1] != k:
-        raise DimensionError(
-            f"matrix columns {matrix.shape[1]} != tensor extent {k} along axis {axis}"
-        )
-    r_x = mode.product(matrix.re, tensor.terms, np.matmul)
-    i_x = mode.product(matrix.im, tensor.terms, np.matmul)
-    half = r_x.shape[1] // 2
-    rr, ri = r_x[:, :half], r_x[:, half:]
-    ir, ii = i_x[:, :half], i_x[:, half:]
-    out_re = rr - ii
-    out_im = ri + ir
-
-    out_shape = (matrix.shape[0],) + tensor.rest_shape
-    out_re = np.moveaxis(out_re.reshape(out_shape), 0, axis)
-    out_im = np.moveaxis(out_im.reshape(out_shape), 0, axis)
-    return ComplexTensor._own_checked(out_re, out_im)
 
 
 def _complex_product(x_re, x_im, f_re, f_im, mode, out=(None, None)):

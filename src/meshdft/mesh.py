@@ -9,12 +9,13 @@ index i along n: equal groups of evenly spaced cores, covering the mesh.
 
 An engine call opens one context, ``with mesh.cores(workers) as each:``.
 ``each(fn, view, core_bytes)`` makes one kernel call per slab of cores, a box
-of the view of at most :data:`SLAB_BYTES` (or one core); worker threads take
-contiguous runs of slabs. :meth:`MeshSim.all_to_all_groups` is one
-reshaping copy per slab of each plane. A :meth:`MeshSim.ring` step is a cyclic
-shift of the member axis that moves no data: each slab keeps its payloads for
-the whole ring, and its kernel writes to the cores holding them at that step,
-at most two runs of members; the ledger still counts the payload bytes. Every
+of the view of at most :data:`SLAB_BYTES` (or one core), so the tiling
+depends on the payload bytes alone; worker threads take contiguous runs of
+slabs. :meth:`MeshSim.all_to_all_groups` is one reshaping copy per slab of
+each plane. A :meth:`MeshSim.ring` step is a cyclic shift of the member
+axis that moves no data: each slab keeps its payloads for the whole ring, and
+its kernel writes to the cores holding them at that step, at most two runs of
+members; the ledger still counts the payload bytes. Every
 element takes the same arithmetic in any slab, so results and ledgers are
 bit-identical for any worker count. Inside the context BLAS runs
 single-threaded: the simulated cores are the source of parallelism, and a
@@ -27,7 +28,6 @@ import ctypes
 from functools import lru_cache
 import glob
 import itertools
-import json
 import os
 
 import numpy as np
@@ -99,9 +99,6 @@ class CommLedger:
     def per_tag(self):
         return {tag: dict(bucket) for tag, bucket in sorted(self._per_tag.items())}
 
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=False) + "\n"
-
 
 def _check_plan(shape, precision, extents):
     """The checks both engines' plans make on their grid, precision and extents."""
@@ -166,12 +163,10 @@ def _empty_stack(num, block, axis, dtype):
 
 
 @lru_cache(maxsize=256)
-def _slabs(view, core_bytes, slab_bytes, threads):
+def _slabs(view, core_bytes, slab_bytes):
     """Boxes (three slices) tiling an (outer, n, inner) core view in core order, each
-    of at most ``slab_bytes`` of ``core_bytes``-byte cores and a ``threads``-th of
-    the cores, or one core."""
-    share = -(-view[0] * view[1] * view[2] // threads)
-    cores, sizes = max(1, min(slab_bytes // max(1, core_bytes), share)), []
+    of at most ``slab_bytes`` of ``core_bytes``-byte cores, or one core."""
+    cores, sizes = max(1, slab_bytes // max(1, core_bytes)), []
     for extent in view[::-1]:
         sizes.insert(0, max(1, min(extent, cores)))
         cores = cores // extent if sizes[0] == extent else 1
@@ -255,11 +250,11 @@ class MeshSim:
         """Per-core compute for one engine call: yields ``each``.
 
         ``each(fn, view, core_bytes, *per_slab)`` returns ``[fn(box, *args)]``
-        for every slab (:func:`_slabs`, at most a thread's share of the cores)
-        of an ``(outer, n, inner)`` core view in core order, ``args`` the slab's
-        entries of the ``per_slab`` lists, over at most
-        ``min(workers, P, os.cpu_count())`` threads. BLAS runs single-threaded
-        until the block ends, for any ``workers``.
+        for every slab (:func:`_slabs`) of an ``(outer, n, inner)`` core view
+        in core order, ``args`` the slab's entries of the ``per_slab`` lists,
+        over at most ``min(workers, P, os.cpu_count())`` threads, each taking a
+        contiguous run of slabs. BLAS runs single-threaded until the block
+        ends, for any ``workers``.
         """
         if not isinstance(workers, int) or workers < 1:
             raise ArgumentError(f"workers must be a positive int, got {workers!r}")
@@ -267,7 +262,7 @@ class MeshSim:
         with _single_threaded_blas(), ThreadPoolExecutor(workers) as pool:
 
             def each(fn, view, core_bytes, *per_slab):
-                slabs = _slabs(view, core_bytes, SLAB_BYTES, workers)
+                slabs = _slabs(view, core_bytes, SLAB_BYTES)
                 if any(len(values) != len(slabs) for values in per_slab):
                     raise ArgumentError(f"expected {len(slabs)} values, one per slab")
                 args = list(zip(slabs, *per_slab))
@@ -378,7 +373,7 @@ class MeshSim:
             # one copy per slab of source cores, a core's own for a list of arrays
             listed = not isinstance(plane, np.ndarray)
             sources = plane if listed else plane.reshape(view + split)
-            for o, s, j in _slabs(view, SLAB_BYTES if listed else core_bytes, SLAB_BYTES, 1):
+            for o, s, j in _slabs(view, SLAB_BYTES if listed else core_bytes, SLAB_BYTES):
                 c = (o.start * n + s.start) * view[2] + j.start
                 src = sources[c].reshape((1,) * 3 + split) if listed else sources[o, s, j]
                 by_source[(o, slice(None), j) + (slice(None),) * axis + (s,)] = src.transpose(order)

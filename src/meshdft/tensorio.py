@@ -95,18 +95,6 @@ def read_points_file(path):
     return out
 
 
-def write_points_file(path, samples_per_dim):
-    data = {
-        "dims": [
-            [[float(z.real), float(z.imag)] for z in s.points]
-            for s in samples_per_dim
-        ]
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-
-
 # -- synthetic inputs --------------------------------------------------------
 
 

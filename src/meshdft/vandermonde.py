@@ -49,7 +49,8 @@ class SamplePoints:
     def uniform(cls, n):
         if not isinstance(n, int) or n < 1:
             raise ArgumentError(f"n must be a positive int, got {n!r}")
-        samples = cls(np.exp(2j * np.pi * np.arange(n) / n))
+        cos, neg_sin = _unit_roots(n)
+        samples = cls(cos - 1j * neg_sin)
         object.__setattr__(samples, "is_uniform", True)
         return samples
 
@@ -106,30 +107,17 @@ def _nonuniform_rows(z, cols):
     return v
 
 
-def build_nonuniform(samples, cols):
-    """Transform matrix for arbitrary nonzero points: V[k][m] = z_k**(-m).
-
-    Columns are produced by iterated division, so column m is exactly
-    column m-1 divided by the point once more.
-    """
-    if not isinstance(samples, SamplePoints):
-        samples = SamplePoints.explicit(samples)
-    if not isinstance(cols, int) or cols < 1:
-        raise ArgumentError(f"cols must be a positive int, got {cols!r}")
-    v = _nonuniform_rows(samples.points, cols)
-    return ComplexTensor(v.real, v.imag)
-
-
 def column_blocks(samples, parts, pos, dtype=np.float64):
-    """Core ``pos``'s row slice of the n x n transform matrix, as ``parts`` column blocks.
+    """Core ``pos``'s row slice of the n x n transform matrix, yielded as ``parts`` column blocks.
 
     ``parts`` must divide n = len(samples) and 0 <= pos < parts. Block j
-    holds rows [pos*w, (pos+1)*w) and columns [j*w, (j+1)*w) of
-    :func:`build_uniform` ``(n)`` for uniform samples, else of
-    :func:`build_nonuniform` ``(samples, n)``, with w = n/parts, bit for bit,
-    cast to ``dtype``. Only this core's rows are ever built: uniform entries are
-    looked up in the length-n table one block at a time, nonuniform rows
-    come from this core's points alone.
+    holds rows [pos*w, (pos+1)*w) and columns [j*w, (j+1)*w), w = n/parts,
+    of the n x n transform matrix, cast to ``dtype``: bit for bit
+    :func:`build_uniform` ``(n)`` for uniform samples, else V[k][m] = z_k**(-m)
+    by iterated division, column m being column m-1 divided by the point once
+    more. Only this core's rows are ever built: uniform entries are looked up
+    in the length-n table one block at a time, as the block is asked for, and
+    nonuniform rows come from this core's points alone.
     """
     n = len(samples)
     w = n // parts
@@ -137,16 +125,11 @@ def column_blocks(samples, parts, pos, dtype=np.float64):
     if samples.is_uniform:
         cos, neg_sin = (table.astype(dtype, copy=False) for table in _unit_roots(n))
         k = np.arange(n, dtype=np.int64)
-        blocks = []
         for j in range(parts):
             exponents = np.mod(np.outer(k[rows], k[j * w : (j + 1) * w]), n)
-            blocks.append(ComplexTensor._own(cos[exponents], neg_sin[exponents]))
-        return tuple(blocks)
+            yield ComplexTensor._own(cos[exponents], neg_sin[exponents])
+        return
     v = _nonuniform_rows(samples.points[rows], n)
-    return tuple(
-        ComplexTensor._own(
-            v.real[:, j * w : (j + 1) * w].astype(dtype),
-            v.imag[:, j * w : (j + 1) * w].astype(dtype),
-        )
-        for j in range(parts)
-    )
+    for j in range(parts):
+        cols = slice(j * w, (j + 1) * w)
+        yield ComplexTensor._own(v.real[:, cols].astype(dtype), v.imag[:, cols].astype(dtype))

@@ -1,5 +1,7 @@
 """Small shared helpers: random inputs, end-to-end engine runs, error metric."""
 
+import json
+
 import numpy as np
 
 import meshdft as md
@@ -10,10 +12,39 @@ F32 = md.PrecisionMode.F32
 BF16 = md.PrecisionMode.BF16_SPLIT3
 
 
-def plan_block(block):
-    """An f64 or f32 plan's prepared column block as the tensor it holds (one term per plane)."""
-    (re,), (im,) = block.re, block.im
-    return md.ComplexTensor(re, im)
+def plan_block(plan, d, pos, j):
+    """Column block j of the row slice of position ``pos`` along dimension ``d`` of a
+    kdft plan, as its prepared (re terms, im terms): one term per plane under f64
+    and f32, the three split terms under bf16split3."""
+    step = (j - pos) % plan.shape.dims[d]
+    return tuple(tuple(t[step, j] for t in terms) for terms in plan.ring_blocks[d])
+
+
+def from_complex(values, dtype=np.float64):
+    values = np.asarray(values)
+    return md.ComplexTensor(values.real.astype(dtype), values.imag.astype(dtype))
+
+
+def zeros(shape, dtype=np.float64):
+    return md.ComplexTensor(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
+
+
+def ledger_json(ledger):
+    """A ledger's totals as JSON, in ``LEDGER_FIELDS`` order."""
+    return json.dumps(ledger.as_dict(), indent=2, sort_keys=False) + "\n"
+
+
+def write_points_file(path, samples_per_dim):
+    """Write sample points in the format ``tensorio.read_points_file`` reads."""
+    data = {
+        "dims": [
+            [[float(z.real), float(z.imag)] for z in s.points]
+            for s in samples_per_dim
+        ]
+    }
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 def counting_split3(monkeypatch):

@@ -7,6 +7,11 @@
 - ``build_phase_slice`` and ``scale_along_axis``: a core's block of the fft
   engine's phase factors and the per-core product with one of its columns,
   the step kernel the engine's phase ring replaced.
+- ``build_nonuniform``: the whole n x n transform matrix of explicit points,
+  of which the kdft plan builds only each core's row slice.
+- ``contract``: a complex matrix applied along one axis of a tensor, both
+  prepared again on every call; one core's step kernel, which the kdft
+  engine's ring replaced with one batched product per slab of cores.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,7 @@ import numpy as np
 import meshdft as md
 from meshdft.ctensor import ComplexTensor, PrecisionMode, _complex_product, bf16_array
 from meshdft.errors import ArgumentError, DimensionError
-from meshdft.vandermonde import _unit_roots
+from meshdft.vandermonde import SamplePoints, _nonuniform_rows, _unit_roots
 
 _BF16_MAX_BITS = np.uint32(0x7F7F)  # largest finite magnitude, 3.3895314e38
 _BF16_INF_PATTERN = np.uint32(0x7F80)
@@ -131,3 +136,55 @@ def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
     x_re = mode.prepare(tensor.re)
     x_im = mode.prepare(tensor.im)
     return ComplexTensor._own_checked(*_complex_product(x_re, x_im, f_re, f_im, mode))
+
+
+def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
+    """Apply a complex matrix along one axis of a tensor.
+
+    The tensor's planes, moved so that ``axis`` leads, sit side by side as
+    re|im in one ``(k, 2*rest)`` plane, so each matrix plane takes part in
+    one product, summed over the split terms in :func:`matmul_mixed`'s order:
+    ``m_re @ x`` gives ``rr|ri`` and ``m_im @ x`` gives ``ir|ii``. The bits
+    need not equal :func:`matmul_mixed` on each plane alone: BLAS may block a
+    ``(k, 2*rest)`` product differently from a ``(k, rest)`` one, and a
+    one-column operand (``rest`` = 1) runs as a matrix product where one
+    plane alone runs as a matrix-vector product.
+    """
+    if not isinstance(matrix, ComplexTensor) or not isinstance(tensor, ComplexTensor):
+        raise ArgumentError("contract expects ComplexTensor operands")
+    if matrix.rank != 2:
+        raise DimensionError(f"matrix must be rank 2, got rank {matrix.rank}")
+    if not -tensor.rank <= axis < tensor.rank:
+        raise DimensionError(f"axis {axis} out of range for rank {tensor.rank}")
+    axis %= tensor.rank
+    k = tensor.shape[axis]
+    if matrix.shape[1] != k:
+        raise DimensionError(
+            f"matrix columns {matrix.shape[1]} != tensor extent {k} along axis {axis}"
+        )
+    rest_shape = np.moveaxis(tensor.re, axis, 0).shape[1:]
+    x = np.empty((k, 2) + rest_shape, mode.real_dtype)
+    x[:, 0] = np.moveaxis(tensor.re, axis, 0)
+    x[:, 1] = np.moveaxis(tensor.im, axis, 0)
+    x = mode.prepare(x.reshape(k, -1))
+    r_x = mode.product(mode.prepare(matrix.re), x, np.matmul)
+    i_x = mode.product(mode.prepare(matrix.im), x, np.matmul)
+    half = r_x.shape[1] // 2
+    out_shape = (matrix.shape[0],) + rest_shape
+    out_re = np.moveaxis((r_x[:, :half] - i_x[:, half:]).reshape(out_shape), 0, axis)
+    out_im = np.moveaxis((r_x[:, half:] + i_x[:, :half]).reshape(out_shape), 0, axis)
+    return ComplexTensor._own_checked(out_re, out_im)
+
+
+def build_nonuniform(samples, cols):
+    """Transform matrix for arbitrary nonzero points: V[k][m] = z_k**(-m).
+
+    Columns are produced by iterated division, so column m is exactly
+    column m-1 divided by the point once more.
+    """
+    if not isinstance(samples, SamplePoints):
+        samples = SamplePoints.explicit(samples)
+    if not isinstance(cols, int) or cols < 1:
+        raise ArgumentError(f"cols must be a positive int, got {cols!r}")
+    v = _nonuniform_rows(samples.points, cols)
+    return ComplexTensor(v.real, v.imag)

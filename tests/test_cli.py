@@ -8,7 +8,7 @@ import pytest
 
 import meshdft as md
 from meshdft import cli, reports, tensorio
-from helpers import rand_tensor
+from helpers import rand_tensor, write_points_file
 
 
 def test_parse_dims():
@@ -95,7 +95,7 @@ def test_kdft_nonuniform_points_file(tmp_path):
     points = np.exp(1j * angles)
     pts_path = str(tmp_path / "pts.json")
     rep_path = str(tmp_path / "rep.json")
-    tensorio.write_points_file(pts_path, [md.SamplePoints.explicit(points)])
+    write_points_file(pts_path, [md.SamplePoints.explicit(points)])
     code = cli.main([
         "transform", "--algo", "kdft", "--dims", "8", "--shape", "2",
         "--gen", "random", "--seed", "5", "--sampling", "nonuniform",
@@ -116,7 +116,7 @@ def test_nonuniform_oracle_does_not_share_the_engine_rounding(tmp_path):
     pts_path = str(tmp_path / "pts.json")
     rep_path = str(tmp_path / "rep.json")
     roots = np.exp(2j * np.pi * np.arange(n) / n)
-    tensorio.write_points_file(pts_path, [md.SamplePoints.explicit(roots)])
+    write_points_file(pts_path, [md.SamplePoints.explicit(roots)])
     code = cli.main([
         "transform", "--algo", "kdft", "--dims", str(n), "--shape", "4",
         "--gen", "random", "--seed", "3", "--sampling", "nonuniform",

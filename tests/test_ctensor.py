@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.ctensor import Operand, Prepared, _split3, bf16_array, contract
-from helpers import F64, F32, BF16, rand_tensor
-from reference import Bf16Value, bf16_array_reference, bf16_split, scale_along_axis
+from meshdft.ctensor import _split3, bf16_array
+from helpers import F64, F32, BF16, from_complex, rand_tensor
+from reference import Bf16Value, bf16_array_reference, bf16_split, contract, scale_along_axis
 
 MODES = (F64, F32, BF16)
 
@@ -72,7 +72,7 @@ def test_tensor_copies_and_pickles_through_the_constructor(clone):
 
 def test_tensor_complex_round_trip():
     values = np.arange(6, dtype=np.complex128).reshape(2, 3) + 1j
-    t = md.ComplexTensor.from_complex(values)
+    t = from_complex(values)
     assert np.array_equal(t.to_complex(), values)
 
 
@@ -300,28 +300,12 @@ def test_bf16_contract_splits_each_plane_once(monkeypatch):
     assert sum(split_elements) == 2 * m.size + 2 * x.size
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("mode", MODES)
-def test_contract_takes_prepared_operands(mode, axis):
-    rng = np.random.default_rng(43)
-    m = md.ComplexTensor(rng.uniform(-1, 1, (5, 6)), rng.uniform(-1, 1, (5, 6)))
-    x = rand_tensor((6, 6), seed=44)
-    ref = contract(m, x, axis=axis, mode=mode)
-    got = contract(Prepared(m, mode), Operand(x, axis, mode), axis=axis, mode=mode)
-    assert np.array_equal(got.re, ref.re) and np.array_equal(got.im, ref.im)
-    other = F32 if mode is not F32 else F64
-    with pytest.raises(md.ArgumentError):
-        contract(Prepared(m, other), x, axis=axis, mode=mode)
-    with pytest.raises(md.ArgumentError):
-        contract(m, Operand(x, 1 - axis, mode), axis=axis, mode=mode)
-
-
 def test_contract_composes_like_matrix_product():
     rng = np.random.default_rng(41)
     a = md.ComplexTensor(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
     b = md.ComplexTensor(rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6)))
     x = rand_tensor((6,), seed=42)
-    ab = md.ComplexTensor.from_complex(a.to_complex() @ b.to_complex())
+    ab = from_complex(a.to_complex() @ b.to_complex())
     lhs = contract(a, contract(b, x)).to_complex()
     rhs = contract(ab, x).to_complex()
     assert np.max(np.abs(lhs - rhs)) < 1e-12

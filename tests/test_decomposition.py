@@ -5,8 +5,8 @@ import pytest
 
 import meshdft as md
 from meshdft import fft
-from meshdft.vandermonde import build_nonuniform
 from helpers import plan_block, rand_tensor
+from reference import build_nonuniform
 
 
 def test_shape_basics():
@@ -152,13 +152,13 @@ def test_gather_rejects_bad_blocks():
 
 def _row_slice(plan, d, pos):
     """Core position ``pos``'s row slice along ``d``, its column blocks rejoined."""
-    blocks = plan.col_blocks[(d, pos)]
-    return np.concatenate([plan_block(b).to_complex() for b in blocks], axis=1)
+    blocks = [plan_block(plan, d, pos, j) for j in range(plan.shape.dims[d])]
+    return np.concatenate([re + 1j * im for (re,), (im,) in blocks], axis=1)
 
 
 def test_slices_for_shape_single_core():
     plan = md.create_kdft_plan(md.ComputationShape(1, 1, 1), (8,))
-    assert list(plan.col_blocks) == [(0, 0)]
+    assert [re[0].shape for re, _ in plan.ring_blocks] == [(1, 1, 8, 8)]
     assert np.array_equal(_row_slice(plan, 0, 0), md.build_uniform(8).to_complex())
 
 
@@ -168,7 +168,7 @@ def test_slices_for_shape_shares_rows_along_other_dims():
     plan = md.create_kdft_plan(shape, (8, 4))
     # one slice per (dimension, grid position): cores with the same position
     # along a dimension share its slice
-    assert sorted(plan.col_blocks) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [re[0].shape for re, _ in plan.ring_blocks] == [(2, 2, 4, 4), (2, 2, 2, 2)]
     for core in range(shape.num_cores):
         c1, c2, _ = shape.coords(core)
         rows1, rows2 = slice(c1 * 4, (c1 + 1) * 4), slice(c2 * 2, (c2 + 1) * 2)

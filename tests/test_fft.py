@@ -10,7 +10,9 @@ import meshdft as md
 from meshdft import fft
 from meshdft import mesh as mesh_module
 from meshdft.fft import local_fft_flops
-from helpers import BF16, F32, F64, counting_split3, rand_tensor, run_fft, err_vs
+from helpers import (
+    BF16, F32, F64, counting_split3, from_complex, rand_tensor, run_fft, run_kdft, err_vs
+)
 
 
 def cvec(values):
@@ -179,11 +181,11 @@ def test_forward_short_block_regime_matches_numpy():
 def test_forward_matches_numpy_2d_and_3d():
     x2 = rand_tensor((8, 8), seed=91)
     out2, _, _ = run_fft(x2, (2, 2))
-    ref2 = md.ComplexTensor.from_complex(np.fft.fft2(x2.to_complex()))
+    ref2 = from_complex(np.fft.fft2(x2.to_complex()))
     assert err_vs(out2, ref2) < 1e-12
     x3 = rand_tensor((8, 8, 8), seed=92)
     out3, _, _ = run_fft(x3, (2, 2, 2))
-    ref3 = md.ComplexTensor.from_complex(np.fft.fftn(x3.to_complex()))
+    ref3 = from_complex(np.fft.fftn(x3.to_complex()))
     assert err_vs(out3, ref3) < 1e-12
 
 
@@ -366,20 +368,23 @@ def test_local_fft_batch_axes_are_separate_transforms():
     ((64,), (4,)), ((4096,), (64,)), ((8, 8, 8), (2, 2, 2)), ((16, 4, 8), (8, 1, 2)),
 ])
 def test_forward_bits_do_not_depend_on_slabs(monkeypatch, extents, grid, mode):
-    # criterion 8: the local FFT keeps each core on matmul's batch axis, so
-    # one slab of every core, a share per thread, or one core per slab give
-    # the same products
+    # criterion 8: the local FFT and the kdft ring keep each core on matmul's
+    # batch axis, so one slab of every core, slabs on two threads, or one
+    # core per slab give the same products
     x = rand_tensor(extents, seed=len(extents) + grid[0])
-    runs = [run_fft(x, grid, mode, workers) for workers in (1, 2)]
-    monkeypatch.setattr(mesh_module, "SLAB_BYTES", 1)
-    runs.append(run_fft(x, grid, mode))
-    (out, blocks, mesh), others = runs[0], runs[1:]
-    for other_out, other_blocks, other_mesh in others:
-        assert out.re.tobytes() == other_out.re.tobytes()
-        assert out.im.tobytes() == other_out.im.tobytes()
-        assert mesh.ledger.per_tag() == other_mesh.ledger.per_tag()
     tolerance = {F64: 1e-10, F32: 1e-5, BF16: 1e-4}[mode]
-    assert err_vs(out, md.ComplexTensor.from_complex(np.fft.fftn(x.to_complex()))) < tolerance
+    # a kdft plan holds n^2 elements per dimension: 4096 points run fft alone
+    for run in (run_fft, run_kdft) if max(extents) <= 64 else (run_fft,):
+        runs = [run(x, grid, mode=mode, workers=workers) for workers in (1, 2)]
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_module, "SLAB_BYTES", 1)
+            runs.append(run(x, grid, mode=mode))
+        (out, blocks, mesh), others = runs[0], runs[1:]
+        for other_out, other_blocks, other_mesh in others:
+            assert out.re.tobytes() == other_out.re.tobytes()
+            assert out.im.tobytes() == other_out.im.tobytes()
+            assert mesh.ledger.per_tag() == other_mesh.ledger.per_tag()
+        assert err_vs(out, from_complex(np.fft.fftn(x.to_complex()))) < tolerance
 
 
 def test_moved_and_computed_planes_are_read_only():

@@ -7,7 +7,7 @@ import pytest
 
 import meshdft as md
 from meshdft import reports, tensorio
-from helpers import F64, F32, rand_tensor, run_kdft, run_fft
+from helpers import F64, F32, rand_tensor, run_kdft, run_fft, write_points_file
 
 
 # -- tensor files -------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_points_file_round_trip(tmp_path):
         md.SamplePoints.explicit([0.5 + 0.5j, -1.0 + 0.0j]),
     ]
     path = tmp_path / "pts.json"
-    tensorio.write_points_file(path, pts)
+    write_points_file(path, pts)
     back = tensorio.read_points_file(path)
     assert len(back) == 2
     for orig, loaded in zip(pts, back):

@@ -1,16 +1,16 @@
 """The direct (quadratic) engine: plans, forward, inverse, shift-by-one."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.ctensor import Prepared, _split3, bf16_array
-from meshdft.vandermonde import build_nonuniform, column_blocks
+from meshdft import kdft
+from meshdft.ctensor import _split3, bf16_array
+from meshdft.vandermonde import column_blocks
 from helpers import (
     BF16, F64, F32, counting_split3, plan_block, rand_tensor, run_kdft, err_vs
 )
+from reference import build_nonuniform
 
 
 def test_plan_validation():
@@ -19,10 +19,11 @@ def test_plan_validation():
     assert plan.extents == (8,)
     assert plan.rank == 1
     assert plan.all_uniform()
-    # each (dim, position) entry splits the row slice into P square blocks
-    blocks = plan.col_blocks[(0, 0)]
-    assert len(blocks) == 2
-    assert all(b.shape == (4, 4) for b in blocks)
+    # each position's row slice is split into P square blocks, stacked by ring step
+    (re,), (im,) = plan.ring_blocks[0]
+    assert re.shape == im.shape == (2, 2, 4, 4)
+    assert all(t.shape == (4, 4) for j in range(2) for terms in plan_block(plan, 0, 0, j)
+               for t in terms)
     with pytest.raises(md.PlanError):
         md.create_kdft_plan(md.ComputationShape(4, 1, 1), (6,))
     with pytest.raises(md.PlanError):
@@ -169,19 +170,16 @@ def test_inverse_round_trip_distributed():
 
 @pytest.mark.parametrize("mode", [F64, F32, md.PrecisionMode.BF16_SPLIT3],
                          ids=["f64", "f32", "bf16split3"])
-def test_inverse_matches_forward_with_conjugated_blocks(mode):
+def test_inverse_matches_forward_with_conjugated_blocks(mode, monkeypatch):
     # bit for bit what contracting with explicitly conjugated blocks gives
     x = rand_tensor((12, 8), seed=53)
     shape = md.ComputationShape(3, 2, 1)
     plan = md.create_kdft_plan(shape, (12, 8), mode)
     blocks, _ = md.decompose(x, shape)
-    conjugated = dataclasses.replace(plan, col_blocks={
-        (d, pos): tuple(
-            Prepared(c.conj(), mode)
-            for c in column_blocks(plan.samples[d], shape.dims[d], pos, mode.real_dtype)
-        )
-        for d, pos in plan.col_blocks
-    })
+    # a plan built, and prepared, from conjugated column blocks
+    monkeypatch.setattr(kdft, "column_blocks",
+                        lambda *args: (c.conj() for c in column_blocks(*args)))
+    conjugated = md.create_kdft_plan(shape, (12, 8), mode)
     ref = md.kdft_forward(md.MeshSim(shape), conjugated, blocks)
     got = md.kdft_inverse_uniform(md.MeshSim(shape), plan, blocks)
     for g, r in zip(got, ref, strict=True):
@@ -273,14 +271,13 @@ def _same_bits(a, b):
 
 def _assert_blocks_slice(plan, matrix, parts):
     w = matrix.shape[0] // parts
+    assert all(t.shape == (parts, parts, w, w) for terms in plan.ring_blocks[0] for t in terms)
     for pos in range(parts):
-        blocks = plan.col_blocks[(0, pos)]
-        assert len(blocks) == parts
-        for j, block in enumerate(blocks):
-            block = plan_block(block)
+        for j in range(parts):
+            (re,), (im,) = plan_block(plan, 0, pos, j)
             rows, cols = slice(pos * w, (pos + 1) * w), slice(j * w, (j + 1) * w)
-            assert _same_bits(block.re, matrix.re[rows, cols])
-            assert _same_bits(block.im, matrix.im[rows, cols])
+            assert _same_bits(re, matrix.re[rows, cols])
+            assert _same_bits(im, matrix.im[rows, cols])
 
 
 @pytest.mark.parametrize("n,parts", [(1, 1), (6, 1), (7, 7), (12, 3), (1024, 8)])
@@ -309,16 +306,17 @@ def test_f32_plan_blocks_are_f64_blocks_cast(nonuniform):
     p64 = md.create_kdft_plan(shape, samples, F64)
     for mode in (F32, md.PrecisionMode.BF16_SPLIT3):
         p32 = md.create_kdft_plan(shape, samples, mode)
-        assert p32.col_blocks.keys() == p64.col_blocks.keys()
-        for key, blocks in p64.col_blocks.items():
-            for b64, b32 in zip(blocks, p32.col_blocks[key], strict=True):
-                b64 = plan_block(b64)
-                # a bf16split3 block holds only the split terms of the cast planes
-                for got, plane in ((b32.re, b64.re), (b32.im, b64.im)):
-                    cast = plane.astype(np.float32)
-                    want = (cast,) if mode is F32 else _split3(cast)
-                    assert len(got) == len(want)
-                    assert all(_same_bits(g, w) for g, w in zip(got, want))
+        assert len(p32.ring_blocks) == len(p64.ring_blocks)
+        for d, parts in enumerate(shape.dims[:2]):
+            for pos in range(parts):
+                for j in range(parts):
+                    b64, b32 = plan_block(p64, d, pos, j), plan_block(p32, d, pos, j)
+                    # a bf16split3 block holds only the split terms of the cast planes
+                    for got, (plane,) in zip(b32, b64, strict=True):
+                        cast = plane.astype(np.float32)
+                        want = (cast,) if mode is F32 else _split3(cast)
+                        assert len(got) == len(want)
+                        assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
 # -- bf16split3 operands are split once ------------------------------------------
@@ -336,8 +334,10 @@ def test_bf16_forward_splits_no_plan_block_and_each_payload_once_per_dim(monkeyp
     assert splits == [(4, 4)] * (2 * (4 * 4 + 2 * 2))
     splits.clear()
     md.kdft_forward(md.MeshSim(shape), plan, blocks)
-    # one (4, 2*4) re|im operand per core and dimension; no (4, 4) plan block
-    assert splits == [(4, 8)] * (shape.num_cores * 2)
+    # one (4, 2*4) re|im operand per core, all 8 cores in one slab per dimension
+    # (the lines of dim 1 are the view (1, 4, 2), those of dim 2 (4, 2, 1));
+    # no (4, 4) plan block
+    assert splits == [(1, 4, 2, 4, 8), (4, 2, 1, 4, 8)]
 
 
 def test_bf16_trace_reads_the_raw_payload():

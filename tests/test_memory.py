@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 
 import meshdft as md
-from meshdft.ctensor import contract
 from helpers import BF16, F32, rand_tensor
+from reference import contract
 
 
 def _traced_bytes(fn):
@@ -32,9 +32,7 @@ def _traced_bytes(fn):
 
 def _block_bytes(plan):
     """Bytes of every term of every prepared column block of a kdft plan."""
-    return sum(
-        term.nbytes for blocks in plan.col_blocks.values() for b in blocks for term in b.re + b.im
-    )
+    return sum(term.nbytes for re, im in plan.ring_blocks for term in re + im)
 
 
 def _peak_bytes(fn):

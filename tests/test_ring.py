@@ -19,13 +19,12 @@ import pytest
 import meshdft as md
 from meshdft import fft
 from meshdft import mesh as mesh_module
-from meshdft.ctensor import contract
 from meshdft.decomposition import ComputationShape
 from meshdft.fft import local_fft_flops
 from meshdft.mesh import CommLedger
 from meshdft.vandermonde import column_blocks
 from helpers import BF16, F32, F64, rand_tensor
-from reference import build_phase_slice, scale_along_axis
+from reference import build_phase_slice, contract, scale_along_axis
 
 MODES = [F64, F32, BF16]
 
@@ -96,7 +95,7 @@ def kdft_reference(plan, blocks, conjugate):
             b.conj() if conjugate else b
             for b in column_blocks(plan.samples[d], plan.shape.dims[d], pos, mode.real_dtype)
         ]
-        for d, pos in plan.col_blocks
+        for d in range(plan.rank) for pos in range(plan.shape.dims[d])
     }
     xs = [b.astype(mode.real_dtype) for b in blocks]
     for d in range(plan.rank):
@@ -187,6 +186,25 @@ def test_phase_ring_makes_one_product_per_step(monkeypatch):
     blocks, _ = md.decompose(rand_tensor((4096,), seed=9), shape)
     md.fft_forward(md.MeshSim(shape), plan, blocks, workers=1)
     assert len(calls) == 64
+
+
+def test_shift_ring_makes_one_product_per_matrix_plane_and_step(monkeypatch):
+    # 1024 points on 64 cores fit one slab: two batched products (m_re and
+    # m_im) per ring step, not two per core and step; 1024 points rather
+    # than 4096 keep the plan at 8 MiB in f32
+    calls = []
+    product = md.PrecisionMode.product
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return product(self, *args, **kwargs)
+
+    shape = md.ComputationShape(64, 1, 1)
+    plan = md.create_kdft_plan(shape, (1024,), F32)
+    blocks, _ = md.decompose(rand_tensor((1024,), seed=9), shape)
+    monkeypatch.setattr(md.PrecisionMode, "product", counted)
+    md.kdft_forward(md.MeshSim(shape), plan, blocks, workers=1)
+    assert len(calls) == 2 * 64
 
 
 @pytest.mark.parametrize("n,parts", [(64, 1), (64, 8), (64, 64), (4096, 64), (65536, 16)])

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.vandermonde import _unit_roots, build_nonuniform, column_blocks
+from meshdft.vandermonde import _unit_roots, column_blocks
 from helpers import plan_block
-from reference import build_phase_slice
+from reference import build_nonuniform, build_phase_slice
 
 
 def test_build_uniform_smallest_cases():
@@ -65,7 +65,8 @@ def test_uniform_flag_cannot_be_set_from_outside():
     # the caller's points are what the plan builds on, not the uniform DFT
     plan = md.create_kdft_plan(md.ComputationShape(2, 1, 1), (forged,))
     assert not plan.all_uniform()
-    built = np.hstack([plan_block(b).to_complex() for b in plan.col_blocks[(0, 0)]])
+    blocks = [plan_block(plan, 0, 0, j) for j in range(2)]
+    built = np.hstack([re + 1j * im for (re,), (im,) in blocks])
     assert np.array_equal(built, build_nonuniform(z, 8).to_complex()[:4])
     # explicit roots of unity stay explicit
     roots = md.SamplePoints.explicit(md.SamplePoints.uniform(8).points)
@@ -176,11 +177,16 @@ def test_build_uniform_matches_the_dense_formula(n):
 @pytest.mark.parametrize("n", [1, 2, 8, 64, 4096, 65536])
 def test_unit_root_table_is_accurate_and_symmetric(n):
     cos, neg_sin = _unit_roots(n)
+    # the uniform points z_k = exp(2j*pi*k/n) are the table's entries
+    points = md.SamplePoints.uniform(n).points
     e = np.arange(n)
     if EXTENDED:
         c, s = _exact_roots(e.astype(np.longdouble) / n)
         assert np.max(np.abs(cos - c)) <= 2.0 ** -53
         assert np.max(np.abs(neg_sin - s)) <= 2.0 ** -53
+        assert np.max(np.abs(points.real - c)) <= 2.0 ** -53
+        assert np.max(np.abs(points.imag + s)) <= 2.0 ** -53
+    assert np.array_equal(points.real, cos) and np.array_equal(points.imag, -neg_sin)
     mirror = (n - e) % n
     assert np.array_equal(cos, cos[mirror])
     assert np.array_equal(neg_sin, -neg_sin[mirror])
