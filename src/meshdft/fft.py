@@ -8,7 +8,9 @@ decimated subsequences, recombined with per-frequency phase factors:
 
 Per distributed dimension the engine does exactly one all_to_all (moving
 contiguous blocks into decimated subsequences), one local in-order FFT of
-matrix products, and a shift-by-one phase combination costing P-1 permutes,
+matrix products, run as the all_to_all's kernel so that its one layout copy
+of the received planes is the exchange, and a shift-by-one phase
+combination costing P-1 permutes,
 run as one mesh ring; each ring step reads the phase factors of every core at
 once from the length-N unit-root table, so no plan holds per-core phase blocks.
 """
@@ -57,24 +59,31 @@ def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE, batch=0):
     ``tensor`` is a :class:`ComplexTensor`, or an (re, im) pair of planes of any
     rank, for which a pair comes back, whose leading ``batch`` axes (a slab's
     cores) stay on matmul's batch axis, so their bits do not depend on how many
-    share a call. Each one's ``axis`` is outermost in memory.
+    share a call. Each one's ``axis`` is outermost in memory. ``axis`` may be a
+    run of adjacent axes, transformed as one axis of their C order, as
+    :meth:`MeshSim.all_to_all_groups` hands over a split axis; the result has
+    that one axis in their place.
     """
     if isinstance(tensor, ComplexTensor):
         return ComplexTensor._own(*local_fft((tensor.re, tensor.im), axis, mode))
     if not (isinstance(tensor, tuple) and len(tensor) == 2):
         raise ArgumentError("local_fft expects a ComplexTensor or an (re, im) pair")
     rank = tensor[0].ndim
-    if not -rank <= axis < rank:
+    axes = (axis,) if np.ndim(axis) == 0 else tuple(axis)
+    if not axes or not all(-rank <= a < rank for a in axes):
         raise DimensionError(f"axis {axis} out of range for rank {rank}")
-    axis %= rank
+    axis = axes[0] % rank
+    if tuple(a % rank for a in axes) != tuple(range(axis, axis + len(axes))):
+        raise DimensionError(f"axes {axes} are not adjacent and in order")
     if not 0 <= batch <= axis:
         raise DimensionError(f"batch axes {batch} must precede axis {axis}")
-    m = tensor[0].shape[axis]
+    m = math.prod(tensor[0].shape[a] for a in axes)
     if not _is_pow2(m):
         raise DimensionError(f"extent {m} along axis {axis} is not a power of two")
     dtype, product = mode.real_dtype, mode.product
-    moved = [np.moveaxis(p, axis, batch) for p in tensor]
-    shape, b = moved[0].shape, math.prod(moved[0].shape[:batch])
+    moved = [np.moveaxis(p, axes, range(batch, batch + len(axes))) for p in tensor]
+    shape = moved[0].shape[:batch] + (m,) + moved[0].shape[batch + len(axes):]
+    b = math.prod(shape[:batch])
     # the caller's planes are read where they already have this layout, and
     # otherwise moved and cast in one copy, which the first stage then reuses
     owned = m == 1 or not all(p.dtype == dtype and p.flags.c_contiguous for p in moved)
@@ -170,33 +179,41 @@ def _unit_root_factors(n, parts, beta_map, axis, rank, mode):
     for every payload, as the terms of (re, im), each indexed ``[0, i, 0]``
     and then the block's axes, as the ring views stacked planes.
     """
-    # one gather of (cos, -sin) pairs reads the table once
-    table = np.empty(n, np.complex128)
-    table.real, table.imag = _unit_roots(n)
+    # the table cast once; exponents mod n (a power of two) by a mask
+    table = tuple(t.astype(mode.real_dtype, copy=False) for t in _unit_roots(n))
     bshape = tuple(-1 if a == axis else 1 for a in range(rank))
     k = np.arange(n, dtype=np.int64).reshape((1, parts, 1) + bshape)
     beta = np.asarray(beta_map, dtype=np.int64).reshape((1, parts, 1) + (1,) * rank)
     # b*k mod n at step 0; position p - s holds frequency k - s*m = k + (P-s)*m (mod n)
-    beta_k = beta * k % n
+    beta_k = beta * k & (n - 1)
 
     def factors(step):
         exponents = beta_k + beta * ((parts - step) * (n // parts))
-        np.mod(exponents, n, out=exponents)
-        roots = np.take(table, exponents)
-        return mode.prepare(roots.real), mode.prepare(roots.imag)
+        exponents &= n - 1
+        return tuple(mode.prepare(t.take(exponents)) for t in table)
 
     return factors
 
 
-def _local_ffts(each, xs, view, axis, mode, core_bytes):
-    """Every core's local FFT along ``axis``, one call per slab of the view, prepared
-    for the mode at once: under bf16split3 only the split terms outlive a slab."""
-    planes = tuple(x.reshape(view + x.shape[1:]) for x in xs)
+def _local_fft_kernel(view, axis, mode):
+    """The gather's kernel: a slab's local FFTs along ``axis``, prepared for the mode
+    at once (under bf16split3 only the split terms outlive a slab).
 
-    def fft_slab(box):
-        return tuple(map(mode.prepare, local_fft(tuple(p[box] for p in planes), 3 + axis, mode, 3)))
+    Its one copy of the received planes is the exchange. The results are
+    shaped as the slab of the lines' ``view`` that holds the same cores, as
+    the phase ring takes them: for the powers of two an fft takes, every
+    slab of any view of the core axis is an aligned run of cores
+    (:func:`meshdft.mesh._slabs`), the same run in either view.
+    """
+    _, n, inner = view
 
-    return each(fft_slab, view, core_bytes)
+    def kernel(box, payload):
+        cores = math.prod(s.stop - s.start for s in box)
+        lines_box = (max(1, cores // (n * inner)), min(n, max(1, cores // inner)), min(inner, cores))
+        y = local_fft(payload, (3 + axis, 4 + axis), mode, 3)
+        return tuple(mode.prepare(p.reshape(lines_box + p.shape[3:])) for p in y)
+
+    return kernel
 
 
 def _phase_ring(mesh, each, held, lines, view, axis, factors, mode, tag, core_bytes):
@@ -245,12 +262,10 @@ def fft_forward(mesh, plan, blocks, workers=1):
         for d in range(plan.rank):
             n, parts = plan.extents[d], plan.shape.dims[d]
             m, lines, tag = n // parts, plan.shape.lines(d), f"dim{d + 1}"
-            xs = mesh.all_to_all_groups(
-                _gather_groups(lines, parts, m), xs, split_axis=d, tag=tag
-            )
             view = mesh._check_groups(lines)
             with _stage("local FFT", d, mode):
-                xs = _local_ffts(each, xs, view, d, mode, core_bytes)
+                xs = mesh.all_to_all_groups(_gather_groups(lines, parts, m), xs, d, tag, each,
+                                            _local_fft_kernel(view, d, mode))
             mesh.ledger.add_flops("local_fft", local_fft_flops(m, num * blocks[0].size // m), tag)
             factors = _unit_root_factors(n, parts, plan.beta_maps[d], d, plan.rank, mode)
             with _stage("phase ring", d, mode):

@@ -11,11 +11,13 @@ An engine call opens one context, ``with mesh.cores(workers) as each:``.
 ``each(fn, view, core_bytes)`` makes one kernel call per slab of cores, a box
 of the view of at most :data:`SLAB_BYTES` (or one core), so the tiling
 depends on the payload bytes alone; worker threads take contiguous runs of
-slabs. :meth:`MeshSim.all_to_all_groups` is one reshaping copy per slab of
-each plane. A :meth:`MeshSim.ring` step is a cyclic shift of the member
-axis that moves no data: each slab keeps its payloads for the whole ring, and
-its kernel writes to the cores holding them at that step, at most two runs of
-members; the ledger still counts the payload bytes. Every
+slabs. Neither collective moves data of its own; the ledger still counts
+the payload bytes. :meth:`MeshSim.all_to_all_groups` hands its kernel, once
+per slab of receiving cores, strided views of the exchanged planes, so the
+kernel's first copy (the fft's local FFT layout copy) is the exchange, on
+the worker pool. A :meth:`MeshSim.ring` step is a cyclic shift of the member
+axis: each slab keeps its payloads for the whole ring, and its kernel writes
+to the cores holding them at that step, at most two runs of members. Every
 element takes the same arithmetic in any slab, so results and ledgers are
 bit-identical for any worker count. Inside the context BLAS runs
 single-threaded: the simulated cores are the source of parallelism, and a
@@ -340,7 +342,7 @@ class MeshSim:
             each(lambda box, h: kernel(step, box, h, _moves(box, step, view[1]), t),
                  view, core_bytes, held)
 
-    def all_to_all_groups(self, groups, planes, split_axis=0, tag=""):
+    def all_to_all_groups(self, groups, planes, split_axis=0, tag="", each=None, kernel=None):
         """One all_to_all invocation spanning several disjoint groups.
 
         ``planes`` hold one payload per core, by flat core id: stacked planes,
@@ -348,9 +350,19 @@ class MeshSim:
         slices i, i+n, i+2n, ... along ``split_axis`` of every member's
         payload, joined in group order; when the extent is n this is the
         transpose of single slices. The groups must be the lines of a view
-        (:meth:`_check_groups`), as for :meth:`ring`. Returns stacked planes,
-        made by one reshape-and-transpose copy per slab of source cores (the
-        whole plane when it fits a slab), and counts as a single ledger entry.
+        (:meth:`_check_groups`), as for :meth:`ring`. It counts as a single
+        ledger entry, recorded when issued.
+
+        ``each(fn, view, core_bytes)`` (the calling thread's loop if None)
+        calls ``kernel(box, payload)`` once per slab of receiving cores of
+        the groups' view and returns the results. ``payload`` holds the
+        slab's received planes, shaped as ``box``, then the block with the
+        split axis as two axes (n, extent/n), the chunks from member s at
+        index s. For stacked planes they are strided views of the sources,
+        so the kernel's first read is the exchange. A list of arrays is
+        received into stacked planes, each slab's part assembled in its own
+        call. Without a kernel every plane is received that way, and the
+        stacked planes are returned.
         """
         view = self._check_groups(groups, planes)
         n = view[1]
@@ -366,17 +378,34 @@ class MeshSim:
         # member i's chunk from member s: out[o, i, j, ..., s, k] = in[o, s, j][..., k*n + i]
         order = (0, 4 + axis, 2, *range(3, 3 + axis), 1, 3 + axis, *range(5 + axis, 3 + len(split)))
         core_bytes = sum(p[0].nbytes for p in planes)
-        outs = []
-        for plane in planes:
-            out = np.empty((self.num_cores,) + block, plane[0].dtype)
-            by_source = out.reshape(view + pre + (n, q) + post)
-            # one copy per slab of source cores, a core's own for a list of arrays
-            listed = not isinstance(plane, np.ndarray)
-            sources = plane if listed else plane.reshape(view + split)
-            for o, s, j in _slabs(view, SLAB_BYTES if listed else core_bytes, SLAB_BYTES):
-                c = (o.start * n + s.start) * view[2] + j.start
-                src = sources[c].reshape((1,) * 3 + split) if listed else sources[o, s, j]
-                by_source[(o, slice(None), j) + (slice(None),) * axis + (s,)] = src.transpose(order)
-            outs.append(out)
         self.ledger.record_all_to_all(core_bytes * self.num_cores, tag=tag)
-        return tuple(outs)
+        sources = [p.reshape(view + split).transpose(order) if isinstance(p, np.ndarray) else p
+                   for p in planes]
+        received = [None if kernel is not None and isinstance(p, np.ndarray)
+                    else np.empty(view + pre + (n, q) + post, p[0].dtype) for p in planes]
+        cores, chunks = np.arange(self.num_cores).reshape(view), (slice(None),) * (axis + 1)
+
+        def exchange(box):
+            payload = []
+            for source, into in zip(sources, received):
+                if isinstance(source, np.ndarray):
+                    if into is None:
+                        payload.append(source[box])
+                        continue
+                    into[box] = source[box]
+                else:
+                    by_source = into.transpose(np.argsort(order))[box[0], :, box[2]]
+                    members = cores[box[0], :, box[2]]
+                    for at in np.ndindex(members.shape):
+                        by_source[at + chunks + (box[1],)] = (
+                            source[members[at]].reshape(split)[chunks + (box[1],)])
+                payload.append(into[box])
+            return None if kernel is None else kernel(box, tuple(payload))
+
+        if each is None:
+            results = _run_slabs(exchange, [(box,) for box in _slabs(view, core_bytes, SLAB_BYTES)])
+        else:
+            results = each(exchange, view, core_bytes)
+        if kernel is not None:
+            return results
+        return tuple(r.reshape((self.num_cores,) + block) for r in received)

@@ -364,21 +364,40 @@ def test_local_fft_batch_axes_are_separate_transforms():
 
 
 @pytest.mark.parametrize("mode", [F64, F32, BF16], ids=lambda m: m.value)
+def test_local_fft_takes_a_run_of_axes_as_one(mode):
+    # an exchange's split axis, (members, chunk) read in C order, here as a
+    # strided view; the result has the one merged axis in their place
+    rng = np.random.default_rng(74)
+    source = tuple(rng.standard_normal((4, 3, 8, 5)) for _ in "ri")
+    split = tuple(p.transpose(1, 0, 2, 3) for p in source)
+    merged = tuple(np.ascontiguousarray(p).reshape(3, 32, 5) for p in split)
+    got = md.local_fft(split, axis=(1, 2), mode=mode, batch=1)
+    want = md.local_fft(merged, axis=1, mode=mode, batch=1)
+    assert all(a.shape == (3, 32, 5) and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    for axes in ((1, 3), (2, 1), (1, 4)):
+        with pytest.raises(md.DimensionError):
+            md.local_fft(split, axis=axes, batch=1)
+
+
+@pytest.mark.parametrize("mode", [F64, F32, BF16], ids=lambda m: m.value)
 @pytest.mark.parametrize("extents,grid", [
     ((64,), (4,)), ((4096,), (64,)), ((8, 8, 8), (2, 2, 2)), ((16, 4, 8), (8, 1, 2)),
 ])
 def test_forward_bits_do_not_depend_on_slabs(monkeypatch, extents, grid, mode):
     # criterion 8: the local FFT and the kdft ring keep each core on matmul's
-    # batch axis, so one slab of every core, slabs on two threads, or one
-    # core per slab give the same products
+    # batch axis, so one slab of every core, slabs on two threads, or one or
+    # two cores per slab give the same products (on 8x1x2 the fft gather's
+    # groups view the cores otherwise than the lines do)
     x = rand_tensor(extents, seed=len(extents) + grid[0])
     tolerance = {F64: 1e-10, F32: 1e-5, BF16: 1e-4}[mode]
+    core_bytes = 2 * mode.real_dtype.itemsize * math.prod(extents) // math.prod(grid)
     # a kdft plan holds n^2 elements per dimension: 4096 points run fft alone
     for run in (run_fft, run_kdft) if max(extents) <= 64 else (run_fft,):
         runs = [run(x, grid, mode=mode, workers=workers) for workers in (1, 2)]
-        with monkeypatch.context() as patch:
-            patch.setattr(mesh_module, "SLAB_BYTES", 1)
-            runs.append(run(x, grid, mode=mode))
+        for slab_bytes, workers in ((1, 1), (2 * core_bytes, 2)):
+            with monkeypatch.context() as patch:
+                patch.setattr(mesh_module, "SLAB_BYTES", slab_bytes)
+                runs.append(run(x, grid, mode=mode, workers=workers))
         (out, blocks, mesh), others = runs[0], runs[1:]
         for other_out, other_blocks, other_mesh in others:
             assert out.re.tobytes() == other_out.re.tobytes()

@@ -120,3 +120,17 @@ def test_fft_plan_is_linear_in_n():
     shape = md.ComputationShape(parts, 1, 1)
     _, peak = _peak_bytes(lambda: md.create_fft_plan(shape, (n,)))
     assert peak <= 16 * n
+
+
+def test_all_to_all_hands_a_kernel_views_of_the_stacked_planes():
+    # the exchanged slabs are strided views: a kernel that only reads them
+    # (its sum buffers 64 KiB) allocates no received planes, where a copy
+    # kernel's stacked planes take two
+    cores, block = 8, (32, 16, 16)
+    planes = tuple(np.random.default_rng(85).standard_normal((cores,) + block) for _ in "ri")
+    groups = ((0, 1, 2, 3), (4, 5, 6, 7))
+    mesh = md.MeshSim(cores)
+    sums, peak = _peak_bytes(lambda: mesh.all_to_all_groups(
+        groups, planes, 0, "t", None, lambda box, payload: float(payload[0].sum())))
+    assert len(sums) == cores // 2  # two 128 KiB cores per slab
+    assert peak < planes[0].nbytes / 4

@@ -277,6 +277,47 @@ def test_all_to_all_groups_one_ledger_record():
         mesh.all_to_all_groups(((0, 9),), planes)
 
 
+# (cores, groups, block): pairs, the fft gather of 64 on 16 cores (every
+# fourth core of the line, so the groups' view is not the line's), and P = 1
+EXCHANGES = [
+    (8, ((0, 2), (4, 6), (1, 3), (5, 7)), (4, 8, 4)),
+    (16, tuple(tuple(range(r, 16, 4)) for r in range(4)), (4, 4, 4)),
+    (1, ((0,),), (2, 4, 8)),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("listed", [False, True], ids=["stacked", "listed"])
+@pytest.mark.parametrize("split_axis", [0, 1, 2])
+@pytest.mark.parametrize("cores,groups,block", EXCHANGES, ids=["pairs", "gather", "one"])
+def test_kernel_slabs_join_to_the_exchanged_planes(monkeypatch, cores, groups, block,
+                                                   split_axis, listed, workers):
+    values = [rand_tensor(block, seed=40 + c) for c in range(cores)]
+    planes = stacked(values)
+    if listed:
+        planes = tuple(map(list, planes))
+    want = md.MeshSim(cores).all_to_all_groups(groups, planes, split_axis)
+    # two cores per slab, so a kernel sees several slabs and several cores
+    monkeypatch.setattr(mesh_module, "SLAB_BYTES", 2 * sum(p[0].nbytes for p in planes))
+    mesh = md.MeshSim(cores)
+    ids = np.arange(cores).reshape(mesh._check_groups(groups))
+    joined = tuple(np.full((cores,) + block, np.nan) for _ in planes)
+
+    def kernel(box, payload):
+        for out, p in zip(joined, payload):
+            assert p.shape[:3] == ids[box].shape
+            merged = p.reshape(p.shape[:4 + split_axis] + (-1,) + p.shape[6 + split_axis:])
+            out[ids[box].ravel()] = merged.reshape((-1,) + block)
+        return box
+
+    with mesh.cores(workers) as each:
+        boxes = mesh.all_to_all_groups(groups, planes, split_axis, "t", each, kernel)
+    # one call per slab of two cores, in core order
+    assert boxes == list(mesh_module._slabs(ids.shape, 1, 2))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(joined, want))
+    assert mesh.ledger.per_tag()["t"]["all_to_all_count"] == 1
+
+
 # -- per-core execution -------------------------------------------------------
 
 # a core of this many bytes fills a slab, so every slab holds one core
