@@ -3,13 +3,16 @@
 Stages 2 and 3 run here one at a time; stage 4 is computed on the host from
 its formula and checked against fft_forward, which runs every stage.
 
-Pipeline for N samples on P cores (M = N/P each):
+Pipeline for N samples on P cores (M = N/P each), Bailey's four-step FFT:
   1. every core holds a contiguous block of the input;
   2. one all_to_all regroups elements so core at line position i holds the
      decimated subsequence x[b::P] (with b the offset for that position);
-  3. each core does an in-order FFT of its M points, as matrix products;
-  4. a shift-by-one pass applies per-frequency phase columns and sums,
-     leaving core p with output rows [p*M, (p+1)*M).
+  3. each core does an in-order FFT of its M points, as matrix products, and
+     multiplies row r by the twiddle exp(-2j*pi*b*r/N) (the engine folds the
+     twiddles into the FFT's last stage, as exact table entries);
+  4. a shift-by-one ring makes the P-point DFT across the cores: core p adds
+     every payload times exp(-2j*pi*b*p/P), a 1x1 block of the ring kdft
+     runs, leaving it output rows [p*M, (p+1)*M).
 """
 
 import numpy as np
@@ -43,28 +46,29 @@ for pos, beta in enumerate(offsets):
     print(f"  position {pos}: x[{beta}::{parts}]")
 assert ok
 
-print("stage 3, local in-order FFT of each subsequence")
-local = [md.local_fft(g) for g in gathered]
+print("stage 3, local in-order FFT of each subsequence, times its twiddles")
+r = np.arange(m)
+twiddled = [np.exp(-2j * np.pi * beta * r / n) * md.local_fft(g).to_complex()
+            for g, beta in zip(gathered, offsets)]
 
-# stage 4 on the host, X_k = sum_b exp(-2j*pi*b*k/N) * F_b[k mod M], to
-# check the engine's phase ring, which runs stages 2-4 on a mesh of its own
-k = np.arange(n)
-phased = sum(
-    np.exp(-2j * np.pi * beta * k / n) * local[pos].to_complex()[k % m]
-    for pos, beta in enumerate(offsets)
-)
+# stage 4 on the host, X[p*M + r] = sum_b exp(-2j*pi*b*p/P) * twiddled_b[r],
+# to check the engine's ring, which runs stages 2-4 on a mesh of its own
+holders = np.arange(parts)[:, None]
+four_step = sum(
+    np.exp(-2j * np.pi * beta * holders / parts) * twiddled[pos] for pos, beta in enumerate(offsets)
+).reshape(n)
 engine_mesh = md.MeshSim(shape)
 plan = md.create_fft_plan(shape, (n,))
 combined = md.fft_forward(engine_mesh, plan, blocks)
 
-print("stage 4, phase combination; compare with numpy:")
+print("stage 4, P-point DFT across the cores; compare with numpy:")
 full = np.fft.fft(x.to_complex())
 for p in range(parts):
     got = combined[p].to_complex()
     diff = np.max(np.abs(got - full[p * m : (p + 1) * m]))
     print(f"  core {p} rows [{p * m}:{(p + 1) * m}] max diff {diff:.2e}")
     assert diff < 1e-12
-    assert np.max(np.abs(got - phased[p * m : (p + 1) * m])) < 1e-12
+    assert np.max(np.abs(got - four_step[p * m : (p + 1) * m])) < 1e-12
 out = md.gather_to_host(combined, assignment)
 assert np.max(np.abs(out.to_complex() - full)) < 1e-12
 

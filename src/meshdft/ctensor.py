@@ -264,16 +264,3 @@ def matmul_mixed(a, b, mode=PrecisionMode.F64_REFERENCE):
         raise ArgumentError(f"mode must be a PrecisionMode, got {mode!r}")
     return mode.product(mode.prepare(a), mode.prepare(b), np.matmul)
 
-
-def _complex_product(x_re, x_im, f_re, f_im, mode, out=(None, None)):
-    """Elementwise (broadcasting) complex product of planes prepared for ``mode``.
-
-    Returns the (re, im) planes, fresh or ``out``; each difference and sum is
-    taken in its first product's plane.
-    """
-    product, mul = mode.product, np.multiply
-    out_re = product(x_re, f_re, mul, out[0])
-    np.subtract(out_re, product(x_im, f_im, mul), out=out_re)
-    out_im = product(x_re, f_im, mul, out[1])
-    np.add(out_im, product(x_im, f_re, mul), out=out_im)
-    return out_re, out_im

@@ -1,18 +1,20 @@
-"""Log-linear parallel transform: decimate, local FFT, phase combination.
+"""Log-linear parallel transform: decimate, local FFT, P-point DFT across the cores.
 
-Writing the frequency index as k and the sample index as n = P*l + b, the
-transform factors into P independent M-point FFTs (M = N/P) over the
-decimated subsequences, recombined with per-frequency phase factors:
+Writing the sample index as n = P*l + b and the frequency index as
+k = p*M + r (M = N/P), the transform is Bailey's four-step FFT: P
+independent M-point FFTs F_b of the decimated subsequences, a twiddle, and
+a P-point DFT across the cores,
 
-    X_k = sum_b exp(-2j*pi*b*k/N) * F_b[k mod M]
+    X_{p*M + r} = sum_b w_P**(b*p) * (w_N**(b*r) * F_b[r]),   w_N = exp(-2j*pi/N)
 
 Per distributed dimension the engine does exactly one all_to_all (moving
-contiguous blocks into decimated subsequences), one local in-order FFT of
+contiguous blocks into decimated subsequences) and one local in-order FFT of
 matrix products, run as the all_to_all's kernel so that its one layout copy
-of the received planes is the exchange, and a shift-by-one phase
-combination costing P-1 permutes,
-run as one mesh ring; each ring step reads the phase factors of every core at
-once from the length-N unit-root table, so no plan holds per-core phase blocks.
+of the received planes is the exchange; its last stage's matrices carry the
+twiddles as exact table entries. The P-point DFT is the shift-by-one ring
+that kdft runs (:func:`meshdft.mesh._shift_ring`), with 1x1 blocks: P-1
+permutes, and each ring step reads the P coefficients w_N**(b*p*M) from the
+length-N unit-root table, so no plan holds per-core phase blocks.
 """
 
 from dataclasses import dataclass
@@ -21,10 +23,10 @@ import math
 
 import numpy as np
 
-from .ctensor import ComplexTensor, PrecisionMode, _check_finite, _complex_product
+from .ctensor import ComplexTensor, PrecisionMode, _check_finite
 from .decomposition import ComputationShape
 from .errors import ArgumentError, DimensionError, PlanError
-from .mesh import _check_blocks, _check_plan, _empty_stack, _entry, _stage
+from .mesh import _check_blocks, _check_plan, _entry, _shift_ring, _stage
 from .vandermonde import _unit_roots
 
 
@@ -33,17 +35,24 @@ def _is_pow2(n):
 
 
 @lru_cache(maxsize=64)
-def _stage_matrices(m, mode):
+def _stage_matrices(m, mode, parts=1):
     """The prepared re and im terms of one decimation-in-time stage of extent m.
 
     The stage takes the q-point transforms Y_j of the r subsequences x[j::r]
     to X[k1 + q*k2] = sum_j w**(j*(k1 + q*k2)) * Y_j[k1], w = exp(-2j*pi/m),
     as q matrices of r x r (r = 8, or m <= 8): entry (k2, j) of matrix k1 is
-    that power's table entry, twiddle included. The terms are read-only.
+    that power's table entry, twiddle included. For ``parts`` > 1 it is the
+    last stage of an fft dimension of n = m*parts points, one set per line
+    position, whose subsequence offset b (:func:`gather_positions`) brings
+    the four-step twiddle w_n**(b*k) of row k: entry (k2, j) times it is
+    w_n**((parts*j + b)*k), one entry of the length-n table, so folding it
+    in adds no rounding. The terms are read-only, (parts, q, r, r).
     """
-    r = min(m, 8)
+    n, r = m * parts, min(m, 8)
     k1, k2, j = np.ogrid[: m // r, :r, :r]
-    terms = tuple(mode.prepare(table[j * (k1 + m // r * k2) % m]) for table in _unit_roots(m))
+    b = np.asarray(gather_positions(parts, m)).reshape(-1, 1, 1, 1)
+    terms = tuple(mode.prepare(table[(parts * j + b) * (k1 + m // r * k2) % n])
+                  for table in _unit_roots(n))
     for term in terms[0] + terms[1]:
         term.flags.writeable = False
     return terms
@@ -80,35 +89,51 @@ def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE, batch=0):
     m = math.prod(tensor[0].shape[a] for a in axes)
     if not _is_pow2(m):
         raise DimensionError(f"extent {m} along axis {axis} is not a power of two")
-    dtype, product = mode.real_dtype, mode.product
     moved = [np.moveaxis(p, axes, range(batch, batch + len(axes))) for p in tensor]
     shape = moved[0].shape[:batch] + (m,) + moved[0].shape[batch + len(axes):]
-    b = math.prod(shape[:batch])
+    y = _local_fft(moved, (math.prod(shape[:batch]), m), mode)
+    return tuple(np.moveaxis(p.reshape(shape), batch, axis) for p in y)
+
+
+def _local_fft(moved, lead, mode, last=None, out=None):
+    """:func:`local_fft` of the (re, im) planes ``moved``, the batch axes leading and
+    then the transform's; they are read as ``lead`` = (batch axes..., m) and the rest.
+
+    ``last``, if given, replaces the last stage's :func:`_stage_matrices` with terms
+    that broadcast over ``lead``'s batch axes, and ``out`` is a pair of planes
+    shaped ``lead`` + (rest,) that takes the last stage's products. Returns the
+    result planes, shaped so, or ``out``.
+    """
+    dtype, product, m = mode.real_dtype, mode.product, lead[-1]
+    last, out = last or _stage_matrices(m, mode), out or (None, None)
     # the caller's planes are read where they already have this layout, and
     # otherwise moved and cast in one copy, which the first stage then reuses
     owned = m == 1 or not all(p.dtype == dtype and p.flags.c_contiguous for p in moved)
-    y = tuple((np.array(p, dtype, order="C") if owned else p).reshape(b, m, -1) for p in moved)
+    y = tuple((np.array(p, dtype, order="C") if owned else p).reshape(lead + (-1,)) for p in moved)
     del moved
     # 2, 4 or 8 points first, then 8 times more at each stage
     for extent in (m >> s for s in range(3 * ((m.bit_length() - 2) // 3), -1, -3)):
-        w_re, w_im = _stage_matrices(extent, mode)
-        q, r = w_re[0].shape[:2]
-        out = tuple(np.empty(y[0].shape, dtype) for _ in "ri")
+        w_re, w_im = last if extent == m else _stage_matrices(extent, mode)
+        q, r = w_re[0].shape[-3:-1]
+        outs = tuple(np.empty(y[0].shape, dtype) if extent < m or o is None else o for o in out)
         # matrix k1's row k2 lands at frequency k1 + q*k2 of the extent
-        dest = tuple(o.reshape(b, r, q, -1).transpose(0, 2, 1, 3) for o in out)
-        y_re = mode.prepare(y[0].reshape(b, q, r, -1))
+        dest = tuple(o.reshape(lead[:-1] + (r, q, -1)).swapaxes(-3, -2) for o in outs)
+        y_re = mode.prepare(y[0].reshape(lead[:-1] + (q, r, -1)))
         product(w_re, y_re, np.matmul, dest[0])
         product(w_im, y_re, np.matmul, dest[1])
         # spent re terms: the first takes the im products unless it is the caller's plane
-        scratch, y_im = y_re[0] if owned or len(y_re) > 1 else None, y[1].reshape(b, q, r, -1)
+        scratch = y_re[0] if owned or len(y_re) > 1 else None
+        y_im = y[1].reshape(lead[:-1] + (q, r, -1))
         del y, y_re
         y_im = mode.prepare(y_im)
         np.subtract(dest[0], product(w_im, y_im, np.matmul, scratch), out=dest[0])
         np.add(dest[1], product(w_re, y_im, np.matmul, scratch), out=dest[1])
-        y, owned = out, True
+        y, owned = outs, True
         del y_im, scratch
+    if out[0] is not None and y[0] is not out[0]:  # m = 1: no stage
+        y = tuple(np.copyto(o, p) or o for o, p in zip(out, y))
     _check_finite(*y)
-    return tuple(np.moveaxis(p.reshape(shape), batch, axis) for p in y)
+    return y
 
 
 def local_fft_flops(m, rest=1):
@@ -142,7 +167,7 @@ def _gather_groups(lines, parts, m):
 
 @dataclass(frozen=True)
 class FftPlan:
-    """Decimation layout for each dimension; phase factors come from a unit-root table."""
+    """Decimation layout per dimension; twiddles and coefficients come from a unit-root table."""
 
     shape: ComputationShape
     extents: tuple
@@ -169,83 +194,58 @@ def create_fft_plan(shape, extents, precision=PrecisionMode.F64_REFERENCE):
     return FftPlan(shape, extents, precision, beta_maps)
 
 
-def _unit_root_factors(n, parts, beta_map, axis, rank, mode):
-    """Each step's phase factors for one dimension: one read of the unit-root table.
+def _local_fft_kernel(view, axis, n, mode):
+    """The gather's kernel: a slab's twiddled local FFTs along ``axis``, as the ring's operand.
 
-    At ring step s the payload that started at position i, the FFT of the
-    subsequence of offset b = beta_map[i], sits at position p = (i - s) mod
-    parts, whose row r (frequency k = p*m + r) takes exp(-2j*pi*b*k/n), the
-    table's entry b*k mod n. A step's factors are prepared for the mode once
-    for every payload, as the terms of (re, im), each indexed ``[0, i, 0]``
-    and then the block's axes, as the ring views stacked planes.
+    Its one copy of the received planes is the exchange. Each core's last
+    stage applies the twiddles of its line position (:func:`_stage_matrices`)
+    and writes the operand of the ring's 1x1 blocks: ``axis`` leading, re|im
+    side by side, ``(..., 1, 2*m*rest)``, prepared for the mode at once (under
+    bf16split3 only the split terms outlive a slab). It is shaped as the slab
+    of the lines' ``view`` that holds the same cores, as the ring takes them:
+    for the powers of two an fft takes, every slab of any view of the core
+    axis is an aligned run of cores (:func:`meshdft.mesh._slabs`), the same
+    run in either view, so its line positions are one run too.
     """
-    # the table cast once; exponents mod n (a power of two) by a mask
-    table = tuple(t.astype(mode.real_dtype, copy=False) for t in _unit_roots(n))
-    bshape = tuple(-1 if a == axis else 1 for a in range(rank))
-    k = np.arange(n, dtype=np.int64).reshape((1, parts, 1) + bshape)
-    beta = np.asarray(beta_map, dtype=np.int64).reshape((1, parts, 1) + (1,) * rank)
-    # b*k mod n at step 0; position p - s holds frequency k - s*m = k + (P-s)*m (mod n)
-    beta_k = beta * k & (n - 1)
-
-    def factors(step):
-        exponents = beta_k + beta * ((parts - step) * (n // parts))
-        exponents &= n - 1
-        return tuple(mode.prepare(t.take(exponents)) for t in table)
-
-    return factors
-
-
-def _local_fft_kernel(view, axis, mode):
-    """The gather's kernel: a slab's local FFTs along ``axis``, prepared for the mode
-    at once (under bf16split3 only the split terms outlive a slab).
-
-    Its one copy of the received planes is the exchange. The results are
-    shaped as the slab of the lines' ``view`` that holds the same cores, as
-    the phase ring takes them: for the powers of two an fft takes, every
-    slab of any view of the core axis is an aligned run of cores
-    (:func:`meshdft.mesh._slabs`), the same run in either view.
-    """
-    _, n, inner = view
+    outer, parts, inner = view
+    m, dtype = n // parts, mode.real_dtype
+    stride, last = _stride(parts, m), _stage_matrices(m, mode, parts)
+    # the view of the gather's groups (:meth:`MeshSim._check_groups`), single cores if m = 1
+    gather = (outer, parts // stride, stride * inner) if m > 1 else (outer * parts * inner, 1, 1)
 
     def kernel(box, payload):
         cores = math.prod(s.stop - s.start for s in box)
-        lines_box = (max(1, cores // (n * inner)), min(n, max(1, cores // inner)), min(inner, cores))
-        y = local_fft(payload, (3 + axis, 4 + axis), mode, 3)
-        return tuple(mode.prepare(p.reshape(lines_box + p.shape[3:])) for p in y)
+        lines_box = (max(1, cores // (parts * inner)), min(parts, max(1, cores // inner)),
+                     min(inner, cores))
+        pos = np.ravel_multi_index(tuple(s.start for s in box), gather) // inner % parts
+        terms = tuple(tuple(t[pos:pos + lines_box[1], None] for t in plane) for plane in last)
+        x = np.empty(lines_box + (2, m, payload[0].size // (cores * m)), dtype)
+        moved = [np.moveaxis(p, (3 + axis, 4 + axis), (3, 4)) for p in payload]
+        _local_fft(moved, lines_box + (m,), mode, terms, (x[..., 0, :, :], x[..., 1, :, :]))
+        return mode.prepare(x.reshape(lines_box + (1, -1)))
 
     return kernel
 
 
-def _phase_ring(mesh, each, held, lines, view, axis, factors, mode, tag, core_bytes):
-    """The shift-by-one phase combination on every core, as one mesh ring.
+def _ring_coefficients(n, parts, beta_map, mode):
+    """Each ring step's 1x1 blocks for one dimension: a P-point DFT across the line.
 
-    ``held`` has each slab's subsequence FFTs, prepared for the mode. At each
-    step a slab multiplies its payloads by the phase factors of the positions
-    holding them, in one product, added into those positions' sums in ring
-    order. A non-finite partial sum stays non-finite, so one scan of each sum
-    at the last step catches any overflow. Returns the sums as stacked planes.
+    At step s the payload that started at position i, the twiddled FFT of the
+    subsequence of offset b = beta_map[i], sits at position p = (i - s) mod
+    parts, whose row r (frequency k = p*m + r) takes w_n**(b*k); the twiddle
+    w_n**(b*r) is in its local FFT, and the rest, w_n**(b*p*m), is the table's
+    entry m*(b*p mod parts). A step's P coefficients are prepared for the
+    mode, as the (re terms, im terms) of ``(P, 1, 1)`` blocks indexed by i.
     """
-    block = held[0][0][0].shape[3:]
-    out = tuple(_empty_stack(mesh.num_cores, block, axis, mode.real_dtype) for _ in "ri")
-    sums = tuple(o.reshape(view + block) for o in out)
-    last = view[1] - 1
+    # every m-th entry, cast once: the length-parts table
+    table = tuple(t[::n // parts].astype(mode.real_dtype) for t in _unit_roots(n))
+    beta, start = np.asarray(beta_map, dtype=np.int64), np.arange(parts)
 
-    def kernel(step, box, x, moves, table):
-        f_re, f_im = (tuple(t[:, box[1]] for t in terms) for terms in table)
-        if step == 0:
-            _complex_product(*x, f_re, f_im, mode, out=tuple(s[box] for s in sums))
-        else:
-            term = _complex_product(*x, f_re, f_im, mode)
-            for src, dst in moves:
-                for s, t in zip(sums, term):
-                    np.add(s[dst], t[:, src], out=s[dst])
-        if step == last:
-            for _, dst in moves:
-                _check_finite(*(s[dst] for s in sums))
+    def coefficients(step):
+        exponents = beta * ((start - step) % parts) % parts
+        return tuple(mode.prepare(t[exponents].reshape(-1, 1, 1)) for t in table)
 
-    mesh.ring(each, lines, held, core_bytes, kernel, last, tag, factors)
-    mesh.ledger.add_flops("einsum", 4 * out[0].size * view[1], tag)
-    return out
+    return coefficients
 
 
 def fft_forward(mesh, plan, blocks, workers=1):
@@ -255,8 +255,7 @@ def fft_forward(mesh, plan, blocks, workers=1):
     frequency rows [p*N/P, (p+1)*N/P) along each distributed dimension.
     """
     _check_blocks(mesh, plan, blocks)
-    mode, num = plan.precision, mesh.num_cores
-    core_bytes = 2 * mode.real_dtype.itemsize * blocks[0].size
+    mode, num, block = plan.precision, mesh.num_cores, blocks[0].shape
     with mesh.cores(workers) as each:
         xs = _entry(each, blocks, mode)
         for d in range(plan.rank):
@@ -265,9 +264,9 @@ def fft_forward(mesh, plan, blocks, workers=1):
             view = mesh._check_groups(lines)
             with _stage("local FFT", d, mode):
                 xs = mesh.all_to_all_groups(_gather_groups(lines, parts, m), xs, d, tag, each,
-                                            _local_fft_kernel(view, d, mode))
+                                            _local_fft_kernel(view, d, n, mode))
             mesh.ledger.add_flops("local_fft", local_fft_flops(m, num * blocks[0].size // m), tag)
-            factors = _unit_root_factors(n, parts, plan.beta_maps[d], d, plan.rank, mode)
+            coefficients = _ring_coefficients(n, parts, plan.beta_maps[d], mode)
             with _stage("phase ring", d, mode):
-                xs = _phase_ring(mesh, each, xs, lines, view, d, factors, mode, tag, core_bytes)
+                xs = _shift_ring(mesh, each, lines, xs, coefficients, block, d, mode, tag)
     return [ComplexTensor._own(re, im) for re, im in zip(*xs)]

@@ -6,18 +6,20 @@ contract the column block matching the payload currently held, pass the
 payload one step around the ring, repeat until every column block has been
 applied. P cores need exactly P-1 permutes per dimension and never hold
 more than one remote block at a time. A dimension's whole schedule is one
-mesh ring, whose kernel makes one batched matrix product per slab of cores
-and step: every core of the slab applies a same-shaped block.
+mesh ring (:func:`meshdft.mesh._shift_ring`, which fft's P-point DFT across
+cores shares), whose kernel makes one batched matrix product per slab of
+cores, step and matrix plane: every core of the slab applies a same-shaped
+block.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ctensor import ComplexTensor, PrecisionMode, _check_finite
+from .ctensor import ComplexTensor, PrecisionMode
 from .decomposition import ComputationShape
 from .errors import UnsupportedOperationError
-from .mesh import _check_blocks, _check_plan, _empty_stack, _entry, _stage
+from .mesh import _check_blocks, _check_plan, _entry, _shift_ring, _stage
 from .vandermonde import SamplePoints, column_blocks
 
 
@@ -89,56 +91,14 @@ def create_kdft_plan(shape, samples_per_dim, precision=PrecisionMode.F64_REFEREN
     return KdftPlan(shape, extents, samples, precision, ring_blocks)
 
 
-def _shift_ring(mesh, each, xs, lines, ring_blocks, axis, mode, tag, core_bytes):
-    """The shift-by-one schedule for one dimension on every core, as one mesh ring.
-
-    Core c sits at position i of one of the rings ``lines`` (grid lines, their
-    cores in position order); ``ring_blocks`` are the dimension's plan blocks
-    (:class:`KdftPlan`). Each slab prepares its payloads once, moved so that
-    ``axis`` leads and with re|im side by side, ``(..., k, 2*rest)``. At step
-    s position i holds the payload that started at i + s: the slab applies
-    step s's blocks of its payloads' start positions in one batched product
-    per matrix plane (``m_re @ x`` gives ``rr|ri``, ``m_im @ x`` gives
-    ``ir|ii``) and adds the results into the holders' sums. A non-finite
-    partial sum stays non-finite, so one scan of each sum at the last step
-    catches any overflow. Returns the sums as stacked planes.
-    """
-    num, block = mesh.num_cores, xs[0][0].shape
-    view = mesh._check_groups(lines)
-    ids, parts, rest = np.arange(num).reshape(view), view[1], block[:axis] + block[axis + 1:]
-    out = tuple(_empty_stack(num, block, axis, mode.real_dtype) for _ in "ri")
-    sums = tuple(o.reshape(view + block) for o in out)
-
-    def operand(box):
-        cores = ids[box]
-        x = np.empty((cores.size, block[axis], 2) + rest, mode.real_dtype)
-        for i, c in enumerate(cores.ravel().tolist()):
-            np.stack([np.moveaxis(p[c], axis, 0) for p in xs], axis=1, out=x[i])
-        return mode.prepare(x.reshape(cores.shape + (block[axis], -1)))
-
-    def kernel(step, box, x, moves, _):
-        r_x, i_x = (mode.product(tuple(t[step, box[1], None] for t in terms), x, np.matmul)
-                    for terms in ring_blocks)
-        half = r_x.shape[-1] // 2
-        # rr - ii and ri + ir, in the planes of rr and ri
-        np.subtract(r_x[..., :half], i_x[..., half:], out=r_x[..., :half])
-        np.add(r_x[..., half:], i_x[..., :half], out=r_x[..., half:])
-        terms = (np.moveaxis(r_x[..., p:p + half].reshape(r_x.shape[:4] + rest), 3, 3 + axis)
-                 for p in (0, half))
-        for s, t in zip(sums, terms):
-            for src, dst in moves:
-                if step:
-                    np.add(s[dst], t[:, src], out=s[dst])
-                else:
-                    np.copyto(s[dst], t[:, src])
-        if step == parts - 1:
-            for _, dst in moves:
-                _check_finite(*(s[dst] for s in sums))
-
-    mesh.ring(each, lines, each(operand, view, core_bytes), core_bytes, kernel, parts - 1, tag)
-    # a square block per payload and step
-    mesh.ledger.add_flops("einsum", 4 * block[axis] * out[0].size * parts, tag)
-    return out
+def _operand(box, xs, axis, view, mode):
+    """A slab's ring operand (:func:`meshdft.mesh._shift_ring`): its cores' payloads,
+    prepared once, moved so that ``axis`` leads and with re|im side by side."""
+    cores, block = np.arange(len(xs[0])).reshape(view)[box], xs[0][0].shape
+    x = np.empty((cores.size, block[axis], 2) + block[:axis] + block[axis + 1:], mode.real_dtype)
+    for i, c in enumerate(cores.ravel().tolist()):
+        np.stack([np.moveaxis(p[c], axis, 0) for p in xs], axis=1, out=x[i])
+    return mode.prepare(x.reshape(cores.shape + (block[axis], -1)))
 
 
 def _trace_records(xs, lines, parts):
@@ -167,15 +127,18 @@ def kdft_forward(mesh, plan, blocks, workers=1, trace=None):
     None at the last step.
     """
     _check_blocks(mesh, plan, blocks)
-    mode = plan.precision
+    mode, block = plan.precision, blocks[0].shape
     core_bytes = 2 * mode.real_dtype.itemsize * blocks[0].size
     with mesh.cores(workers) as each:
         xs = _entry(each, blocks, mode)
         for d in range(plan.rank):
-            lines, parts = plan.shape.lines(d), plan.shape.dims[d]
+            lines, parts, terms = plan.shape.lines(d), plan.shape.dims[d], plan.ring_blocks[d]
+            view = mesh._check_groups(lines)
             with _stage("shift ring", d, mode):
-                ys = _shift_ring(mesh, each, xs, lines, plan.ring_blocks[d], d, mode,
-                                 f"dim{d + 1}", core_bytes)
+                held = each(lambda box: _operand(box, xs, d, view, mode), view, core_bytes)
+                ys = _shift_ring(mesh, each, lines, held,
+                                 lambda s: [[t[s] for t in plane] for plane in terms],
+                                 block, d, mode, f"dim{d + 1}")
             if trace is not None:
                 trace.extend(_trace_records(xs, lines, parts))
             xs = ys

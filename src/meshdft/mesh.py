@@ -30,6 +30,7 @@ import ctypes
 from functools import lru_cache
 import glob
 import itertools
+import math
 import os
 
 import numpy as np
@@ -409,3 +410,52 @@ class MeshSim:
         if kernel is not None:
             return results
         return tuple(r.reshape((self.num_cores,) + block) for r in received)
+
+
+def _shift_ring(mesh, each, lines, held, blocks, block, axis, mode, tag):
+    """Both engines' shift-by-one schedule of one dimension, as one :meth:`MeshSim.ring`.
+
+    ``lines`` are the rings (grid lines, cores in position order). ``held`` is
+    each slab's payloads, ``each`` over the lines' view, prepared once, with
+    ``axis`` leading and re|im side by side: ``(..., w, 2*rest)``, or for 1x1
+    blocks ``(..., 1, 2*k*rest)``. At step s position i holds the payload
+    that started at i + s, to which the holder applies entry i of step s's
+    ``(P, w, w)`` blocks, ``blocks(s)``'s prepared (re terms, im terms):
+    kdft's column blocks, or fft's 1x1 coefficients. A slab makes one
+    product per matrix plane (``m_re @ x`` gives ``rr|ri``, ``m_im @ x``
+    gives ``ir|ii``; ``np.multiply`` for 1x1 blocks, which rounds the same)
+    and adds the results into the holders' sums. A non-finite partial sum
+    stays non-finite, so one scan of each sum at the last step catches any
+    overflow. Returns the sums, stacked planes of ``block``.
+    """
+    num, core_bytes = mesh.num_cores, 2 * mode.real_dtype.itemsize * math.prod(block)
+    w = held[0][0].shape[-2]  # the blocks' size: the operand's rows
+    view = mesh._check_groups(lines)
+    # a core's block with ``axis`` leading, as the operand holds it
+    parts, moved = view[1], block[axis:axis + 1] + block[:axis] + block[axis + 1:]
+    out = tuple(_empty_stack(num, block, axis, mode.real_dtype) for _ in "ri")
+    # the holders' sums, viewed with ``axis`` leading as in the operand
+    sums = tuple(np.moveaxis(o.reshape(view + block), 3 + axis, 3) for o in out)
+    op = np.multiply if w == 1 else np.matmul
+
+    def kernel(step, box, x, moves, terms):
+        r_x, i_x = (mode.product(tuple(t[box[1], None] for t in plane), x, op) for plane in terms)
+        half = r_x.shape[-1] // 2
+        # rr - ii and ri + ir, in the planes of rr and ri
+        np.subtract(r_x[..., :half], i_x[..., half:], out=r_x[..., :half])
+        np.add(r_x[..., half:], i_x[..., :half], out=r_x[..., half:])
+        results = (r_x[..., p:p + half].reshape(r_x.shape[:3] + moved) for p in (0, half))
+        for s, t in zip(sums, results):
+            for src, dst in moves:
+                if step:
+                    np.add(s[dst], t[:, src], out=s[dst])
+                else:
+                    np.copyto(s[dst], t[:, src])
+        if step == parts - 1:
+            for _, dst in moves:
+                _check_finite(*(s[dst] for s in sums))
+
+    mesh.ring(each, lines, held, core_bytes, kernel, parts - 1, tag, blocks)
+    # a w x w block per payload, output row and step
+    mesh.ledger.add_flops("einsum", 4 * w * out[0].size * parts, tag)
+    return out

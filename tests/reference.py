@@ -4,9 +4,16 @@
   through the 16-bit pattern, the formula ``meshdft.bf16_array`` replaced.
 - ``Bf16Value`` and ``bf16_split``: one float and its three-term split,
   a value at a time.
-- ``build_phase_slice`` and ``scale_along_axis``: a core's block of the fft
-  engine's phase factors and the per-core product with one of its columns,
-  the step kernel the engine's phase ring replaced.
+- ``build_phase_slice``: core p's block of the fft engine's phase factors
+  w_N**(b*k) for its frequencies k = p*m + r and every subsequence offset b.
+  The engine runs each as Bailey's four steps: a twiddle w_N**(b*r), folded
+  into the last stage of the local FFT (``twiddled_local_fft`` runs it on one
+  core), then a coefficient w_N**(b*p*m), row 0 of the block, as a 1x1 block
+  of the ring that makes the P-point DFT across the cores.
+- ``complex_product`` and ``scale_along_axis``: the elementwise complex
+  product, with a scalar as the fft ring's step kernel on one core, and the
+  per-core product with a factor column, the step kernel of the fft's
+  earlier phase ring.
 - ``build_nonuniform``: the whole n x n transform matrix of explicit points,
   of which the kdft plan builds only each core's row slice.
 - ``contract``: a complex matrix applied along one axis of a tensor, both
@@ -19,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 import meshdft as md
-from meshdft.ctensor import ComplexTensor, PrecisionMode, _complex_product, bf16_array
+from meshdft.ctensor import ComplexTensor, PrecisionMode, bf16_array
 from meshdft.errors import ArgumentError, DimensionError
+from meshdft.fft import _local_fft, _stage_matrices
 from meshdft.vandermonde import SamplePoints, _nonuniform_rows, _unit_roots
 
 _BF16_MAX_BITS = np.uint32(0x7F7F)  # largest finite magnitude, 3.3895314e38
@@ -115,6 +123,32 @@ def build_phase_slice(n, parts, part_index):
     return ComplexTensor(cos[exponents], neg_sin[exponents])
 
 
+def twiddled_local_fft(tensor, axis, parts, pos, mode=PrecisionMode.F64_REFERENCE):
+    """The local FFT of the core at line position ``pos`` of an fft dimension on
+    ``parts`` cores, its subsequence's twiddles folded into the last stage."""
+    m = tensor.shape[axis]
+    last = tuple(tuple(t[pos:pos + 1] for t in plane) for plane in _stage_matrices(m, mode, parts))
+    moved = [np.moveaxis(p, axis, 0) for p in (tensor.re, tensor.im)]
+    y = _local_fft(moved, (1, m), mode, last)
+    return ComplexTensor._own(*(np.moveaxis(p.reshape(moved[0].shape), 0, axis) for p in y))
+
+
+def complex_product(a_re, a_im, b_re, b_im, mode):
+    """Elementwise (broadcasting) complex product a*b of planes prepared for ``mode``.
+
+    Returns fresh (re, im) planes; each difference and sum is taken in its
+    first product's plane. Each real product takes its ``a`` plane first,
+    which fixes the order of bf16split3's partial products: the engines' ring
+    applies its blocks as ``a``.
+    """
+    product, mul = mode.product, np.multiply
+    out_re = product(a_re, b_re, mul)
+    np.subtract(out_re, product(a_im, b_im, mul), out=out_re)
+    out_im = product(a_re, b_im, mul)
+    np.add(out_im, product(a_im, b_re, mul), out=out_im)
+    return out_re, out_im
+
+
 def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
     """Multiply elementwise by a rank-1 complex factor vector along ``axis``."""
     if not isinstance(tensor, ComplexTensor) or not isinstance(factors, ComplexTensor):
@@ -135,7 +169,7 @@ def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
     f_im = mode.prepare(factors.im.reshape(bshape))
     x_re = mode.prepare(tensor.re)
     x_im = mode.prepare(tensor.im)
-    return ComplexTensor._own_checked(*_complex_product(x_re, x_im, f_re, f_im, mode))
+    return ComplexTensor._own_checked(*complex_product(x_re, x_im, f_re, f_im, mode))
 
 
 def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):

@@ -1,0 +1,35 @@
+"""``tools/digest.py``, the per-case digest of engine bits and ledgers, at a tiny size."""
+
+from collections import defaultdict
+import importlib.util
+import os
+import re
+
+from meshdft import mesh as mesh_module
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location("digest", os.path.join(ROOT, "tools", "digest.py"))
+digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digest)
+
+
+def test_digest_hashes_every_case_once(capsys):
+    slab_bytes = mesh_module.SLAB_BYTES
+    digest.main(digest.TINY_LAYOUTS)
+    lines = capsys.readouterr().out.splitlines()
+    assert mesh_module.SLAB_BYTES == slab_bytes
+    names, hashes = zip(*(line.split() for line in lines))
+    assert len(set(names)) == len(names) == 4 * 3 * 2 * 2 * len(digest.TINY_LAYOUTS) + 1
+    assert names[-1] == "all"
+    assert all(re.fullmatch(r"[0-9a-f]{64}", h) for h in hashes)
+    # the same run gives the same lines
+    digest.main(digest.TINY_LAYOUTS)
+    assert capsys.readouterr().out.splitlines() == lines
+    # criterion 8: neither workers nor the slabbing changes a case's bits or
+    # ledgers, while each engine, precision and layout has its own
+    variants = defaultdict(set)
+    for name, h in zip(names[:-1], hashes[:-1]):
+        engine, mode, _, _, layout = name.split("/")
+        variants[engine, mode, layout].add(h)
+    assert all(len(v) == 1 for v in variants.values())
+    assert len({h for v in variants.values() for h in v}) == len(variants)

@@ -13,6 +13,7 @@ from meshdft.fft import local_fft_flops
 from helpers import (
     BF16, F32, F64, counting_split3, from_complex, rand_tensor, run_fft, run_kdft, err_vs
 )
+from reference import twiddled_local_fft
 
 
 def cvec(values):
@@ -297,6 +298,35 @@ def test_local_fft_accuracy_against_extended_direct_dft(mode, axis, m):
     assert err <= unit * max(1, math.log2(m)) * norm
 
 
+@pytest.mark.parametrize("mode", [F64, F32, BF16], ids=lambda m: m.value)
+@pytest.mark.parametrize("m", [1, 2, 8, 64, 512])
+def test_twiddled_local_fft_is_local_fft_times_twiddle(mode, m):
+    # the last stage takes the twiddles w_N**(b*r) of its position's offset b
+    # into its table entries: within the local FFT's own bound of the plain
+    # transform times the exact twiddle (both are within it of the exact
+    # value), and at b = 0 the plain transform's bits
+    x = rand_tensor((m, 3), seed=m + 1)
+    plain = md.local_fft(x, 0, mode)
+    exact = tuple(p.astype(np.longdouble) for p in (plain.re, plain.im))
+    unit = 2.0 ** -53 if mode is F64 else 2.0 ** -24
+    for parts in (4, 16, 64):
+        offsets = md.gather_positions(parts, m)
+        for pos in sorted({0, 1, parts // 2 + 1, parts - 1}):
+            got = twiddled_local_fft(x, 0, parts, pos, mode)
+            assert got.dtype == mode.real_dtype and got.shape == x.shape
+            if offsets[pos] == 0:
+                assert got.re.tobytes() == plain.re.tobytes()
+                assert got.im.tobytes() == plain.im.tobytes()
+            angle = (8 * np.arctan(np.longdouble(1)) * offsets[pos] / (m * parts)
+                     * np.arange(m, dtype=np.longdouble))[:, None]
+            cos, sin = np.cos(angle), np.sin(angle)
+            want_re = exact[0] * cos + exact[1] * sin
+            want_im = exact[1] * cos - exact[0] * sin
+            err = np.sqrt(np.sum((got.re - want_re) ** 2 + (got.im - want_im) ** 2))
+            norm = np.sqrt(np.sum(want_re ** 2 + want_im ** 2))
+            assert err <= 2 * unit * max(1, math.log2(m)) * norm
+
+
 def _local_fft_copy_per_stage(tensor, axis, mode):
     """Out-of-place radix-2 butterflies on a bit-reversed copy: an independent reference."""
     m = tensor.shape[axis]
@@ -428,19 +458,16 @@ def test_bf16_forward_splits_each_payload_plane_once_per_ring(monkeypatch):
     fft._stage_matrices.cache_clear()
     splits = counting_split3(monkeypatch)
     md.fft_forward(md.MeshSim(shape), plan, blocks)
-    # the 8 cores' (8, 8) payloads fit one slab, whose two planes are split
-    # once per dimension's ring, stacked in the ring's (outer, n, inner)
-    # view. Then come one ring step's phase factors for all positions,
-    # (1, n, 1) and the block's axes
-    ring = [s for s in splits if len(s) == 5]
-    payload = [s for s in ring if s[-2:] == (8, 8)]
-    assert payload == [(1, 4, 2, 8, 8)] * 2 + [(4, 2, 1, 8, 8)] * 2
-    assert sorted(set(ring) - set(payload)) == [(1, 2, 1, 1, 8), (1, 4, 1, 8, 1)]
-    assert len(ring) == len(payload) + 2 * (4 + 2)
-    # each dimension's 8-point local FFTs are one product per slab: its two
-    # planes split as (cores, q, r, columns), and the 8 x 8 matrix split once
-    local = [s for s in splits if len(s) < 5]
-    assert local == [(1, 8, 8)] * 2 + [(8, 1, 8, 8)] * 4
+    # the 8 cores' (8, 8) payloads fit one slab. Per dimension: the 8-point
+    # FFT's matrices, with each line position's twiddles, are split once;
+    # its two data planes once, stacked as the lines' (outer, n, inner) view,
+    # then (q, r, columns); the ring's re|im operand once, (..., 1, 2*8*8);
+    # and each ring step's P coefficients once per plane
+    per_dim = [
+        [(parts, 1, 8, 8)] * 2 + [view + (1, 8, 8)] * 2 + [view + (1, 128)] + [(parts, 1, 1)] * 2 * parts
+        for parts, view in ((4, (1, 4, 2)), (2, (4, 2, 1)))
+    ]
+    assert splits == per_dim[0] + per_dim[1]
 
 
 def test_ledger_after_a_failed_run():

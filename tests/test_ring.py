@@ -3,12 +3,15 @@
 The references below run each engine on lists of per-core tensors, with one
 Python loop over the cores of every grid line at every ring step, and keep
 their own :class:`CommLedger`; they call neither ``MeshSim.ring`` nor
-``each``. Each step's kernel is the earlier per-core one:
-``scale_along_axis`` on a column of the core's ``build_phase_slice`` block,
-or one ``contract`` that prepares both operands again. The engines must give
-the same bits, the same ledger and the same per-tag ledger.
+``each``. Each step's kernel is a per-core one: fft's ``complex_product`` of
+the payload with its coefficient, row 0 of a column of the holder's
+``build_phase_slice`` block (each core's local FFT having applied the rest
+of the column, its twiddles), or one ``contract`` that prepares both
+operands again. The engines must give the same bits, the same ledger and the
+same per-tag ledger.
 """
 
+import itertools
 import math
 import os
 import sys
@@ -24,7 +27,7 @@ from meshdft.fft import local_fft_flops
 from meshdft.mesh import CommLedger
 from meshdft.vandermonde import column_blocks
 from helpers import BF16, F32, F64, rand_tensor
-from reference import build_phase_slice, contract, scale_along_axis
+from reference import build_phase_slice, complex_product, contract, twiddled_local_fft
 
 MODES = [F64, F32, BF16]
 
@@ -58,15 +61,20 @@ def _gather_reference(ledger, xs, lines, axis, parts, m, tag):
 
 
 def fft_forward_reference(plan, blocks):
-    """``fft_forward`` as per-core loops; returns (blocks, ledger)."""
+    """``fft_forward`` as per-core loops, in four steps per dimension: the gather,
+    each core's local FFT with its twiddles, then the P-point DFT across each
+    line as a ring of constant coefficient columns. Returns (blocks, ledger)."""
     mode, ledger = plan.precision, CommLedger()
     xs = [b.astype(mode.real_dtype) for b in blocks]
     for d in range(plan.rank):
         n, parts = plan.extents[d], plan.shape.dims[d]
         m, lines, tag = n // parts, plan.shape.lines(d), f"dim{d + 1}"
         xs = _gather_reference(ledger, xs, lines, d, parts, m, tag)
-        xs = [md.local_fft(x, axis=d, mode=mode) for x in xs]
+        for line in lines:
+            for pos, core in enumerate(line):
+                xs[core] = twiddled_local_fft(xs[core], d, parts, pos, mode)
         ledger.add_flops("local_fft", sum(local_fft_flops(m, x.size // m) for x in xs), tag)
+        # row 0 of a phase slice, w_N**(b*p*m), is what the twiddle leaves
         phase = [build_phase_slice(n, parts, pos) for pos in range(parts)]
         sums = [None] * len(xs)
         for step in range(parts):
@@ -75,9 +83,11 @@ def fft_forward_reference(plan, blocks):
             for line in lines:
                 for pos, core in enumerate(line):
                     # this position holds the payload that started step positions on
-                    b = plan.beta_maps[d][(pos + step) % parts]
-                    col = md.ComplexTensor(phase[pos].re[:, b], phase[pos].im[:, b])
-                    term = scale_along_axis(xs[line[(pos + step) % parts]], d, col, mode)
+                    b, x = plan.beta_maps[d][(pos + step) % parts], xs[line[(pos + step) % parts]]
+                    # the ring's 1x1 block, the coefficient, is the first operand
+                    c = (mode.prepare(np.asarray(p[0, b])) for p in (phase[pos].re, phase[pos].im))
+                    term = md.ComplexTensor._own_checked(*complex_product(
+                        *c, *(mode.prepare(p) for p in (x.re, x.im)), mode))
                     sums[core] = term if sums[core] is None else sums[core] + term
         ledger.add_flops("einsum", sum(4 * x.size * parts for x in xs), tag)
         xs = sums
@@ -153,13 +163,18 @@ def test_kdft_ring_matches_per_core_loop(extents, grid, mode, workers, inverse):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("extents,grid", [((16,), (8, 1, 1)), ((8, 8, 8), (2, 2, 2))])
+@pytest.mark.parametrize("extents,grid", [
+    ((16,), (8, 1, 1)), ((8, 8, 8), (2, 2, 2)), ((16, 4, 8), (8, 1, 2)),
+])
 def test_rings_match_per_core_loops_with_one_core_per_slab(monkeypatch, extents, grid, workers):
-    # slabs of one core each, so that a ring step writes across slabs
-    monkeypatch.setattr(mesh_module, "SLAB_BYTES", 1)
+    # slabs of one, two and four cores, so that a ring step writes across
+    # slabs and a slab of the fft gather's view (on 8x1x2 for m < P, other
+    # than the lines' view) finds its cores' line positions
     shape = md.ComputationShape(*grid)
     blocks, _ = md.decompose(rand_tensor(extents, seed=7), shape)
-    for mode in MODES:
+    for mode, cores in itertools.product(MODES, (1, 2, 4)):
+        core_bytes = 2 * mode.real_dtype.itemsize * blocks[0].size
+        monkeypatch.setattr(mesh_module, "SLAB_BYTES", cores * core_bytes)
         plan = md.create_fft_plan(shape, extents, mode)
         mesh = md.MeshSim(shape)
         out = md.fft_forward(mesh, plan, blocks, workers=workers)
@@ -170,55 +185,46 @@ def test_rings_match_per_core_loops_with_one_core_per_slab(monkeypatch, extents,
         assert_same_run(out, mesh, *kdft_reference(plan, blocks, conjugate=False))
 
 
-def test_phase_ring_makes_one_product_per_step(monkeypatch):
-    # 4096 points on 64 cores fit one slab: one product per ring step, not
-    # one per core and step
-    calls = []
-    product = fft._complex_product
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return product(*args, **kwargs)
-
-    monkeypatch.setattr(fft, "_complex_product", counted)
-    shape = md.ComputationShape(64, 1, 1)
-    plan = md.create_fft_plan(shape, (4096,), F32)
-    blocks, _ = md.decompose(rand_tensor((4096,), seed=9), shape)
-    md.fft_forward(md.MeshSim(shape), plan, blocks, workers=1)
-    assert len(calls) == 64
-
-
-def test_shift_ring_makes_one_product_per_matrix_plane_and_step(monkeypatch):
-    # 1024 points on 64 cores fit one slab: two batched products (m_re and
-    # m_im) per ring step, not two per core and step; 1024 points rather
-    # than 4096 keep the plan at 8 MiB in f32
+@pytest.mark.parametrize("engine,n,op", [("kdft", 1024, np.matmul), ("fft", 4096, np.multiply)],
+                         ids=["kdft", "fft"])
+def test_shift_ring_makes_one_product_per_matrix_plane_and_step(monkeypatch, engine, n, op):
+    # n points on 64 cores fit one slab: two batched products (the blocks'
+    # re and im planes) per ring step, not two per core and step. kdft's
+    # 1024 points keep its plan at 8 MiB in f32; fft's 1x1 blocks multiply,
+    # and its local FFT's stages are matrix products
     calls = []
     product = md.PrecisionMode.product
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return product(self, *args, **kwargs)
+    def counted(self, a, b, how, out=None):
+        calls.append(how)
+        return product(self, a, b, how, out)
 
     shape = md.ComputationShape(64, 1, 1)
-    plan = md.create_kdft_plan(shape, (1024,), F32)
-    blocks, _ = md.decompose(rand_tensor((1024,), seed=9), shape)
+    create, forward = {"kdft": (md.create_kdft_plan, md.kdft_forward),
+                       "fft": (md.create_fft_plan, md.fft_forward)}[engine]
+    plan = create(shape, (n,), F32)
+    blocks, _ = md.decompose(rand_tensor((n,), seed=9), shape)
     monkeypatch.setattr(md.PrecisionMode, "product", counted)
-    md.kdft_forward(md.MeshSim(shape), plan, blocks, workers=1)
-    assert len(calls) == 2 * 64
+    forward(md.MeshSim(shape), plan, blocks, workers=1)
+    assert calls.count(op) == 2 * 64
 
 
-@pytest.mark.parametrize("n,parts", [(64, 1), (64, 8), (64, 64), (4096, 64), (65536, 16)])
+@pytest.mark.parametrize("n,parts", [
+    (64, 1), (64, 8), (64, 64), (4096, 64), (65536, 16), (1024, 256),
+])
 def test_unit_root_table_equals_build_phase_slice(n, parts):
-    # at step s the payload that started at position i sits at (i - s) mod P
+    # at step s the payload that started at position i sits at (i - s) mod P,
+    # whose row r takes w_N**(b*(p*m + r)): the twiddle w_N**(b*r) is in the
+    # local FFT, and the ring's coefficient is row 0 of the phase slice
     beta_map = fft.gather_positions(parts, n // parts)
-    factors = fft._unit_root_factors(n, parts, beta_map, 0, 1, F64)
+    coefficients = fft._ring_coefficients(n, parts, beta_map, F64)
     slices = [build_phase_slice(n, parts, p) for p in range(parts)]
     for step in range(parts):
-        (f_re,), (f_im,) = factors(step)
-        for i in range(parts):
-            pos, b = (i - step) % parts, beta_map[i]
-            assert np.array_equal(f_re[0, i, 0], slices[pos].re[:, b])
-            assert np.array_equal(f_im[0, i, 0], slices[pos].im[:, b])
+        (c_re,), (c_im,) = coefficients(step)
+        assert c_re.shape == c_im.shape == (parts, 1, 1)
+        for got, plane in ((c_re, "re"), (c_im, "im")):
+            want = [getattr(slices[(i - step) % parts], plane)[0, b] for i, b in enumerate(beta_map)]
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("extents,grid", [((4096,), (64, 1, 1)), ((16, 16, 16), (4, 4, 4))])

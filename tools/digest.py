@@ -1,0 +1,110 @@
+"""One SHA-256 per named engine case, to tell whether two trees give the same bits.
+
+    PYTHONPATH=src python3 tools/digest.py > change.txt
+    PYTHONPATH=../parent/src python3 tools/digest.py > parent.txt
+    diff parent.txt change.txt
+
+The cases run the engines through the public API: kdft forward, kdft
+inverse, nonuniform kdft and fft. Each runs in f64, f32 and bf16split3; at
+workers 1 and 2; on layouts with P = 1, P = N and m < P along a dimension;
+and with ``meshdft.mesh.SLAB_BYTES`` at its default and at 1 (one core per
+slab). A case's line is its name and the SHA-256 of its output planes
+(dtype, shape and bytes), its ledger, its per-tag ledger and, for kdft
+forward, its trace. The last line hashes every case line.
+
+kdft f64 and f32 bits depend on the BLAS build and the CPU
+(``meshdft.matmul_mixed``), so compare digests made on one machine. A digest
+is no golden value to check a tree against.
+"""
+
+import hashlib
+import itertools
+import json
+
+import numpy as np
+
+import meshdft as md
+from meshdft import mesh as mesh_module
+
+# (extents, grid): P = 1, P = N, m < P, and m >= P in 2-D and 3-D
+LAYOUTS = (
+    ((64,), (1, 1, 1)),
+    ((64,), (64, 1, 1)),
+    ((64,), (16, 1, 1)),
+    ((32, 16), (4, 2, 1)),
+    ((16, 4, 8), (8, 1, 2)),
+    ((16, 16, 16), (2, 2, 2)),
+)
+TINY_LAYOUTS = (
+    ((8,), (1, 1, 1)),
+    ((8,), (8, 1, 1)),
+    ((8, 4, 4), (4, 1, 2)),
+)
+ENGINES = ("kdft-forward", "kdft-inverse", "kdft-nonuniform", "fft")
+MODES = tuple(md.PrecisionMode)
+WORKERS = (1, 2)
+SLABS = (("default", mesh_module.SLAB_BYTES), ("1", 1))
+
+
+def _plan(engine, extents, grid, mode):
+    shape = md.ComputationShape(*grid)
+    if engine == "fft":
+        return md.create_fft_plan(shape, extents, mode)
+    if engine == "kdft-nonuniform":
+        rng = np.random.default_rng(sum(extents))
+        samples = [md.SamplePoints.explicit(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+                   for n in extents]
+        return md.create_kdft_plan(shape, samples, mode)
+    return md.create_kdft_plan(shape, extents, mode)
+
+
+def _run(engine, plan, blocks, workers):
+    """(output blocks, mesh, trace or None) of one engine call."""
+    mesh = md.MeshSim(plan.shape)
+    if engine == "fft":
+        return md.fft_forward(mesh, plan, blocks, workers=workers), mesh, None
+    if engine == "kdft-inverse":
+        return md.kdft_inverse_uniform(mesh, plan, blocks, workers=workers), mesh, None
+    trace = [] if engine == "kdft-forward" else None
+    return md.kdft_forward(mesh, plan, blocks, workers=workers, trace=trace), mesh, trace
+
+
+def _digest(out, mesh, trace):
+    h = hashlib.sha256()
+    for block in out:
+        h.update(f"{block.dtype} {block.shape}".encode())
+        h.update(block.re.tobytes())
+        h.update(block.im.tobytes())
+    h.update(json.dumps(mesh.ledger.as_dict(), sort_keys=True).encode())
+    h.update(json.dumps(mesh.ledger.per_tag(), sort_keys=True).encode())
+    if trace is not None:
+        h.update(json.dumps(trace, sort_keys=True, default=repr).encode())
+    return h.hexdigest()
+
+
+def cases(layouts=LAYOUTS):
+    """Yield (name, SHA-256) for every case, in a fixed order."""
+    for (extents, grid), engine, mode in itertools.product(layouts, ENGINES, MODES):
+        shape = md.ComputationShape(*grid)
+        rng = np.random.default_rng(len(extents) + grid[0])
+        x = md.ComplexTensor(rng.uniform(-1, 1, extents), rng.uniform(-1, 1, extents))
+        blocks, _ = md.decompose(x, shape)
+        plan = _plan(engine, extents, grid, mode)
+        layout = "x".join(map(str, extents)) + "-on-" + "x".join(map(str, grid))
+        for workers, (slab, slab_bytes) in itertools.product(WORKERS, SLABS):
+            saved, mesh_module.SLAB_BYTES = mesh_module.SLAB_BYTES, slab_bytes
+            try:
+                digest = _digest(*_run(engine, plan, blocks, workers))
+            finally:
+                mesh_module.SLAB_BYTES = saved
+            yield f"{engine}/{mode.value}/workers{workers}/slab-{slab}/{layout}", digest
+
+
+def main(layouts=LAYOUTS):
+    lines = [f"{name} {digest}" for name, digest in cases(layouts)]
+    lines.append("all " + hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    main()
