@@ -173,17 +173,6 @@ class ComplexTensor:
     def conj(self):
         return ComplexTensor._own(self.re, -self.im)
 
-    def add(self, other):
-        if not isinstance(other, ComplexTensor):
-            raise ArgumentError("can only add another ComplexTensor")
-        if other.shape != self.shape:
-            raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
-        if other.dtype != self.dtype:
-            raise ArgumentError(f"dtype mismatch: {self.dtype} vs {other.dtype}")
-        return ComplexTensor._own_checked(self.re + other.re, self.im + other.im)
-
-    __add__ = add
-
     def scaled(self, factor):
         factor = self.dtype.type(factor)
         return ComplexTensor._own_checked(self.re * factor, self.im * factor)

@@ -58,46 +58,33 @@ def _stage_matrices(m, mode, parts=1):
     return terms
 
 
-def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE, batch=0):
+def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
     """In-order mixed-radix decimation-in-time FFT along one axis, as matrix products.
 
     With m = r*q, the q-point transforms of the r decimated subsequences, made
     the same way on the (q, r*rest) view, are combined by one batched matmul of
     :func:`_stage_matrices`: four real products in the mode's product form
     (bfloat16 split terms under bf16split3); m <= 8 is one m x m product.
-    ``tensor`` is a :class:`ComplexTensor`, or an (re, im) pair of planes of any
-    rank, for which a pair comes back, whose leading ``batch`` axes (a slab's
-    cores) stay on matmul's batch axis, so their bits do not depend on how many
-    share a call. Each one's ``axis`` is outermost in memory. ``axis`` may be a
-    run of adjacent axes, transformed as one axis of their C order, as
-    :meth:`MeshSim.all_to_all_groups` hands over a split axis; the result has
-    that one axis in their place.
+    ``tensor`` is a :class:`ComplexTensor`; the result is one in the mode's dtype,
+    ``axis`` outermost in its memory.
     """
-    if isinstance(tensor, ComplexTensor):
-        return ComplexTensor._own(*local_fft((tensor.re, tensor.im), axis, mode))
-    if not (isinstance(tensor, tuple) and len(tensor) == 2):
-        raise ArgumentError("local_fft expects a ComplexTensor or an (re, im) pair")
-    rank = tensor[0].ndim
-    axes = (axis,) if np.ndim(axis) == 0 else tuple(axis)
-    if not axes or not all(-rank <= a < rank for a in axes):
-        raise DimensionError(f"axis {axis} out of range for rank {rank}")
-    axis = axes[0] % rank
-    if tuple(a % rank for a in axes) != tuple(range(axis, axis + len(axes))):
-        raise DimensionError(f"axes {axes} are not adjacent and in order")
-    if not 0 <= batch <= axis:
-        raise DimensionError(f"batch axes {batch} must precede axis {axis}")
-    m = math.prod(tensor[0].shape[a] for a in axes)
+    if not isinstance(tensor, ComplexTensor):
+        raise ArgumentError("local_fft expects a ComplexTensor")
+    if not -tensor.rank <= axis < tensor.rank:
+        raise DimensionError(f"axis {axis} out of range for rank {tensor.rank}")
+    m = tensor.shape[axis]
     if not _is_pow2(m):
         raise DimensionError(f"extent {m} along axis {axis} is not a power of two")
-    moved = [np.moveaxis(p, axes, range(batch, batch + len(axes))) for p in tensor]
-    shape = moved[0].shape[:batch] + (m,) + moved[0].shape[batch + len(axes):]
-    y = _local_fft(moved, (math.prod(shape[:batch]), m), mode)
-    return tuple(np.moveaxis(p.reshape(shape), batch, axis) for p in y)
+    moved = [np.moveaxis(p, axis, 0) for p in (tensor.re, tensor.im)]
+    y = _local_fft(moved, (1, m), mode)
+    return ComplexTensor._own(*(np.moveaxis(p.reshape(moved[0].shape), 0, axis) for p in y))
 
 
 def _local_fft(moved, lead, mode, last=None, out=None):
     """:func:`local_fft` of the (re, im) planes ``moved``, the batch axes leading and
     then the transform's; they are read as ``lead`` = (batch axes..., m) and the rest.
+    The batch axes (a slab's cores) stay on matmul's batch axis, so their bits do
+    not depend on how many share a call.
 
     ``last``, if given, replaces the last stage's :func:`_stage_matrices` with terms
     that broadcast over ``lead``'s batch axes, and ``out`` is a pair of planes

@@ -94,11 +94,11 @@ def create_kdft_plan(shape, samples_per_dim, precision=PrecisionMode.F64_REFEREN
 def _operand(box, xs, axis, view, mode):
     """A slab's ring operand (:func:`meshdft.mesh._shift_ring`): its cores' payloads,
     prepared once, moved so that ``axis`` leads and with re|im side by side."""
-    cores, block = np.arange(len(xs[0])).reshape(view)[box], xs[0][0].shape
-    x = np.empty((cores.size, block[axis], 2) + block[:axis] + block[axis + 1:], mode.real_dtype)
-    for i, c in enumerate(cores.ravel().tolist()):
-        np.stack([np.moveaxis(p[c], axis, 0) for p in xs], axis=1, out=x[i])
-    return mode.prepare(x.reshape(cores.shape + (block[axis], -1)))
+    block = xs[0].shape[1:]
+    moved = [np.moveaxis(p.reshape(view + block)[box], 3 + axis, 3) for p in xs]
+    x = np.empty(moved[0].shape[:4] + (2,) + moved[0].shape[4:], mode.real_dtype)
+    np.stack(moved, axis=4, out=x)
+    return mode.prepare(x.reshape(x.shape[:4] + (-1,)))
 
 
 def _trace_records(xs, lines, parts):

@@ -2,7 +2,8 @@
 
 The engines are bulk-synchronous: the same compute on every core, then one
 collective. So a tensor distributed over the cores is held as stacked planes:
-one array per plane, shape ``(P, *block)``, the flat core id leading. The
+one array per plane, shape ``(P, *block)``, the flat core id leading, the
+engines' one layout from entry (:func:`_entry`) to exit. The
 collectives take core groups that are the lines of a view of that axis as
 ``(outer, n, inner)`` (:meth:`MeshSim._check_groups`), member i of a group at
 index i along n: equal groups of evenly spaced cores, covering the mesh.
@@ -142,16 +143,20 @@ def _stage(name, dim, mode):
 
 
 def _entry(each, blocks, mode):
-    """The blocks' planes in the mode's dtype: their own, or stacked planes cast from them."""
+    """The blocks as stacked planes in the mode's dtype, built slab by slab.
+
+    Only a cast that narrows the dtype can overflow, so only such a cast
+    scans its result: the blocks are finite.
+    """
     dtype = mode.real_dtype
-    if all(b.dtype == dtype for b in blocks):
-        return [b.re for b in blocks], [b.im for b in blocks]
     out = tuple(np.empty((len(blocks),) + blocks[0].shape, dtype) for _ in "ri")
+    narrows = any(b.dtype.itemsize > dtype.itemsize for b in blocks)
 
     def cast(box):
         for o, part in zip(out, ("re", "im")):
             np.stack([getattr(b, part) for b in blocks[box[1]]], out=o[box[1]])
-        _check_finite(out[0][box[1]], out[1][box[1]])
+        if narrows:
+            _check_finite(out[0][box[1]], out[1][box[1]])
 
     with _stage("entry cast", None, mode):
         each(cast, (1, len(blocks), 1), 2 * dtype.itemsize * blocks[0].size)
@@ -286,17 +291,18 @@ class MeshSim:
         The one check that both collectives make of their core groups: at
         least one, each non-empty, on the mesh and disjoint, and together the
         lines of a view: member i of a group is core ``(o*n + i)*inner + j``.
-        ``planes``, if given, hold one array per core, all of one shape and dtype.
+        ``planes``, if given, are stacked planes: arrays of one shape and
+        dtype, the P cores leading.
         """
-        if planes is not None and not len(planes):
-            raise CommunicationError("no payload planes")
-        for plane in planes or ():
-            if len(plane) != self.num_cores:
-                raise CommunicationError(f"expected {self.num_cores} payloads, got {len(plane)}")
-        kinds = {(a.shape, a.dtype) if isinstance(a, np.ndarray) else None
-                 for plane in planes or () for a in plane}
-        if len(kinds) > 1 or None in kinds:
-            raise CommunicationError("payloads must be arrays of one shape and dtype")
+        if planes is not None:
+            if not len(planes):
+                raise CommunicationError("no payload planes")
+            if (not all(isinstance(p, np.ndarray) and p.ndim for p in planes)
+                    or len({(p.shape, p.dtype) for p in planes}) > 1):
+                raise CommunicationError("payloads must be stacked planes of one shape and dtype")
+            if len(planes[0]) != self.num_cores:
+                raise CommunicationError(
+                    f"expected {self.num_cores} payloads, got {len(planes[0])}")
         groups = tuple(tuple(int(c) for c in g) for g in groups)
         if not groups:
             raise CommunicationError("no core groups")
@@ -346,70 +352,45 @@ class MeshSim:
     def all_to_all_groups(self, groups, planes, split_axis=0, tag="", each=None, kernel=None):
         """One all_to_all invocation spanning several disjoint groups.
 
-        ``planes`` hold one payload per core, by flat core id: stacked planes,
-        or a list of each core's array. Member i of an n-member group receives
-        slices i, i+n, i+2n, ... along ``split_axis`` of every member's
-        payload, joined in group order; when the extent is n this is the
-        transpose of single slices. The groups must be the lines of a view
-        (:meth:`_check_groups`), as for :meth:`ring`. It counts as a single
-        ledger entry, recorded when issued.
+        ``planes`` are stacked planes, one payload per core by flat core id.
+        Member i of an n-member group receives slices i, i+n, i+2n, ... along
+        ``split_axis`` of every member's payload, joined in group order; when
+        the extent is n this is the transpose of single slices. The groups
+        must be the lines of a view (:meth:`_check_groups`), as for
+        :meth:`ring`. It counts as a single ledger entry, recorded when issued.
 
         ``each(fn, view, core_bytes)`` (the calling thread's loop if None)
         calls ``kernel(box, payload)`` once per slab of receiving cores of
         the groups' view and returns the results. ``payload`` holds the
-        slab's received planes, shaped as ``box``, then the block with the
-        split axis as two axes (n, extent/n), the chunks from member s at
-        index s. For stacked planes they are strided views of the sources,
-        so the kernel's first read is the exchange. A list of arrays is
-        received into stacked planes, each slab's part assembled in its own
-        call. Without a kernel every plane is received that way, and the
-        stacked planes are returned.
+        slab's received planes as strided views of the sources, shaped as
+        ``box``, then the block with the split axis as two axes
+        (n, extent/n), the chunks from member s at index s, so the kernel's
+        first read is the exchange. Without a kernel it returns a contiguous
+        copy of the received planes, stacked.
         """
         view = self._check_groups(groups, planes)
-        n = view[1]
-        block = planes[0][0].shape
+        n, block = view[1], planes[0].shape[1:]
         if not -len(block) <= split_axis < len(block):
             raise CommunicationError(f"split axis {split_axis} out of range for rank {len(block)}")
         axis = split_axis % len(block)
         if block[axis] % n != 0:
             raise CommunicationError(
                 f"extent {block[axis]} along axis {axis} does not split into {n} equal chunks")
-        pre, q, post = block[:axis], block[axis] // n, block[axis + 1:]
-        split = pre + (q, n) + post
+        split = block[:axis] + (block[axis] // n, n) + block[axis + 1:]
         # member i's chunk from member s: out[o, i, j, ..., s, k] = in[o, s, j][..., k*n + i]
         order = (0, 4 + axis, 2, *range(3, 3 + axis), 1, 3 + axis, *range(5 + axis, 3 + len(split)))
         core_bytes = sum(p[0].nbytes for p in planes)
         self.ledger.record_all_to_all(core_bytes * self.num_cores, tag=tag)
-        sources = [p.reshape(view + split).transpose(order) if isinstance(p, np.ndarray) else p
-                   for p in planes]
-        received = [None if kernel is not None and isinstance(p, np.ndarray)
-                    else np.empty(view + pre + (n, q) + post, p[0].dtype) for p in planes]
-        cores, chunks = np.arange(self.num_cores).reshape(view), (slice(None),) * (axis + 1)
+        sources = [p.reshape(view + split).transpose(order) for p in planes]
+        if kernel is None:
+            return tuple(np.array(s, order="C").reshape(planes[0].shape) for s in sources)
 
         def exchange(box):
-            payload = []
-            for source, into in zip(sources, received):
-                if isinstance(source, np.ndarray):
-                    if into is None:
-                        payload.append(source[box])
-                        continue
-                    into[box] = source[box]
-                else:
-                    by_source = into.transpose(np.argsort(order))[box[0], :, box[2]]
-                    members = cores[box[0], :, box[2]]
-                    for at in np.ndindex(members.shape):
-                        by_source[at + chunks + (box[1],)] = (
-                            source[members[at]].reshape(split)[chunks + (box[1],)])
-                payload.append(into[box])
-            return None if kernel is None else kernel(box, tuple(payload))
+            return kernel(box, tuple(s[box] for s in sources))
 
         if each is None:
-            results = _run_slabs(exchange, [(box,) for box in _slabs(view, core_bytes, SLAB_BYTES)])
-        else:
-            results = each(exchange, view, core_bytes)
-        if kernel is not None:
-            return results
-        return tuple(r.reshape((self.num_cores,) + block) for r in received)
+            return _run_slabs(exchange, [(box,) for box in _slabs(view, core_bytes, SLAB_BYTES)])
+        return each(exchange, view, core_bytes)
 
 
 def _shift_ring(mesh, each, lines, held, blocks, block, axis, mode, tag):

@@ -75,7 +75,7 @@ def test_gather_positions_both_regimes():
 def _gather(mesh, blocks):
     """The engine's gather along axis 0 of one line of every core, as per-core tensors."""
     parts, m = mesh.num_cores, blocks[0].shape[0]
-    planes = ([b.re for b in blocks], [b.im for b in blocks])
+    planes = (np.stack([b.re for b in blocks]), np.stack([b.im for b in blocks]))
     re, im = mesh.all_to_all_groups(fft._gather_groups([range(parts)], parts, m), planes)
     return [md.ComplexTensor._own(r, i) for r, i in zip(re, im)]
 
@@ -378,35 +378,6 @@ def test_local_fft_matches_copy_per_stage_loop(mode, axis, m):
     assert diff <= 2 * unit * max(1, math.log2(m)) * norm
     if m == 1:
         assert np.array_equal(got.re, ref.re) and np.array_equal(got.im, ref.im)
-
-
-def test_local_fft_batch_axes_are_separate_transforms():
-    rng = np.random.default_rng(73)
-    planes = tuple(rng.standard_normal((3, 2, 16, 5)) for _ in "ri")
-    batched = md.local_fft(planes, axis=2, batch=2)
-    for i in range(3):
-        for j in range(2):
-            one = md.local_fft(md.ComplexTensor(planes[0][i, j], planes[1][i, j]), axis=0)
-            assert np.array_equal(batched[0][i, j], one.re)
-            assert np.array_equal(batched[1][i, j], one.im)
-    with pytest.raises(md.DimensionError):
-        md.local_fft(planes, axis=1, batch=2)
-
-
-@pytest.mark.parametrize("mode", [F64, F32, BF16], ids=lambda m: m.value)
-def test_local_fft_takes_a_run_of_axes_as_one(mode):
-    # an exchange's split axis, (members, chunk) read in C order, here as a
-    # strided view; the result has the one merged axis in their place
-    rng = np.random.default_rng(74)
-    source = tuple(rng.standard_normal((4, 3, 8, 5)) for _ in "ri")
-    split = tuple(p.transpose(1, 0, 2, 3) for p in source)
-    merged = tuple(np.ascontiguousarray(p).reshape(3, 32, 5) for p in split)
-    got = md.local_fft(split, axis=(1, 2), mode=mode, batch=1)
-    want = md.local_fft(merged, axis=1, mode=mode, batch=1)
-    assert all(a.shape == (3, 32, 5) and a.tobytes() == b.tobytes() for a, b in zip(got, want))
-    for axes in ((1, 3), (2, 1), (1, 4)):
-        with pytest.raises(md.DimensionError):
-            md.local_fft(split, axis=axes, batch=1)
 
 
 @pytest.mark.parametrize("mode", [F64, F32, BF16], ids=lambda m: m.value)

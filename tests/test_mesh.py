@@ -215,9 +215,10 @@ def test_all_to_all_hands_out_strided_slices():
 def test_all_to_all_validation():
     mesh = md.MeshSim(2)
     with pytest.raises(md.CommunicationError, match="one shape and dtype"):
-        mesh.all_to_all_groups(((0, 1),), ([np.zeros(2), np.zeros(1)],))
-    with pytest.raises(md.CommunicationError, match="one shape and dtype"):
-        mesh.all_to_all_groups(((0, 1),), ([np.zeros(2), [0.0, 0.0]],))
+        mesh.all_to_all_groups(((0, 1),), (np.zeros((2, 2)), np.zeros((2, 1))))
+    # a per-core list is no layout of the mesh's
+    with pytest.raises(md.CommunicationError, match="stacked planes"):
+        mesh.all_to_all_groups(((0, 1),), ([np.zeros(2), np.zeros(2)],))
     with pytest.raises(md.CommunicationError, match="split axis 1 out of range"):
         mesh.all_to_all_groups(((0, 1),), stacked([vec(1.0, 2.0), vec(3.0, 4.0)]), split_axis=1)
     with pytest.raises(md.CommunicationError, match="does not split into 2"):
@@ -258,9 +259,6 @@ def test_all_to_all_groups_matches_chunk_transpose(split_axis):
         "permute_count": 0, "all_to_all_count": 1, "bytes_moved": nbytes,
         "einsum_flops": 0, "local_fft_flops": 0,
     }}
-    # per-core lists of planes give the same stacked planes
-    listed = md.MeshSim(8).all_to_all_groups(groups, tuple(map(list, stacked(values))), split_axis)
-    assert all(np.array_equal(a, b) for a, b in zip(out, listed))
 
 
 def test_all_to_all_groups_one_ledger_record():
@@ -295,7 +293,13 @@ def test_kernel_slabs_join_to_the_exchanged_planes(monkeypatch, cores, groups, b
     values = [rand_tensor(block, seed=40 + c) for c in range(cores)]
     planes = stacked(values)
     if listed:
-        planes = tuple(map(list, planes))
+        # the same payloads as per-core lists: rejected before the ledger or a kernel sees them
+        mesh = md.MeshSim(cores)
+        with mesh.cores(workers) as each, pytest.raises(md.CommunicationError, match="stacked"):
+            mesh.all_to_all_groups(groups, tuple(map(list, planes)), split_axis, "t", each,
+                                   lambda box, payload: pytest.fail("kernel called"))
+        assert mesh.ledger.as_dict() == CommLedger().as_dict()
+        return
     want = md.MeshSim(cores).all_to_all_groups(groups, planes, split_axis)
     # two cores per slab, so a kernel sees several slabs and several cores
     monkeypatch.setattr(mesh_module, "SLAB_BYTES", 2 * sum(p[0].nbytes for p in planes))

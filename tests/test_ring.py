@@ -31,6 +31,11 @@ from reference import build_phase_slice, complex_product, contract, twiddled_loc
 
 MODES = [F64, F32, BF16]
 
+
+def _add(a, b):
+    """The sum of two tensors, plane by plane, as a ring adds a term into its sums."""
+    return md.ComplexTensor(a.re + b.re, a.im + b.im)
+
 # (extents, grid): P=1, m<P (16 on 8), 1-D rings, 2-D and a 3-D 2x2x2 grid
 CASES = [
     ((16,), (1, 1, 1)),
@@ -88,7 +93,7 @@ def fft_forward_reference(plan, blocks):
                     c = (mode.prepare(np.asarray(p[0, b])) for p in (phase[pos].re, phase[pos].im))
                     term = md.ComplexTensor._own_checked(*complex_product(
                         *c, *(mode.prepare(p) for p in (x.re, x.im)), mode))
-                    sums[core] = term if sums[core] is None else sums[core] + term
+                    sums[core] = term if sums[core] is None else _add(sums[core], term)
         ledger.add_flops("einsum", sum(4 * x.size * parts for x in xs), tag)
         xs = sums
     return xs, ledger
@@ -118,7 +123,7 @@ def kdft_reference(plan, blocks, conjugate):
                 for pos, core in enumerate(line):
                     j = (pos + step) % parts
                     term = contract(cols[(d, pos)][j], xs[line[j]], axis=d, mode=mode)
-                    sums[core] = term if sums[core] is None else sums[core] + term
+                    sums[core] = term if sums[core] is None else _add(sums[core], term)
         ledger.add_flops("einsum", sum(4 * x.shape[d] * x.size * parts for x in xs), tag)
         xs = sums
     if conjugate:

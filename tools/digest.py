@@ -5,7 +5,8 @@
     diff parent.txt change.txt
 
 The cases run the engines through the public API: kdft forward, kdft
-inverse, nonuniform kdft and fft. Each runs in f64, f32 and bf16split3; at
+inverse, nonuniform kdft and fft. Each runs on f64 input in f64, f32 and
+bf16split3, and on f32 input in f32 (names ending ``/input-f32``); at
 workers 1 and 2; on layouts with P = 1, P = N and m < P along a dimension;
 and with ``meshdft.mesh.SLAB_BYTES`` at its default and at 1 (one core per
 slab). A case's line is its name and the SHA-256 of its output planes
@@ -41,7 +42,10 @@ TINY_LAYOUTS = (
     ((8, 4, 4), (4, 1, 2)),
 )
 ENGINES = ("kdft-forward", "kdft-inverse", "kdft-nonuniform", "fft")
-MODES = tuple(md.PrecisionMode)
+# (precision, input dtype, name suffix): f64 input in every mode, and f32
+# input in f32, which enters the engines with no cast
+MODES = tuple((mode, np.float64, "") for mode in md.PrecisionMode) + (
+    (md.PrecisionMode.F32, np.float32, "/input-f32"),)
 WORKERS = (1, 2)
 SLABS = (("default", mesh_module.SLAB_BYTES), ("1", 1))
 
@@ -84,11 +88,12 @@ def _digest(out, mesh, trace):
 
 def cases(layouts=LAYOUTS):
     """Yield (name, SHA-256) for every case, in a fixed order."""
-    for (extents, grid), engine, mode in itertools.product(layouts, ENGINES, MODES):
+    for (extents, grid), engine, (mode, dtype, suffix) in itertools.product(
+            layouts, ENGINES, MODES):
         shape = md.ComputationShape(*grid)
         rng = np.random.default_rng(len(extents) + grid[0])
         x = md.ComplexTensor(rng.uniform(-1, 1, extents), rng.uniform(-1, 1, extents))
-        blocks, _ = md.decompose(x, shape)
+        blocks, _ = md.decompose(x.astype(dtype), shape)
         plan = _plan(engine, extents, grid, mode)
         layout = "x".join(map(str, extents)) + "-on-" + "x".join(map(str, grid))
         for workers, (slab, slab_bytes) in itertools.product(WORKERS, SLABS):
@@ -97,7 +102,7 @@ def cases(layouts=LAYOUTS):
                 digest = _digest(*_run(engine, plan, blocks, workers))
             finally:
                 mesh_module.SLAB_BYTES = saved
-            yield f"{engine}/{mode.value}/workers{workers}/slab-{slab}/{layout}", digest
+            yield f"{engine}/{mode.value}/workers{workers}/slab-{slab}/{layout}{suffix}", digest
 
 
 def main(layouts=LAYOUTS):
