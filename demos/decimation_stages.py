@@ -11,8 +11,10 @@ Pipeline for N samples on P cores (M = N/P each), Bailey's four-step FFT:
      multiplies row r by the twiddle exp(-2j*pi*b*r/N) (the engine folds the
      twiddles into the FFT's last stage, as exact table entries);
   4. a shift-by-one ring makes the P-point DFT across the cores: core p adds
-     every payload times exp(-2j*pi*b*p/P), a 1x1 block of the ring kdft
-     runs, leaving it output rows [p*M, (p+1)*M).
+     every payload times c = exp(-2j*pi*b*p/P), leaving it output rows
+     [p*M, (p+1)*M). The ring is the one kdft runs; a payload's rows re and
+     im take c as the real 2x2 block [[Re c, -Im c], [Im c, Re c]], one
+     matrix product per step where kdft's complex blocks take two.
 """
 
 import numpy as np
@@ -51,12 +53,16 @@ r = np.arange(m)
 twiddled = [np.exp(-2j * np.pi * beta * r / n) * md.local_fft(g).to_complex()
             for g, beta in zip(gathered, offsets)]
 
-# stage 4 on the host, X[p*M + r] = sum_b exp(-2j*pi*b*p/P) * twiddled_b[r],
-# to check the engine's ring, which runs stages 2-4 on a mesh of its own
-holders = np.arange(parts)[:, None]
-four_step = sum(
-    np.exp(-2j * np.pi * beta * holders / parts) * twiddled[pos] for pos, beta in enumerate(offsets)
-).reshape(n)
+# stage 4 on the host, X[p*M + r] = sum_b c * twiddled_b[r], c = exp(-2j*pi*b*p/P),
+# each term as the ring makes it, the real 2x2 block of c times the rows re
+# and im; it checks the engine's ring, which runs stages 2-4 on a mesh of its own
+four_step = np.zeros(n, dtype=complex)
+for p in range(parts):
+    for pos, beta in enumerate(offsets):
+        c = np.exp(-2j * np.pi * beta * p / parts)
+        y = twiddled[pos]
+        re, im = np.array([[c.real, -c.imag], [c.imag, c.real]]) @ np.array([y.real, y.imag])
+        four_step[p * m:(p + 1) * m] += re + 1j * im
 engine_mesh = md.MeshSim(shape)
 plan = md.create_fft_plan(shape, (n,))
 combined = md.fft_forward(engine_mesh, plan, blocks)

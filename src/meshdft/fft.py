@@ -12,9 +12,11 @@ contiguous blocks into decimated subsequences) and one local in-order FFT of
 matrix products, run as the all_to_all's kernel so that its one layout copy
 of the received planes is the exchange; its last stage's matrices carry the
 twiddles as exact table entries. The P-point DFT is the shift-by-one ring
-that kdft runs (:func:`meshdft.mesh._shift_ring`), with 1x1 blocks: P-1
-permutes, and each ring step reads the P coefficients w_N**(b*p*M) from the
-length-N unit-root table, so no plan holds per-core phase blocks.
+that kdft runs (:func:`meshdft.mesh._shift_ring`), P-1 permutes, with 1x1
+blocks c = w_N**(b*p*M) applied to a payload's rows re and im as real 2x2
+blocks [[c_re, -c_im], [c_im, c_re]]: one matrix product per slab and step.
+Each step gathers its P blocks from the P-th roots' blocks, prepared once per
+ring, so no plan holds per-core phase blocks.
 """
 
 from dataclasses import dataclass
@@ -186,9 +188,9 @@ def _local_fft_kernel(view, axis, n, mode):
 
     Its one copy of the received planes is the exchange. Each core's last
     stage applies the twiddles of its line position (:func:`_stage_matrices`)
-    and writes the operand of the ring's 1x1 blocks: ``axis`` leading, re|im
-    side by side, ``(..., 1, 2*m*rest)``, prepared for the mode at once (under
-    bf16split3 only the split terms outlive a slab). It is shaped as the slab
+    and writes the ring's operand: ``axis`` leading, its two rows re and im,
+    ``(..., 2, m*rest)``, prepared for the mode at once (under bf16split3 only
+    the split terms outlive a slab). It is shaped as the slab
     of the lines' ``view`` that holds the same cores, as the ring takes them:
     for the powers of two an fft takes, every slab of any view of the core
     axis is an aligned run of cores (:func:`meshdft.mesh._slabs`), the same
@@ -209,28 +211,31 @@ def _local_fft_kernel(view, axis, n, mode):
         x = np.empty(lines_box + (2, m, payload[0].size // (cores * m)), dtype)
         moved = [np.moveaxis(p, (3 + axis, 4 + axis), (3, 4)) for p in payload]
         _local_fft(moved, lines_box + (m,), mode, terms, (x[..., 0, :, :], x[..., 1, :, :]))
-        return mode.prepare(x.reshape(lines_box + (1, -1)))
+        return mode.prepare(x.reshape(lines_box + (2, -1)))
 
     return kernel
 
 
 def _ring_coefficients(n, parts, beta_map, mode):
-    """Each ring step's 1x1 blocks for one dimension: a P-point DFT across the line.
+    """Each ring step's blocks for one dimension: a P-point DFT across the line.
 
     At step s the payload that started at position i, the twiddled FFT of the
     subsequence of offset b = beta_map[i], sits at position p = (i - s) mod
     parts, whose row r (frequency k = p*m + r) takes w_n**(b*k); the twiddle
-    w_n**(b*r) is in its local FFT, and the rest, w_n**(b*p*m), is the table's
-    entry m*(b*p mod parts). A step's P coefficients are prepared for the
-    mode, as the (re terms, im terms) of ``(P, 1, 1)`` blocks indexed by i.
+    w_n**(b*r) is in its local FFT, and the rest, c = w_n**(b*p*m), is the
+    table's entry m*(b*p mod parts). The ring applies c to the payload's rows
+    re and im as the real 2x2 block [[c_re, -c_im], [c_im, c_re]]. The P-th
+    roots' blocks are prepared for the mode once; a step's blocks, indexed by
+    i, are one gather per term: one matrix plane of ``(P, 2, 2)`` terms.
     """
-    # every m-th entry, cast once: the length-parts table
-    table = tuple(t[::n // parts].astype(mode.real_dtype) for t in _unit_roots(n))
+    # every m-th entry: the length-parts table
+    c_re, c_im = (t[::n // parts] for t in _unit_roots(n))
+    table = mode.prepare(np.stack([c_re, -c_im, c_im, c_re], axis=-1).reshape(parts, 2, 2))
     beta, start = np.asarray(beta_map, dtype=np.int64), np.arange(parts)
 
     def coefficients(step):
         exponents = beta * ((start - step) % parts) % parts
-        return tuple(mode.prepare(t[exponents].reshape(-1, 1, 1)) for t in table)
+        return (tuple(np.take(t, exponents, axis=0) for t in table),)
 
     return coefficients
 

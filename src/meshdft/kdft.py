@@ -20,7 +20,7 @@ from .ctensor import ComplexTensor, PrecisionMode
 from .decomposition import ComputationShape
 from .errors import UnsupportedOperationError
 from .mesh import _check_blocks, _check_plan, _entry, _shift_ring, _stage
-from .vandermonde import SamplePoints, column_blocks
+from .vandermonde import SamplePoints, _nonuniform_rows, _unit_roots
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,38 @@ def _as_samples(spec):
 def _ring_blocks(samples, parts, mode):
     """One dimension's prepared (re terms, im terms) in ring-step order (:class:`KdftPlan`).
 
-    Each block is prepared as it is built and written into the stacks, so
-    the build holds little beyond the plan: one block, or for explicit
-    points one row slice of complex powers.
+    Uniform blocks are gathered from the unit-root table, tiled twice and
+    prepared once: :meth:`PrecisionMode.prepare` works entry by entry, so a
+    gathered prepared entry is the prepared gathered one. Row k's entry in
+    column j*w + b has exponent (k*b mod n) + (k*j*w mod n), below 2n, held
+    in the smallest unsigned dtype; the build's int64 temporaries are one
+    position's w x w block. Explicit points build one position's row slice
+    of complex powers at a time and prepare each block of it.
     """
-    stacks = []
-    for pos in range(parts):
-        blocks = column_blocks(samples, parts, pos, mode.real_dtype)
-        for j in range(parts):
-            block = next(blocks)
-            terms = mode.prepare(block.re) + mode.prepare(block.im)
-            stacks = stacks or [np.empty((parts, parts) + t.shape, t.dtype) for t in terms]
-            for stack, term in zip(stacks, terms):
-                stack[(j - pos) % parts, j] = term
-            del block, terms  # before the next block is built
+    n = len(samples)
+    w, k = n // parts, np.arange(n, dtype=np.int64)
+    if samples.is_uniform:
+        tables = [t for table in _unit_roots(n) for t in mode.prepare(np.tile(table, 2))]
+        stacks = [np.empty((parts, parts, w, w), t.dtype) for t in tables]
+        exponents = np.empty((w, w), np.min_scalar_type(2 * n - 1))
+        for pos in range(parts):
+            rows = k[pos * w:(pos + 1) * w, None]
+            within = np.mod(rows * k[:w], n).astype(exponents.dtype)
+            for j in range(parts):
+                np.add(within, np.mod(rows * (j * w), n).astype(exponents.dtype), out=exponents)
+                for stack, table in zip(stacks, tables):
+                    np.take(table, exponents, out=stack[(j - pos) % parts, j], mode="clip")
+    else:
+        stacks = []
+        for pos in range(parts):
+            v = _nonuniform_rows(samples.points[pos * w:(pos + 1) * w], n)
+            for j in range(parts):
+                block = v[:, j * w:(j + 1) * w]
+                terms = mode.prepare(block.real) + mode.prepare(block.imag)
+                stacks = stacks or [np.empty((parts, parts, w, w), t.dtype) for t in terms]
+                for stack, term in zip(stacks, terms):
+                    stack[(j - pos) % parts, j] = term
+            del v  # before the next row slice is built
     return tuple(stacks[:len(stacks) // 2]), tuple(stacks[len(stacks) // 2:])
 
 

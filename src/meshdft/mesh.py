@@ -338,7 +338,8 @@ class MeshSim:
         ``kernel(s, box, held[k], moves, t)`` on slab k, whose ``box`` is the
         same at every step; ``moves`` pairs slices of the box's members with
         the boxes of the cores holding their payloads at step s
-        (:func:`_moves`); ``t`` is ``table(s)``, made once per step, or None.
+        (:func:`_moves`); ``t`` is ``table(s)``, made once per step (the
+        step's blocks, for :func:`_shift_ring`), or None.
         Records ``steps`` permutes of ``core_bytes`` per core.
         """
         view = self._check_groups(groups)
@@ -398,45 +399,66 @@ def _shift_ring(mesh, each, lines, held, blocks, block, axis, mode, tag):
 
     ``lines`` are the rings (grid lines, cores in position order). ``held`` is
     each slab's payloads, ``each`` over the lines' view, prepared once, with
-    ``axis`` leading and re|im side by side: ``(..., w, 2*rest)``, or for 1x1
-    blocks ``(..., 1, 2*k*rest)``. At step s position i holds the payload
-    that started at i + s, to which the holder applies entry i of step s's
-    ``(P, w, w)`` blocks, ``blocks(s)``'s prepared (re terms, im terms):
-    kdft's column blocks, or fft's 1x1 coefficients. A slab makes one
-    product per matrix plane (``m_re @ x`` gives ``rr|ri``, ``m_im @ x``
-    gives ``ir|ii``; ``np.multiply`` for 1x1 blocks, which rounds the same)
-    and adds the results into the holders' sums. A non-finite partial sum
-    stays non-finite, so one scan of each sum at the last step catches any
-    overflow. Returns the sums, stacked planes of ``block``.
+    ``axis`` leading. At step s position i holds the payload that started at
+    i + s, to which the holder applies entry i of step s's blocks:
+    ``blocks(s)`` is a tuple of matrix planes, each the prepared terms of a
+    ``(P, r, r)`` stack. A slab makes one product per matrix plane and adds
+    the result into the holders' sums.
+
+    - kdft's complex w x w column blocks are two planes (re, im), and the
+      operand holds re|im side by side, ``(..., w, 2*rest)``: ``m_re @ x``
+      gives ``rr|ri`` and ``m_im @ x`` gives ``ir|ii``, combined as rr - ii
+      and ri + ir.
+    - fft's 1x1 coefficients c are one plane of real 2x2 blocks
+      [[c_re, -c_im], [c_im, c_re]], and the operand's two rows are re and
+      im, ``(..., 2, k*rest)``: the product gives both rows of the sums, held
+      side by side, so step 0 writes the sums and each later step adds once.
+
+    A non-finite partial sum stays non-finite, so one scan of each sum at
+    the last step catches any overflow. Returns the sums, stacked planes of
+    ``block``.
     """
     num, core_bytes = mesh.num_cores, 2 * mode.real_dtype.itemsize * math.prod(block)
-    w = held[0][0].shape[-2]  # the blocks' size: the operand's rows
     view = mesh._check_groups(lines)
     # a core's block with ``axis`` leading, as the operand holds it
     parts, moved = view[1], block[axis:axis + 1] + block[:axis] + block[axis + 1:]
-    out = tuple(_empty_stack(num, block, axis, mode.real_dtype) for _ in "ri")
-    # the holders' sums, viewed with ``axis`` leading as in the operand
-    sums = tuple(np.moveaxis(o.reshape(view + block), 3 + axis, 3) for o in out)
-    op = np.multiply if w == 1 else np.matmul
+    first = blocks(0)
+    real, rows = len(first) == 1, held[0][0].shape[-2]
+    if real:
+        both = np.empty((num, 2) + moved, mode.real_dtype)
+        out = tuple(np.moveaxis(both[:, c], 1, 1 + axis) for c in range(2))
+        # the holders' sums as the product gives them: rows re and im
+        sums = (both.reshape(view + (2, -1)),)
+    else:
+        out = tuple(_empty_stack(num, block, axis, mode.real_dtype) for _ in "ri")
+        # the holders' sums, viewed with ``axis`` leading as in the operand
+        sums = tuple(np.moveaxis(o.reshape(view + block), 3 + axis, 3) for o in out)
 
     def kernel(step, box, x, moves, terms):
-        r_x, i_x = (mode.product(tuple(t[box[1], None] for t in plane), x, op) for plane in terms)
-        half = r_x.shape[-1] // 2
-        # rr - ii and ri + ir, in the planes of rr and ri
-        np.subtract(r_x[..., :half], i_x[..., half:], out=r_x[..., :half])
-        np.add(r_x[..., half:], i_x[..., :half], out=r_x[..., half:])
-        results = (r_x[..., p:p + half].reshape(r_x.shape[:3] + moved) for p in (0, half))
+        planes = [tuple(t[box[1], None] for t in plane) for plane in terms]
+        if real:
+            # at step 0 every member holds its own payload: the product is its sums
+            results = (mode.product(*planes, x, np.matmul, None if step else sums[0][box]),)
+        else:
+            r_x, i_x = (mode.product(plane, x, np.matmul) for plane in planes)
+            half = r_x.shape[-1] // 2
+            # rr - ii and ri + ir, in the planes of rr and ri
+            np.subtract(r_x[..., :half], i_x[..., half:], out=r_x[..., :half])
+            np.add(r_x[..., half:], i_x[..., :half], out=r_x[..., half:])
+            results = (r_x[..., p:p + half].reshape(r_x.shape[:3] + moved) for p in (0, half))
         for s, t in zip(sums, results):
             for src, dst in moves:
                 if step:
                     np.add(s[dst], t[:, src], out=s[dst])
-                else:
+                elif not real:
                     np.copyto(s[dst], t[:, src])
         if step == parts - 1:
             for _, dst in moves:
                 _check_finite(*(s[dst] for s in sums))
 
-    mesh.ring(each, lines, held, core_bytes, kernel, parts - 1, tag, blocks)
-    # a w x w block per payload, output row and step
+    mesh.ring(each, lines, held, core_bytes, kernel, parts - 1, tag,
+              lambda s: blocks(s) if s else first)
+    # a complex w x w block per payload, output row and step: a real block takes two rows
+    w = rows // 2 if real else rows
     mesh.ledger.add_flops("einsum", 4 * w * out[0].size * parts, tag)
     return out

@@ -105,31 +105,3 @@ def _nonuniform_rows(z, cols):
     if not np.isfinite(v).all():
         raise ArgumentError("matrix overflowed; sample points too small for this size")
     return v
-
-
-def column_blocks(samples, parts, pos, dtype=np.float64):
-    """Core ``pos``'s row slice of the n x n transform matrix, yielded as ``parts`` column blocks.
-
-    ``parts`` must divide n = len(samples) and 0 <= pos < parts. Block j
-    holds rows [pos*w, (pos+1)*w) and columns [j*w, (j+1)*w), w = n/parts,
-    of the n x n transform matrix, cast to ``dtype``: bit for bit
-    :func:`build_uniform` ``(n)`` for uniform samples, else V[k][m] = z_k**(-m)
-    by iterated division, column m being column m-1 divided by the point once
-    more. Only this core's rows are ever built: uniform entries are looked up
-    in the length-n table one block at a time, as the block is asked for, and
-    nonuniform rows come from this core's points alone.
-    """
-    n = len(samples)
-    w = n // parts
-    rows = slice(pos * w, (pos + 1) * w)
-    if samples.is_uniform:
-        cos, neg_sin = (table.astype(dtype, copy=False) for table in _unit_roots(n))
-        k = np.arange(n, dtype=np.int64)
-        for j in range(parts):
-            exponents = np.mod(np.outer(k[rows], k[j * w : (j + 1) * w]), n)
-            yield ComplexTensor._own(cos[exponents], neg_sin[exponents])
-        return
-    v = _nonuniform_rows(samples.points[rows], n)
-    for j in range(parts):
-        cols = slice(j * w, (j + 1) * w)
-        yield ComplexTensor._own(v.real[:, cols].astype(dtype), v.imag[:, cols].astype(dtype))

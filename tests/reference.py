@@ -11,11 +11,14 @@
   core), then a coefficient w_N**(b*p*m), row 0 of the block, as a 1x1 block
   of the ring that makes the P-point DFT across the cores.
 - ``complex_product`` and ``scale_along_axis``: the elementwise complex
-  product, with a scalar as the fft ring's step kernel on one core, and the
-  per-core product with a factor column, the step kernel of the fft's
-  earlier phase ring.
+  product, with a scalar the fft ring's step kernel on one core before the
+  ring took real 2x2 blocks, and the per-core product with a factor column,
+  the step kernel of the fft's earlier phase ring.
 - ``build_nonuniform``: the whole n x n transform matrix of explicit points,
   of which the kdft plan builds only each core's row slice.
+- ``column_blocks`` and ``ring_blocks``: a uniform kdft plan built block by
+  block, each block's exponents reduced mod n, looked up in the table and
+  prepared on its own; the plan gathers its blocks from a prepared table.
 - ``contract``: a complex matrix applied along one axis of a tensor, both
   prepared again on every call; one core's step kernel, which the kdft
   engine's ring replaced with one batched product per slab of cores.
@@ -170,6 +173,37 @@ def scale_along_axis(tensor, axis, factors, mode=PrecisionMode.F64_REFERENCE):
     x_re = mode.prepare(tensor.re)
     x_im = mode.prepare(tensor.im)
     return ComplexTensor._own_checked(*complex_product(x_re, x_im, f_re, f_im, mode))
+
+
+def column_blocks(n, parts, pos, dtype=np.float64):
+    """Core ``pos``'s row slice of the n x n DFT matrix, yielded as ``parts`` column blocks.
+
+    Block j holds rows [pos*w, (pos+1)*w) and columns [j*w, (j+1)*w),
+    w = n/parts, cast to ``dtype``: bit for bit :func:`meshdft.build_uniform`
+    ``(n)``, looked up in the length-n table one block at a time.
+    """
+    w = n // parts
+    cos, neg_sin = (table.astype(dtype, copy=False) for table in _unit_roots(n))
+    k = np.arange(n, dtype=np.int64)
+    rows = slice(pos * w, (pos + 1) * w)
+    for j in range(parts):
+        exponents = np.mod(np.outer(k[rows], k[j * w:(j + 1) * w]), n)
+        yield ComplexTensor._own(cos[exponents], neg_sin[exponents])
+
+
+def ring_blocks(n, parts, mode, conjugate=False):
+    """A uniform kdft plan's ``ring_blocks`` entry for n points on ``parts`` cores,
+    from :func:`column_blocks`, conjugated if ``conjugate``, each block prepared
+    for ``mode`` on its own."""
+    stacks = []
+    for pos in range(parts):
+        for j, block in enumerate(column_blocks(n, parts, pos, mode.real_dtype)):
+            block = block.conj() if conjugate else block
+            terms = mode.prepare(block.re) + mode.prepare(block.im)
+            stacks = stacks or [np.empty((parts, parts) + t.shape, t.dtype) for t in terms]
+            for stack, term in zip(stacks, terms):
+                stack[(j - pos) % parts, j] = term
+    return tuple(stacks[:len(stacks) // 2]), tuple(stacks[len(stacks) // 2:])
 
 
 def contract(matrix, tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):

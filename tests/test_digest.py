@@ -19,8 +19,11 @@ def test_digest_hashes_every_case_once(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert mesh_module.SLAB_BYTES == slab_bytes
     names, hashes = zip(*(line.split() for line in lines))
-    # 4 engines, 3 precisions on f64 input and f32 on f32 input, 2 worker counts, 2 slabbings
-    assert len(set(names)) == len(names) == 4 * 4 * 2 * 2 * len(digest.TINY_LAYOUTS) + 1
+    # 4 engines, 3 precisions on f64 input and f32 on f32 input, 2 worker counts,
+    # 2 slabbings; then a kdft plan per precision and sampling
+    runs, plans = 4 * 4 * 2 * 2 * len(digest.TINY_LAYOUTS), 3 * 2 * len(digest.TINY_LAYOUTS)
+    assert len(set(names)) == len(names) == runs + plans + 1
+    assert all(name.startswith("kdft-plan/") for name in names[runs:-1])
     assert names[-1] == "all"
     assert all(re.fullmatch(r"[0-9a-f]{64}", h) for h in hashes)
     # the same run gives the same lines
@@ -30,8 +33,18 @@ def test_digest_hashes_every_case_once(capsys):
     # ledgers, nor does f32 input in f32 against f64 input cast at entry,
     # while each engine, precision and layout has its own
     variants = defaultdict(set)
-    for name, h in zip(names[:-1], hashes[:-1]):
+    for name, h in zip(names[:runs], hashes[:runs]):
         engine, mode, _, _, layout = name.split("/")[:5]
         variants[engine, mode, layout].add(h)
     assert all(len(v) == 1 for v in variants.values())
     assert len({h for v in variants.values() for h in v}) == len(variants)
+    # a plan's digest is its own: each precision, sampling and layout differs
+    assert len(set(hashes[runs:-1])) == plans
+
+
+def test_compare_names_the_cases_that_differ(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("fft/f64/x 01\nkdft-plan/f32/uniform/y 02\nkdft/f32/z 03\nall 04\n")
+    b.write_text("fft/f64/x 01\nkdft-plan/f32/uniform/y 12\nfft/f32/w 05\nall 14\n")
+    assert digest.compare(a, b) == ["kdft-plan/f32/uniform/y", "kdft/f32/z", "fft/f32/w"]
+    assert digest.compare(a, a) == []

@@ -432,10 +432,10 @@ def test_bf16_forward_splits_each_payload_plane_once_per_ring(monkeypatch):
     # the 8 cores' (8, 8) payloads fit one slab. Per dimension: the 8-point
     # FFT's matrices, with each line position's twiddles, are split once;
     # its two data planes once, stacked as the lines' (outer, n, inner) view,
-    # then (q, r, columns); the ring's re|im operand once, (..., 1, 2*8*8);
-    # and each ring step's P coefficients once per plane
+    # then (q, r, columns); the ring's operand once, its rows re and im,
+    # (..., 2, 8*8); and the ring's table of P real 2x2 blocks once
     per_dim = [
-        [(parts, 1, 8, 8)] * 2 + [view + (1, 8, 8)] * 2 + [view + (1, 128)] + [(parts, 1, 1)] * 2 * parts
+        [(parts, 1, 8, 8)] * 2 + [view + (1, 8, 8)] * 2 + [view + (2, 64)] + [(parts, 2, 2)]
         for parts, view in ((4, (1, 4, 2)), (2, (4, 2, 1)))
     ]
     assert splits == per_dim[0] + per_dim[1]

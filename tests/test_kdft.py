@@ -1,16 +1,16 @@
 """The direct (quadratic) engine: plans, forward, inverse, shift-by-one."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft import kdft
 from meshdft.ctensor import _split3, bf16_array
-from meshdft.vandermonde import column_blocks
 from helpers import (
     BF16, F64, F32, counting_split3, plan_block, rand_tensor, run_kdft, err_vs
 )
-from reference import build_nonuniform
+from reference import build_nonuniform, ring_blocks
 
 
 def test_plan_validation():
@@ -170,16 +170,15 @@ def test_inverse_round_trip_distributed():
 
 @pytest.mark.parametrize("mode", [F64, F32, md.PrecisionMode.BF16_SPLIT3],
                          ids=["f64", "f32", "bf16split3"])
-def test_inverse_matches_forward_with_conjugated_blocks(mode, monkeypatch):
+def test_inverse_matches_forward_with_conjugated_blocks(mode):
     # bit for bit what contracting with explicitly conjugated blocks gives
     x = rand_tensor((12, 8), seed=53)
     shape = md.ComputationShape(3, 2, 1)
     plan = md.create_kdft_plan(shape, (12, 8), mode)
     blocks, _ = md.decompose(x, shape)
     # a plan built, and prepared, from conjugated column blocks
-    monkeypatch.setattr(kdft, "column_blocks",
-                        lambda *args: (c.conj() for c in column_blocks(*args)))
-    conjugated = md.create_kdft_plan(shape, (12, 8), mode)
+    conjugated = dataclasses.replace(plan, ring_blocks=tuple(
+        ring_blocks(n, parts, mode, conjugate=True) for n, parts in zip(plan.extents, shape.dims)))
     ref = md.kdft_forward(md.MeshSim(shape), conjugated, blocks)
     got = md.kdft_inverse_uniform(md.MeshSim(shape), plan, blocks)
     for g, r in zip(got, ref, strict=True):
@@ -284,6 +283,16 @@ def _assert_blocks_slice(plan, matrix, parts):
 def test_plan_blocks_are_slices_of_the_uniform_matrix(n, parts):
     plan = md.create_kdft_plan(md.ComputationShape(parts, 1, 1), (n,))
     _assert_blocks_slice(plan, md.build_uniform(n), parts)
+
+
+@pytest.mark.parametrize("mode", [F64, F32, BF16], ids=lambda m: m.value)
+@pytest.mark.parametrize("n,parts", [(1, 1), (6, 1), (7, 7), (12, 3), (64, 64), (96, 4), (1024, 8)])
+def test_uniform_plan_blocks_equal_the_per_block_build(n, parts, mode):
+    # gathered from a prepared table, the blocks are those prepared one by one
+    plan = md.create_kdft_plan(md.ComputationShape(parts, 1, 1), (n,), mode)
+    for got, want in zip(plan.ring_blocks[0], ring_blocks(n, parts, mode), strict=True):
+        assert len(got) == len(want)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("n,parts", [(1, 1), (6, 1), (7, 7), (12, 3), (1024, 8)])

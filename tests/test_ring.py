@@ -3,12 +3,15 @@
 The references below run each engine on lists of per-core tensors, with one
 Python loop over the cores of every grid line at every ring step, and keep
 their own :class:`CommLedger`; they call neither ``MeshSim.ring`` nor
-``each``. Each step's kernel is a per-core one: fft's ``complex_product`` of
-the payload with its coefficient, row 0 of a column of the holder's
+``each``. Each step's kernel is a per-core one: for fft, one real product of
+the payload's rows re and im with its coefficient c as the 2x2 block
+[[c_re, -c_im], [c_im, c_re]], c being row 0 of a column of the holder's
 ``build_phase_slice`` block (each core's local FFT having applied the rest
-of the column, its twiddles), or one ``contract`` that prepares both
+of the column, its twiddles); for kdft, one ``contract`` that prepares both
 operands again. The engines must give the same bits, the same ledger and the
-same per-tag ledger.
+same per-tag ledger. Where every line has at most 4 cores the coefficients
+are 1, -1, i and -i, and fft also gives the bits of ``complex_product``, the
+four elementwise products its ring made before.
 """
 
 import itertools
@@ -25,9 +28,10 @@ from meshdft import mesh as mesh_module
 from meshdft.decomposition import ComputationShape
 from meshdft.fft import local_fft_flops
 from meshdft.mesh import CommLedger
-from meshdft.vandermonde import column_blocks
 from helpers import BF16, F32, F64, rand_tensor
-from reference import build_phase_slice, complex_product, contract, twiddled_local_fft
+from reference import (
+    build_phase_slice, column_blocks, complex_product, contract, twiddled_local_fft,
+)
 
 MODES = [F64, F32, BF16]
 
@@ -65,10 +69,27 @@ def _gather_reference(ledger, xs, lines, axis, parts, m, tag):
     return out
 
 
-def fft_forward_reference(plan, blocks):
+def _block_step(c_re, c_im, x, axis, mode):
+    """One core's ring term: the real 2x2 block of c times the payload's rows re and im."""
+    block = mode.prepare(np.array([[c_re, -c_im], [c_im, c_re]]))
+    moved = [np.moveaxis(p, axis, 0) for p in (x.re, x.im)]
+    rows = mode.prepare(np.stack(moved).reshape(2, -1))
+    y = mode.product(block, rows, np.matmul).reshape((2,) + moved[0].shape)
+    return md.ComplexTensor._own_checked(*(np.moveaxis(p, 0, axis) for p in y))
+
+
+def _complex_step(c_re, c_im, x, axis, mode):
+    """One core's ring term as four elementwise products of c and the payload."""
+    c = (mode.prepare(np.asarray(p)) for p in (c_re, c_im))
+    return md.ComplexTensor._own_checked(*complex_product(
+        *c, *(mode.prepare(p) for p in (x.re, x.im)), mode))
+
+
+def fft_forward_reference(plan, blocks, step_term=_block_step):
     """``fft_forward`` as per-core loops, in four steps per dimension: the gather,
     each core's local FFT with its twiddles, then the P-point DFT across each
-    line as a ring of constant coefficient columns. Returns (blocks, ledger)."""
+    line as a ring of constant coefficient columns, each core's term made by
+    ``step_term``. Returns (blocks, ledger)."""
     mode, ledger = plan.precision, CommLedger()
     xs = [b.astype(mode.real_dtype) for b in blocks]
     for d in range(plan.rank):
@@ -89,10 +110,7 @@ def fft_forward_reference(plan, blocks):
                 for pos, core in enumerate(line):
                     # this position holds the payload that started step positions on
                     b, x = plan.beta_maps[d][(pos + step) % parts], xs[line[(pos + step) % parts]]
-                    # the ring's 1x1 block, the coefficient, is the first operand
-                    c = (mode.prepare(np.asarray(p[0, b])) for p in (phase[pos].re, phase[pos].im))
-                    term = md.ComplexTensor._own_checked(*complex_product(
-                        *c, *(mode.prepare(p) for p in (x.re, x.im)), mode))
+                    term = step_term(phase[pos].re[0, b], phase[pos].im[0, b], x, d, mode)
                     sums[core] = term if sums[core] is None else _add(sums[core], term)
         ledger.add_flops("einsum", sum(4 * x.size * parts for x in xs), tag)
         xs = sums
@@ -108,7 +126,7 @@ def kdft_reference(plan, blocks, conjugate):
     cols = {
         (d, pos): [
             b.conj() if conjugate else b
-            for b in column_blocks(plan.samples[d], plan.shape.dims[d], pos, mode.real_dtype)
+            for b in column_blocks(plan.extents[d], plan.shape.dims[d], pos, mode.real_dtype)
         ]
         for d in range(plan.rank) for pos in range(plan.shape.dims[d])
     }
@@ -153,6 +171,19 @@ def test_fft_ring_matches_per_core_loop(extents, grid, mode, workers):
     assert_same_run(out, mesh, *fft_forward_reference(plan, blocks))
 
 
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("extents,grid", [c for c in CASES if max(c[1]) <= 4])
+def test_fft_ring_keeps_the_elementwise_bits_on_lines_of_at_most_4_cores(extents, grid, mode):
+    # a 2x2 block of 1, -1, i or -i has one nonzero product per row, so its
+    # two-term dot rounds as the elementwise products did
+    shape = md.ComputationShape(*grid)
+    plan = md.create_fft_plan(shape, extents, mode)
+    blocks, _ = md.decompose(rand_tensor(extents, seed=sum(extents)), shape)
+    mesh = md.MeshSim(shape)
+    out = md.fft_forward(mesh, plan, blocks)
+    assert_same_run(out, mesh, *fft_forward_reference(plan, blocks, _complex_step))
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
@@ -190,18 +221,19 @@ def test_rings_match_per_core_loops_with_one_core_per_slab(monkeypatch, extents,
         assert_same_run(out, mesh, *kdft_reference(plan, blocks, conjugate=False))
 
 
-@pytest.mark.parametrize("engine,n,op", [("kdft", 1024, np.matmul), ("fft", 4096, np.multiply)],
+@pytest.mark.parametrize("engine,n,planes,block", [("kdft", 1024, 2, (16, 16)), ("fft", 4096, 1, (2, 2))],
                          ids=["kdft", "fft"])
-def test_shift_ring_makes_one_product_per_matrix_plane_and_step(monkeypatch, engine, n, op):
-    # n points on 64 cores fit one slab: two batched products (the blocks'
-    # re and im planes) per ring step, not two per core and step. kdft's
-    # 1024 points keep its plan at 8 MiB in f32; fft's 1x1 blocks multiply,
-    # and its local FFT's stages are matrix products
+def test_shift_ring_makes_one_product_per_matrix_plane_and_step(monkeypatch, engine, n, planes, block):
+    # n points on 64 cores fit one slab: one batched product per matrix plane
+    # and ring step, not one per core and step. kdft's 1024 points keep its
+    # plan at 8 MiB in f32, and its blocks are two planes (re, im); fft's 1x1
+    # blocks are one plane of real 2x2 blocks, and its local FFT's stages are
+    # products of 8x8 matrices
     calls = []
     product = md.PrecisionMode.product
 
     def counted(self, a, b, how, out=None):
-        calls.append(how)
+        calls.append((how, a[0].shape[-2:]))
         return product(self, a, b, how, out)
 
     shape = md.ComputationShape(64, 1, 1)
@@ -211,7 +243,8 @@ def test_shift_ring_makes_one_product_per_matrix_plane_and_step(monkeypatch, eng
     blocks, _ = md.decompose(rand_tensor((n,), seed=9), shape)
     monkeypatch.setattr(md.PrecisionMode, "product", counted)
     forward(md.MeshSim(shape), plan, blocks, workers=1)
-    assert calls.count(op) == 2 * 64
+    assert calls.count((np.matmul, block)) == planes * 64
+    assert all(call in ((np.matmul, block), (np.matmul, (8, 8))) for call in calls)
 
 
 @pytest.mark.parametrize("n,parts", [
@@ -220,16 +253,18 @@ def test_shift_ring_makes_one_product_per_matrix_plane_and_step(monkeypatch, eng
 def test_unit_root_table_equals_build_phase_slice(n, parts):
     # at step s the payload that started at position i sits at (i - s) mod P,
     # whose row r takes w_N**(b*(p*m + r)): the twiddle w_N**(b*r) is in the
-    # local FFT, and the ring's coefficient is row 0 of the phase slice
+    # local FFT, and the ring's coefficient c is row 0 of the phase slice,
+    # applied as the real block [[c_re, -c_im], [c_im, c_re]]
     beta_map = fft.gather_positions(parts, n // parts)
     coefficients = fft._ring_coefficients(n, parts, beta_map, F64)
     slices = [build_phase_slice(n, parts, p) for p in range(parts)]
     for step in range(parts):
-        (c_re,), (c_im,) = coefficients(step)
-        assert c_re.shape == c_im.shape == (parts, 1, 1)
-        for got, plane in ((c_re, "re"), (c_im, "im")):
-            want = [getattr(slices[(i - step) % parts], plane)[0, b] for i, b in enumerate(beta_map)]
-            assert got.tobytes() == np.array(want).tobytes()
+        ((got,),) = coefficients(step)
+        assert got.shape == (parts, 2, 2) and got.dtype == np.float64
+        c = [slices[(i - step) % parts] for i in range(parts)]
+        c_re, c_im = ([getattr(s, plane)[0, b] for s, b in zip(c, beta_map)] for plane in ("re", "im"))
+        want = np.array([[[r, -i], [i, r]] for r, i in zip(c_re, c_im)])
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("extents,grid", [((4096,), (64, 1, 1)), ((16, 16, 16), (4, 4, 4))])

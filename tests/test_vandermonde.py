@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import meshdft as md
-from meshdft.vandermonde import _unit_roots, column_blocks
+from meshdft.vandermonde import _unit_roots
 from helpers import plan_block
 from reference import build_nonuniform, build_phase_slice
 
@@ -106,10 +106,12 @@ def test_build_nonuniform_overflow_is_an_error():
 
 def test_matrix_for_dispatch():
     """Plan blocks come from the uniform table or from the points' powers."""
-    (u,) = column_blocks(md.SamplePoints.uniform(8), 1, 0)
-    assert np.array_equal(u.to_complex(), md.build_uniform(8).to_complex())
-    (nu,) = column_blocks(md.SamplePoints.explicit([2.0, 4.0]), 1, 0)
-    assert np.allclose(nu.to_complex(), [[1.0, 0.5], [1.0, 0.25]])
+    shape = md.ComputationShape(1, 1, 1)
+    (u_re,), (u_im,) = plan_block(md.create_kdft_plan(shape, (md.SamplePoints.uniform(8),)), 0, 0, 0)
+    assert np.array_equal(u_re + 1j * u_im, md.build_uniform(8).to_complex())
+    points = md.SamplePoints.explicit([2.0, 4.0])
+    (nu_re,), (nu_im,) = plan_block(md.create_kdft_plan(shape, (points,)), 0, 0, 0)
+    assert np.allclose(nu_re + 1j * nu_im, [[1.0, 0.5], [1.0, 0.25]])
 
 
 def test_phase_slice_single_core_is_all_ones():

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python3 tools/digest.py > change.txt
     PYTHONPATH=../parent/src python3 tools/digest.py > parent.txt
-    diff parent.txt change.txt
+    PYTHONPATH=src python3 tools/digest.py --compare parent.txt change.txt
 
 The cases run the engines through the public API: kdft forward, kdft
 inverse, nonuniform kdft and fft. Each runs on f64 input in f64, f32 and
@@ -11,16 +11,23 @@ workers 1 and 2; on layouts with P = 1, P = N and m < P along a dimension;
 and with ``meshdft.mesh.SLAB_BYTES`` at its default and at 1 (one core per
 slab). A case's line is its name and the SHA-256 of its output planes
 (dtype, shape and bytes), its ledger, its per-tag ledger and, for kdft
-forward, its trace. The last line hashes every case line.
+forward, its trace. After the cases, one line per kdft plan (layout,
+precision, uniform or nonuniform points) hashes its ``ring_blocks`` terms.
+The last line hashes every line before it.
+
+``--compare A B`` reads two such files and prints the names whose digests
+differ or that only one file has, one a line; it exits 1 if there are any.
 
 kdft f64 and f32 bits depend on the BLAS build and the CPU
 (``meshdft.matmul_mixed``), so compare digests made on one machine. A digest
 is no golden value to check a tree against.
 """
 
+import argparse
 import hashlib
 import itertools
 import json
+import sys
 
 import numpy as np
 
@@ -105,11 +112,44 @@ def cases(layouts=LAYOUTS):
             yield f"{engine}/{mode.value}/workers{workers}/slab-{slab}/{layout}{suffix}", digest
 
 
+def plans(layouts=LAYOUTS):
+    """Yield (name, SHA-256 of its ``ring_blocks`` terms) for every kdft plan, in a fixed order."""
+    samplings = (("uniform", "kdft-forward"), ("nonuniform", "kdft-nonuniform"))
+    for (extents, grid), (sampling, engine), mode in itertools.product(
+            layouts, samplings, md.PrecisionMode):
+        h = hashlib.sha256()
+        for dim in _plan(engine, extents, grid, mode).ring_blocks:
+            for term in itertools.chain(*dim):
+                h.update(f"{term.dtype} {term.shape}".encode())
+                h.update(term.tobytes())
+        layout = "x".join(map(str, extents)) + "-on-" + "x".join(map(str, grid))
+        yield f"kdft-plan/{mode.value}/{sampling}/{layout}", h.hexdigest()
+
+
+def _read(path):
+    with open(path) as fh:
+        return dict(line.split() for line in fh if line.strip())
+
+
+def compare(path_a, path_b):
+    """The names whose digests differ between two digest files, or that one lacks."""
+    a, b = _read(path_a), _read(path_b)
+    return [name for name in {**a, **b} if name != "all" and a.get(name) != b.get(name)]
+
+
 def main(layouts=LAYOUTS):
-    lines = [f"{name} {digest}" for name, digest in cases(layouts)]
+    lines = [f"{name} {digest}" for name, digest in itertools.chain(cases(layouts), plans(layouts))]
     lines.append("all " + hashlib.sha256("\n".join(lines).encode()).hexdigest())
     print("\n".join(lines))
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="print the names whose digests differ between two digest files")
+    args = parser.parse_args()
+    if args.compare:
+        differing = compare(*args.compare)
+        print("\n".join(differing) if differing else "no case differs")
+        sys.exit(1 if differing else 0)
     main()
