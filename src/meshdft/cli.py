@@ -95,19 +95,23 @@ def _load_input(config):
     return make_input(config.generator, config.extents, config.seed)
 
 
-def run_transform(config, references=None):
+def run_transform(config, shared=None):
     """Execute one configured transform; returns (global result, report dict).
 
-    ``references`` maps extents to oracle results already computed from the
-    same sampling, points file, generator and seed as ``config``; a miss is
-    computed and stored in it. A scaling sweep passes one dict for the whole
-    sweep, so points with the same dims pay for the oracle once.
+    ``shared`` maps extents to what a scaling sweep's points with those
+    extents share: the sample points, the input tensor and the oracle
+    result, all made from the same sampling, points file, generator and seed
+    as ``config``. A miss is built and stored in it. A sweep passes one dict
+    for the whole sweep, so points with the same dims build each once.
 
     Raises ``ProtocolError`` if the measured ledger differs from the closed
     form in ``reports.expected_ledger``.
     """
-    config.samples = _resolve_samples(config)
-    tensor = _load_input(config)
+    entry = {} if shared is None else shared.setdefault(config.extents, {})
+    if "tensor" not in entry:
+        entry["samples"] = _resolve_samples(config)
+        entry["tensor"] = _load_input(config)
+    config.samples, tensor = entry["samples"], entry["tensor"]
     mesh = MeshSim(config.shape)
     if config.algorithm == "kdft":
         plan = create_kdft_plan(config.shape, config.samples, config.precision)
@@ -121,12 +125,10 @@ def run_transform(config, references=None):
 
     oracle_error = oracle_max = None
     if oracle_feasible(config.extents):
-        if references is None:
-            references = {}
-        ref = references.get(config.extents)
+        ref = entry.get("oracle")
         if ref is None:
             # looked up at call time, so a wrapper set on this module sees every call
-            ref = references[config.extents] = direct_dft(tensor, config.samples)
+            ref = entry["oracle"] = direct_dft(tensor, config.samples)
         oracle_error = relative_l2_error(result, ref.values)
         oracle_max = ref.max_abs
 
@@ -197,8 +199,8 @@ def cmd_scaling(args):
     if not sweep:
         raise ArgumentError("--sweep must list at least one point")
     precision = PrecisionMode.parse(args.precision)
-    # every input to a reference but the extents is fixed for the whole sweep
-    references = {}
+    # every input to a point but the extents and the grid is fixed for the whole sweep
+    shared = {}
     results = []
     any_ok = False
     for point in sweep:
@@ -233,7 +235,7 @@ def cmd_scaling(args):
                 seed=args.seed,
                 workers=args.workers,
             )
-            _, report = run_transform(config, references)
+            _, report = run_transform(config, shared)
         except ProtocolError:
             raise
         except MeshDftError as exc:

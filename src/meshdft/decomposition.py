@@ -1,15 +1,21 @@
 """Core grids and block decomposition of global tensors.
 
 A computation shape (P1, P2, P3) arranges cores in a (possibly degenerate)
-3-D grid. Tensors are split into equal contiguous blocks, one per core.
+3-D grid. Tensors are split into equal contiguous blocks, one per core. A
+distributed tensor is :class:`Blocks`: the blocks as two stacked planes,
+the grid's axes leading, from :func:`decompose` through either engine to
+:func:`gather_to_host`, with no per-core object on the way; ``blocks[i]``
+makes core i's block, a view, when it is asked for.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .ctensor import ComplexTensor
-from .errors import ArgumentError, AssemblyError, PlanError
+from .errors import ArgumentError, AssemblyError, DimensionError, PlanError
 
 
 @dataclass(frozen=True)
@@ -101,59 +107,140 @@ class BlockAssignment:
             n // p for n, p in zip(self.global_shape, self.shape.dims[: self.rank])
         )
 
-    def block_slices(self, core_id):
-        coords = self.shape.coords(core_id)
-        out = []
-        for d in range(self.rank):
-            b = self.block_shape[d]
-            start = coords[d] * b
-            out.append(slice(start, start + b))
-        return tuple(out)
+
+class Blocks(Sequence):
+    """A distributed tensor: one block per core, held as two stacked planes.
+
+    ``re`` and ``im`` are read-only arrays of one float dtype shaped
+    ``grid + block``: the core counts (P1, P2, P3) of the computation shape
+    lead, so core (c1, c2, c3)'s block is ``re[c1, c2, c3]``. They may be
+    strided, such as :func:`decompose`'s view of its input through the grid.
+    ``blocks[i]`` is core i's block as a :class:`ComplexTensor` view of the
+    planes, flat core ids row-major; a slice is a list of such blocks.
+
+    The constructor freezes the planes it is given in place, without a copy
+    or a scan: it is for planes the package made. A per-core list from
+    outside goes through :func:`_as_blocks`.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        re.setflags(write=False)
+        im.setflags(write=False)
+        self.re, self.im = re, im
+
+    @property
+    def grid(self):
+        return self.re.shape[:3]
+
+    @property
+    def shape(self):
+        """Each core's block shape."""
+        return self.re.shape[3:]
+
+    @property
+    def dtype(self):
+        return self.re.dtype
+
+    def __len__(self):
+        return math.prod(self.grid)
+
+    def __getitem__(self, index):
+        cores = range(len(self))
+        if isinstance(index, slice):
+            return [self[i] for i in cores[index]]
+        at = np.unravel_index(cores[index], self.grid)
+        return ComplexTensor._own(self.re[at], self.im[at])
+
+    def __repr__(self):
+        return f"Blocks(grid={self.grid}, shape={self.shape}, dtype={self.dtype})"
+
+
+# what a malformed per-core list is told, by the error its caller raises: an
+# engine's (DimensionError) or gather_to_host's (AssemblyError)
+_LIST_ERRORS = {
+    DimensionError: ("block {core} must be a ComplexTensor",
+                     "block {core} must have shape {block}"),
+    AssemblyError: ("block {core} missing or not a ComplexTensor",
+                    "block {core} has shape {shape}, expected {block}"),
+}
+
+
+def _as_blocks(blocks, shape, block, error):
+    """``blocks`` as :class:`Blocks` of ``block``-shaped blocks on ``shape``'s grid.
+
+    :class:`Blocks` are checked once; a per-core list is checked block by
+    block and stacked. Raises ``error``, DimensionError or AssemblyError, on
+    a mismatch.
+    """
+    if isinstance(blocks, Blocks):
+        if blocks.grid != shape.dims or blocks.shape != block:
+            raise error(f"blocks of shape {blocks.shape} on a {blocks.grid} grid, "
+                        f"expected {block} on {shape.dims}")
+        return blocks
+    if len(blocks) != shape.num_cores:
+        raise error(f"expected {shape.num_cores} blocks, got {len(blocks)}")
+    not_tensor, wrong_shape = _LIST_ERRORS[error]
+    for core, b in enumerate(blocks):
+        if not isinstance(b, ComplexTensor):
+            raise error(not_tensor.format(core=core))
+        if b.shape != block:
+            raise error(wrong_shape.format(core=core, shape=b.shape, block=block))
+        if b.dtype != blocks[0].dtype:
+            raise error("blocks disagree on dtype")
+    return Blocks(*(np.stack([getattr(b, part) for b in blocks]).reshape(shape.dims + block)
+                    for part in ("re", "im")))
+
+
+def _grid_view(plane, dims):
+    """A global plane viewed as ``dims + block``, each core's block at its grid
+    coordinates; a view, never a copy."""
+    rank = plane.ndim
+    block = tuple(n // p for n, p in zip(plane.shape, dims))
+    split = plane.reshape(tuple(x for pair in zip(dims, block) for x in pair))
+    order = tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2))
+    # the last reshape only inserts the grid's unit axes beyond the rank
+    return split.transpose(order).reshape(tuple(dims) + block)
 
 
 def decompose(tensor, shape):
     """Split a global tensor into one contiguous block per core.
 
-    Returns (blocks, assignment) with blocks indexed by flat core id.
+    Returns (blocks, assignment): :class:`Blocks` whose planes are views of
+    the tensor's frozen planes through the grid, so nothing is copied; an
+    engine's entry makes the one copy, slab by slab.
     """
     if not isinstance(tensor, ComplexTensor):
         raise ArgumentError("decompose expects a ComplexTensor")
     if not isinstance(shape, ComputationShape):
         raise ArgumentError("decompose expects a ComputationShape")
     assignment = BlockAssignment(tuple(int(n) for n in tensor.shape), shape)
-    blocks = []
-    for core in range(shape.num_cores):
-        sl = assignment.block_slices(core)
-        # views of the input's frozen planes
-        blocks.append(ComplexTensor._own(tensor.re[sl], tensor.im[sl]))
-    return blocks, assignment
+    return Blocks(_grid_view(tensor.re, shape.dims), _grid_view(tensor.im, shape.dims)), assignment
 
 
 def gather_to_host(blocks, assignment):
-    """Inverse of :func:`decompose`: stitch per-core blocks into a global tensor."""
+    """Inverse of :func:`decompose`: stitch :class:`Blocks`, or a per-core list of
+    blocks, into a global tensor.
+
+    On a grid with cores along dim 0 alone the blocks in core order are the
+    tensor's rows, so one reshape makes each plane, a view where the planes'
+    layout allows; otherwise each core's block is copied into place, one
+    copy per core and plane.
+    """
     if not isinstance(assignment, BlockAssignment):
         raise ArgumentError("gather_to_host expects a BlockAssignment")
-    num = assignment.shape.num_cores
-    if len(blocks) != num:
-        raise AssemblyError(f"expected {num} blocks, got {len(blocks)}")
-    expected = assignment.block_shape
-    dtype = None
-    for core, block in enumerate(blocks):
-        if not isinstance(block, ComplexTensor):
-            raise AssemblyError(f"block {core} missing or not a ComplexTensor")
-        if block.shape != expected:
-            raise AssemblyError(
-                f"block {core} has shape {block.shape}, expected {expected}"
-            )
-        if dtype is None:
-            dtype = block.dtype
-        elif block.dtype != dtype:
-            raise AssemblyError("blocks disagree on dtype")
-    # the blocks tile the global shape, so every element is filled
-    re = np.empty(assignment.global_shape, dtype=dtype)
-    im = np.empty(assignment.global_shape, dtype=dtype)
-    for core, block in enumerate(blocks):
-        sl = assignment.block_slices(core)
-        re[sl] = block.re
-        im[sl] = block.im
-    return ComplexTensor._own(re, im)
+    dims = assignment.shape.dims
+    blocks = _as_blocks(blocks, assignment.shape, assignment.block_shape, AssemblyError)
+    if dims[1] == dims[2] == 1:
+        return ComplexTensor._own(*(p.reshape(assignment.global_shape)
+                                    for p in (blocks.re, blocks.im)))
+    planes = []
+    for plane in (blocks.re, blocks.im):
+        out = np.empty(assignment.global_shape, dtype=blocks.dtype)
+        grid = _grid_view(out, dims)
+        # the blocks tile the global shape, so every element is filled
+        for at in np.ndindex(dims):
+            np.copyto(grid[at], plane[at])
+        planes.append(out)
+    return ComplexTensor._own(*planes)

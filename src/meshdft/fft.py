@@ -27,8 +27,9 @@ import numpy as np
 
 from .ctensor import ComplexTensor, PrecisionMode, _check_finite
 from .decomposition import ComputationShape
+from . import mesh as mesh_module
 from .errors import ArgumentError, DimensionError, PlanError
-from .mesh import _check_blocks, _check_plan, _entry, _shift_ring, _stage
+from .mesh import _check_blocks, _check_plan, _entry, _exit, _shift_ring, _stage
 from .vandermonde import _unit_roots
 
 
@@ -226,28 +227,39 @@ def _ring_coefficients(n, parts, beta_map, mode):
     table's entry m*(b*p mod parts). The ring applies c to the payload's rows
     re and im as the real 2x2 block [[c_re, -c_im], [c_im, c_re]]. The P-th
     roots' blocks are prepared for the mode once; a step's blocks, indexed by
-    i, are one gather per term: one matrix plane of ``(P, 2, 2)`` terms.
+    i, are one matrix plane of ``(P, 2, 2)`` terms. They are gathered for a
+    run of steps at once, as many as fit in a slab's bytes
+    (:data:`meshdft.mesh.SLAB_BYTES`): the whole ring on a few cores, and at
+    most a slab's worth on many, where a whole-ring table would not fit.
     """
     # every m-th entry: the length-parts table
     c_re, c_im = (t[::n // parts] for t in _unit_roots(n))
     table = mode.prepare(np.stack([c_re, -c_im, c_im, c_re], axis=-1).reshape(parts, 2, 2))
     beta, start = np.asarray(beta_map, dtype=np.int64), np.arange(parts)
+    run = max(1, mesh_module.SLAB_BYTES // sum(t.nbytes for t in table))
+    held = {}
 
     def coefficients(step):
-        exponents = beta * ((start - step) % parts) % parts
-        return (tuple(np.take(t, exponents, axis=0) for t in table),)
+        first = step - step % run
+        if first not in held:
+            held.clear()
+            steps = np.arange(first, min(first + run, parts))[:, None]
+            exponents = beta * ((start - steps) % parts) % parts
+            held[first] = tuple(np.take(t, exponents, axis=0) for t in table)
+        return (tuple(t[step - first] for t in held[first]),)
 
     return coefficients
 
 
 def fft_forward(mesh, plan, blocks, workers=1):
-    """Run the decimation-based transform; returns per-core frequency blocks.
+    """Run the decimation-based transform on :class:`Blocks` (or a per-core list);
+    returns the frequency blocks as :class:`Blocks`.
 
     Output distribution matches the direct engine: block p covers contiguous
     frequency rows [p*N/P, (p+1)*N/P) along each distributed dimension.
     """
-    _check_blocks(mesh, plan, blocks)
-    mode, num, block = plan.precision, mesh.num_cores, blocks[0].shape
+    blocks = _check_blocks(mesh, plan, blocks)
+    mode, num, block = plan.precision, mesh.num_cores, blocks.shape
     with mesh.cores(workers) as each:
         xs = _entry(each, blocks, mode)
         for d in range(plan.rank):
@@ -257,8 +269,8 @@ def fft_forward(mesh, plan, blocks, workers=1):
             with _stage("local FFT", d, mode):
                 xs = mesh.all_to_all_groups(_gather_groups(lines, parts, m), xs, d, tag, each,
                                             _local_fft_kernel(view, d, n, mode))
-            mesh.ledger.add_flops("local_fft", local_fft_flops(m, num * blocks[0].size // m), tag)
+            mesh.ledger.add_flops("local_fft", local_fft_flops(m, num * math.prod(block) // m), tag)
             coefficients = _ring_coefficients(n, parts, plan.beta_maps[d], mode)
             with _stage("phase ring", d, mode):
                 xs = _shift_ring(mesh, each, lines, xs, coefficients, block, d, mode, tag)
-    return [ComplexTensor._own(re, im) for re, im in zip(*xs)]
+    return _exit(xs, plan.shape.dims)

@@ -13,13 +13,14 @@ block.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .ctensor import ComplexTensor, PrecisionMode
-from .decomposition import ComputationShape
+from .ctensor import PrecisionMode, _check_finite
+from .decomposition import Blocks, ComputationShape
 from .errors import UnsupportedOperationError
-from .mesh import _check_blocks, _check_plan, _entry, _shift_ring, _stage
+from .mesh import _check_blocks, _check_plan, _entry, _exit, _shift_ring, _stage
 from .vandermonde import SamplePoints, _nonuniform_rows, _unit_roots
 
 
@@ -131,7 +132,8 @@ def _trace_records(xs, lines, parts):
 
 
 def kdft_forward(mesh, plan, blocks, workers=1, trace=None):
-    """Run the forward transform; returns per-core frequency blocks.
+    """Run the forward transform on :class:`Blocks` (or a per-core list); returns the
+    frequency blocks as :class:`Blocks`.
 
     Output block p covers contiguous frequency rows [p*N/P, (p+1)*N/P) along
     each distributed dimension.
@@ -144,9 +146,9 @@ def kdft_forward(mesh, plan, blocks, workers=1, trace=None):
     the permute after the step, over every grid line of the dimension, or
     None at the last step.
     """
-    _check_blocks(mesh, plan, blocks)
-    mode, block = plan.precision, blocks[0].shape
-    core_bytes = 2 * mode.real_dtype.itemsize * blocks[0].size
+    blocks = _check_blocks(mesh, plan, blocks)
+    mode, block = plan.precision, blocks.shape
+    core_bytes = 2 * mode.real_dtype.itemsize * math.prod(block)
     with mesh.cores(workers) as each:
         xs = _entry(each, blocks, mode)
         for d in range(plan.rank):
@@ -160,7 +162,7 @@ def kdft_forward(mesh, plan, blocks, workers=1, trace=None):
             if trace is not None:
                 trace.extend(_trace_records(xs, lines, parts))
             xs = ys
-    return [ComplexTensor._own(re, im) for re, im in zip(*xs)]
+    return _exit(xs, plan.shape.dims)
 
 
 def kdft_inverse_uniform(mesh, plan, blocks, workers=1):
@@ -168,12 +170,15 @@ def kdft_inverse_uniform(mesh, plan, blocks, workers=1):
 
     Every precision mode rounds symmetrically, so the bits are those of
     contracting with conjugated column blocks, and no conjugated copy of the
-    plan is made.
+    plan is made. Each conjugation negates the im plane once.
     """
-    _check_blocks(mesh, plan, blocks)
+    blocks = _check_blocks(mesh, plan, blocks)
     if not plan.all_uniform():
         raise UnsupportedOperationError(
             "inverse requires uniform sampling on every dimension"
         )
-    out = kdft_forward(mesh, plan, [b.conj() for b in blocks], workers=workers)
-    return [y.conj().scaled(1.0 / plan.total_elements) for y in out]
+    out = kdft_forward(mesh, plan, Blocks(blocks.re, -blocks.im), workers=workers)
+    factor = out.dtype.type(1.0 / plan.total_elements)
+    planes = (out.re * factor, -out.im * factor)
+    _check_finite(*planes)
+    return Blocks(*planes)

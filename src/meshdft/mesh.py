@@ -3,7 +3,9 @@
 The engines are bulk-synchronous: the same compute on every core, then one
 collective. So a tensor distributed over the cores is held as stacked planes:
 one array per plane, shape ``(P, *block)``, the flat core id leading, the
-engines' one layout from entry (:func:`_entry`) to exit. The
+engines' one layout from entry (:func:`_entry`, one copy of the input
+:class:`Blocks`' planes) to exit (:func:`_exit`, the same planes as
+:class:`Blocks`, no copy). The
 collectives take core groups that are the lines of a view of that axis as
 ``(outer, n, inner)`` (:meth:`MeshSim._check_groups`), member i of a group at
 index i along n: equal groups of evenly spaced cores, covering the mesh.
@@ -22,7 +24,8 @@ to the cores holding them at that step, at most two runs of members. Every
 element takes the same arithmetic in any slab, so results and ledgers are
 bit-identical for any worker count. Inside the context BLAS runs
 single-threaded: the simulated cores are the source of parallelism, and a
-second BLAS pool would compete with them for the host.
+second BLAS pool would compete with them for the host. numpy's overflow
+warnings are off in it, on every thread, since each stage scans its results.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -36,8 +39,8 @@ import os
 
 import numpy as np
 
-from .ctensor import ComplexTensor, PrecisionMode, _check_finite
-from .decomposition import BlockAssignment, ComputationShape
+from .ctensor import PrecisionMode, _check_finite
+from .decomposition import BlockAssignment, Blocks, ComputationShape, _as_blocks
 from .errors import ArgumentError, CommunicationError, DimensionError
 
 # The most bytes of payload one kernel call takes on: a slab of cores stays in
@@ -114,18 +117,11 @@ def _check_plan(shape, precision, extents):
 
 
 def _check_blocks(mesh, plan, blocks):
-    """Reject a mesh or per-core block list that does not fit an engine's plan."""
+    """An engine's input as :class:`Blocks` on its plan's grid; a per-core list is stacked."""
     if not isinstance(mesh, MeshSim) or mesh.shape != plan.shape:
         raise ArgumentError("mesh and plan must share the same computation shape")
-    num_cores = plan.shape.num_cores
-    if len(blocks) != num_cores:
-        raise DimensionError(f"expected {num_cores} blocks, got {len(blocks)}")
-    expected = BlockAssignment(plan.extents, plan.shape).block_shape
-    for i, b in enumerate(blocks):
-        if not isinstance(b, ComplexTensor):
-            raise DimensionError(f"block {i} must be a ComplexTensor")
-        if b.shape != expected:
-            raise DimensionError(f"block {i} must have shape {expected}")
+    block = BlockAssignment(plan.extents, plan.shape).block_shape
+    return _as_blocks(blocks, plan.shape, block, DimensionError)
 
 
 @contextmanager
@@ -143,24 +139,31 @@ def _stage(name, dim, mode):
 
 
 def _entry(each, blocks, mode):
-    """The blocks as stacked planes in the mode's dtype, built slab by slab.
+    """:class:`Blocks` as stacked ``(P, *block)`` planes in the mode's dtype, copied
+    slab by slab of the grid.
 
     Only a cast that narrows the dtype can overflow, so only such a cast
     scans its result: the blocks are finite.
     """
-    dtype = mode.real_dtype
-    out = tuple(np.empty((len(blocks),) + blocks[0].shape, dtype) for _ in "ri")
-    narrows = any(b.dtype.itemsize > dtype.itemsize for b in blocks)
+    dtype, grid, block = mode.real_dtype, blocks.grid, blocks.shape
+    out = tuple(np.empty((len(blocks),) + block, dtype) for _ in "ri")
+    targets = [o.reshape(grid + block) for o in out]
+    narrows = blocks.dtype.itemsize > dtype.itemsize
 
     def cast(box):
-        for o, part in zip(out, ("re", "im")):
-            np.stack([getattr(b, part) for b in blocks[box[1]]], out=o[box[1]])
+        for target, plane in zip(targets, (blocks.re, blocks.im)):
+            np.copyto(target[box], plane[box])
         if narrows:
-            _check_finite(out[0][box[1]], out[1][box[1]])
+            _check_finite(*(t[box] for t in targets))
 
     with _stage("entry cast", None, mode):
-        each(cast, (1, len(blocks), 1), 2 * dtype.itemsize * blocks[0].size)
+        each(cast, grid, 2 * dtype.itemsize * math.prod(block))
     return out
+
+
+def _exit(planes, grid):
+    """Stacked ``(P, *block)`` planes as :class:`Blocks` on ``grid``, without a copy."""
+    return Blocks(*(p.reshape(grid + p.shape[1:]) for p in planes))
 
 
 def _empty_stack(num, block, axis, dtype):
@@ -182,22 +185,54 @@ def _slabs(view, core_bytes, slab_bytes):
     return tuple(tuple(slice(a, min(a + k, e)) for a, k, e in zip(s, sizes, view)) for s in starts)
 
 
+@lru_cache(maxsize=256)
+def _group_view(num_cores, groups):
+    """:meth:`MeshSim._check_groups`' check of the groups, made once per mesh size and
+    groups: (view, None), or (None, why the groups are rejected)."""
+    groups = tuple(tuple(int(c) for c in g) for g in groups)
+    if not groups:
+        return None, "no core groups"
+    seen = set()
+    for g in groups:
+        if not g:
+            return None, "empty core group"
+        for c in g:
+            if not 0 <= c < num_cores:
+                return None, f"core {c} outside mesh"
+            if c in seen:
+                return None, f"core {c} appears twice in the groups"
+            seen.add(c)
+    n = len(groups[0])
+    inner = groups[0][1] - groups[0][0] if n > 1 else 1
+    if inner >= 1 and num_cores % (n * inner) == 0:
+        view = (num_cores // (n * inner), n, inner)
+        lines = np.arange(num_cores).reshape(view).transpose(0, 2, 1)
+        if sorted(groups) == sorted(map(tuple, lines.reshape(-1, n).tolist())):
+            return view, None
+    return None, "core groups must be the lines of a view of the mesh"
+
+
 def _moves(box, step, n):
     """Where the payloads of a box's members sit at ring ``step``: pairs (slice of
     the box's members, box of the cores holding them), member i's at (i - step) mod n."""
     o, i, j = box
     s = step % n
     runs = ((i.start, min(i.stop, s), n - s), (max(i.start, s), i.stop, -s))
-    return [(slice(lo - i.start, hi - i.start), (o, slice(lo + d, hi + d), j))
-            for lo, hi, d in runs if lo < hi]
+    return tuple((slice(lo - i.start, hi - i.start), (o, slice(lo + d, hi + d), j))
+                 for lo, hi, d in runs if lo < hi)
 
 
-def _run_slabs(fn, args):
+@lru_cache(maxsize=256)
+def _step_moves(view, core_bytes, slab_bytes, step):
+    """Every slab's :func:`_moves` at ring ``step``, in :func:`_slabs`' order."""
+    return tuple(_moves(box, step, view[1]) for box in _slabs(view, core_bytes, slab_bytes))
+
+
+def _ignore_overflow():
     # an overflow raises from the finite scan of the result it spoils, so
     # numpy's warnings would only repeat it; errstate is per thread, so each
-    # thread sets its own
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [fn(*a) for a in args]
+    # pool thread sets its own once, as it starts
+    np.seterr(over="ignore", invalid="ignore")
 
 
 _OPENBLAS_THREAD_CALLS = (
@@ -261,13 +296,15 @@ class MeshSim:
         for every slab (:func:`_slabs`) of an ``(outer, n, inner)`` core view
         in core order, ``args`` the slab's entries of the ``per_slab`` lists,
         over at most ``min(workers, P, os.cpu_count())`` threads, each taking a
-        contiguous run of slabs. BLAS runs single-threaded until the block
-        ends, for any ``workers``.
+        contiguous run of slabs. BLAS runs single-threaded, and numpy's
+        overflow and invalid warnings are off on the calling thread and the
+        pool's, until the block ends, for any ``workers``.
         """
         if not isinstance(workers, int) or workers < 1:
             raise ArgumentError(f"workers must be a positive int, got {workers!r}")
         workers = min(workers, self.num_cores, os.cpu_count() or 1)
-        with _single_threaded_blas(), ThreadPoolExecutor(workers) as pool:
+        with (_single_threaded_blas(), np.errstate(over="ignore", invalid="ignore"),
+              ThreadPoolExecutor(workers, initializer=_ignore_overflow) as pool):
 
             def each(fn, view, core_bytes, *per_slab):
                 slabs = _slabs(view, core_bytes, SLAB_BYTES)
@@ -276,10 +313,11 @@ class MeshSim:
                 args = list(zip(slabs, *per_slab))
                 threads = min(workers, len(args))
                 if threads == 1:
-                    return _run_slabs(fn, args)
+                    return [fn(*a) for a in args]
                 cuts = [i * len(args) // threads for i in range(threads + 1)]
                 futures = [
-                    pool.submit(_run_slabs, fn, args[a:b]) for a, b in zip(cuts, cuts[1:])
+                    pool.submit(lambda run: [fn(*a) for a in run], args[a:b])
+                    for a, b in zip(cuts, cuts[1:])
                 ]
                 return [y for f in futures for y in f.result()]
 
@@ -303,27 +341,10 @@ class MeshSim:
             if len(planes[0]) != self.num_cores:
                 raise CommunicationError(
                     f"expected {self.num_cores} payloads, got {len(planes[0])}")
-        groups = tuple(tuple(int(c) for c in g) for g in groups)
-        if not groups:
-            raise CommunicationError("no core groups")
-        seen = set()
-        for g in groups:
-            if not g:
-                raise CommunicationError("empty core group")
-            for c in g:
-                if not 0 <= c < self.num_cores:
-                    raise CommunicationError(f"core {c} outside mesh")
-                if c in seen:
-                    raise CommunicationError(f"core {c} appears twice in the groups")
-                seen.add(c)
-        n = len(groups[0])
-        inner = groups[0][1] - groups[0][0] if n > 1 else 1
-        if inner >= 1 and self.num_cores % (n * inner) == 0:
-            view = (self.num_cores // (n * inner), n, inner)
-            lines = np.arange(self.num_cores).reshape(view).transpose(0, 2, 1)
-            if sorted(groups) == sorted(map(tuple, lines.reshape(-1, n).tolist())):
-                return view
-        raise CommunicationError("core groups must be the lines of a view of the mesh")
+        view, error = _group_view(self.num_cores, tuple(map(tuple, groups)))
+        if error:
+            raise CommunicationError(error)
+        return view
 
     def ring(self, each, groups, held, core_bytes, kernel, steps, tag="", table=None):
         """``steps`` shifts within each group, each followed by a kernel on every slab.
@@ -347,8 +368,8 @@ class MeshSim:
             if step:
                 self.ledger.record_permute(core_bytes * self.num_cores, tag=tag)
             t = None if table is None else table(step)
-            each(lambda box, h: kernel(step, box, h, _moves(box, step, view[1]), t),
-                 view, core_bytes, held)
+            each(lambda box, h, moves: kernel(step, box, h, moves, t),
+                 view, core_bytes, held, _step_moves(view, core_bytes, SLAB_BYTES, step))
 
     def all_to_all_groups(self, groups, planes, split_axis=0, tag="", each=None, kernel=None):
         """One all_to_all invocation spanning several disjoint groups.
@@ -390,7 +411,8 @@ class MeshSim:
             return kernel(box, tuple(s[box] for s in sources))
 
         if each is None:
-            return _run_slabs(exchange, [(box,) for box in _slabs(view, core_bytes, SLAB_BYTES)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                return [exchange(box) for box in _slabs(view, core_bytes, SLAB_BYTES)]
         return each(exchange, view, core_bytes)
 
 

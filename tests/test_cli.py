@@ -321,6 +321,25 @@ def oracle_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Record each input tensor and each uniform sample set a run builds."""
+    calls = []
+    make_input, uniform = cli.make_input, md.SamplePoints.uniform
+
+    def counting_input(spec, extents, seed=0):
+        calls.append(("input", tuple(extents)))
+        return make_input(spec, extents, seed)
+
+    def counting_uniform(n):
+        calls.append(("samples", n))
+        return uniform(n)
+
+    monkeypatch.setattr(cli, "make_input", counting_input)
+    monkeypatch.setattr(md.SamplePoints, "uniform", counting_uniform)
+    return calls
+
+
 def _sweep_rows(tmp_path, *argv):
     base = str(tmp_path / "sweep")
     assert cli.main(["scaling", *argv, "--report", base]) == 0
@@ -341,12 +360,14 @@ def _standalone_error(algo, dims, shape, precision="f64", seed=0):
     return report["oracle"]["relative_l2_error"]
 
 
-def test_strong_sweep_evaluates_the_oracle_once(tmp_path, oracle_calls):
+def test_strong_sweep_evaluates_the_oracle_once(tmp_path, oracle_calls, builds):
     rows = _sweep_rows(
         tmp_path, "--algo", "fft", "--mode", "strong", "--dims", "64",
         "--sweep", "1,2,4,8,16,32,64", "--precision", "f32", "--seed", "5",
     )
     assert oracle_calls == [(64,)]
+    # and builds its sample points and its input once
+    assert builds == [("samples", 64), ("input", (64,))]
     assert [r["status"] for r in rows] == ["ok"] * 7
     for row in rows:
         assert row["max_rel_error_vs_oracle"] == _standalone_error(
@@ -354,12 +375,13 @@ def test_strong_sweep_evaluates_the_oracle_once(tmp_path, oracle_calls):
         )
 
 
-def test_weak_sweep_evaluates_the_oracle_once_per_dims(tmp_path, oracle_calls):
+def test_weak_sweep_evaluates_the_oracle_once_per_dims(tmp_path, oracle_calls, builds):
     rows = _sweep_rows(
         tmp_path, "--algo", "kdft", "--mode", "weak", "--shape", "2",
         "--sweep", "16,32,16",
     )
     assert oracle_calls == [(16,), (32,)]
+    assert builds == [("samples", 16), ("input", (16,)), ("samples", 32), ("input", (32,))]
     assert [r["status"] for r in rows] == ["ok"] * 3
     assert rows[0]["max_rel_error_vs_oracle"] == rows[2]["max_rel_error_vs_oracle"]
     for row in rows:
@@ -385,7 +407,7 @@ def test_skipped_point_stores_no_reference(tmp_path, oracle_calls):
     ]
 
 
-def test_each_invocation_pays_for_its_own_oracle(oracle_calls, capsys):
+def test_each_invocation_pays_for_its_own_oracle(oracle_calls, builds, capsys):
     argv = ["scaling", "--algo", "fft", "--mode", "strong", "--dims", "32",
             "--sweep", "1,2"]
     assert cli.main(argv) == 0
@@ -395,6 +417,8 @@ def test_each_invocation_pays_for_its_own_oracle(oracle_calls, capsys):
         assert cli.main(["transform", "--algo", "fft", "--dims", "32",
                          "--shape", "2", "--gen", "random"]) == 0
     assert len(oracle_calls) == 4
+    # nor does an invocation share its sample points or its input
+    assert builds == [("samples", 32), ("input", (32,))] * 4
 
 
 # -- ledger invariant ------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Core grids, block decomposition, the strided index maps and per-core row slices."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import meshdft as md
 from meshdft import fft
+from meshdft import mesh as mesh_module
 from helpers import plan_block, rand_tensor
 from reference import build_nonuniform
 
@@ -121,10 +124,9 @@ def test_decompose_gather_round_trip_3d():
 def test_decompose_block_contents_follow_coordinates():
     x = rand_tensor((4, 4), seed=3)
     shape = md.ComputationShape(2, 2, 1)
-    blocks, assignment = md.decompose(x, shape)
+    blocks, _ = md.decompose(x, shape)
     core = np.ravel_multi_index((1, 0, 0), shape.dims)
     assert np.array_equal(blocks[core].re, x.re[2:4, 0:2])
-    assert assignment.block_slices(core) == (slice(2, 4), slice(0, 2))
 
 
 def test_decompose_errors():
@@ -140,14 +142,67 @@ def test_decompose_errors():
 def test_gather_rejects_bad_blocks():
     x = rand_tensor((4,), seed=5)
     blocks, assignment = md.decompose(x, md.ComputationShape(2, 1, 1))
-    with pytest.raises(md.AssemblyError):
+    with pytest.raises(md.AssemblyError, match="expected 2 blocks, got 1"):
         md.gather_to_host(blocks[:1], assignment)
-    with pytest.raises(md.AssemblyError):
+    with pytest.raises(md.AssemblyError, match=r"block 1 has shape \(3,\), expected \(2,\)"):
         md.gather_to_host([blocks[0], rand_tensor((3,), seed=6)], assignment)
-    with pytest.raises(md.AssemblyError):
+    with pytest.raises(md.AssemblyError, match="block 1 missing or not a ComplexTensor"):
         md.gather_to_host([blocks[0], None], assignment)
-    with pytest.raises(md.AssemblyError):
+    with pytest.raises(md.AssemblyError, match="blocks disagree on dtype"):
         md.gather_to_host([blocks[0], blocks[1].astype(np.float32)], assignment)
+    # blocks of another grid
+    other, _ = md.decompose(rand_tensor((4, 2), seed=5), md.ComputationShape(2, 1, 1))
+    with pytest.raises(md.AssemblyError, match="expected"):
+        md.gather_to_host(other, assignment)
+
+
+def _cut(x, shape, core):
+    """Core ``core``'s block of ``x``, cut out by its grid coordinates."""
+    block = tuple(n // p for n, p in zip(x.shape, shape.dims))
+    cut = tuple(slice(c * b, (c + 1) * b) for c, b in zip(shape.coords(core), block))
+    return md.ComplexTensor(x.re[cut], x.im[cut])
+
+
+def test_blocks_are_read_only_views_of_the_input():
+    x = rand_tensor((8, 4, 2), seed=7)
+    shape = md.ComputationShape(2, 2, 2)
+    blocks, _ = md.decompose(x, shape)
+    assert (len(blocks), blocks.grid, blocks.shape, blocks.dtype) == (8, (2, 2, 2), (4, 2, 1),
+                                                                      np.float64)
+    for plane, source in ((blocks.re, x.re), (blocks.im, x.im)):
+        assert plane.shape == (2, 2, 2, 4, 2, 1)
+        assert np.shares_memory(plane, source)
+        with pytest.raises(ValueError):
+            plane[(0,) * plane.ndim] = 1.0
+    for core, block in enumerate(blocks):
+        assert np.shares_memory(block.re, blocks.re) and np.shares_memory(block.im, blocks.im)
+        assert np.array_equal(block.re, _cut(x, shape, core).re)
+    assert np.array_equal(blocks[-1].im, blocks[7].im)
+    assert [b.re.tolist() for b in blocks[2:4]] == [blocks[2].re.tolist(), blocks[3].re.tolist()]
+    with pytest.raises(IndexError):
+        blocks[8]
+
+
+@pytest.mark.parametrize("engine", ["kdft", "fft"])
+def test_engines_give_the_same_bits_from_a_list_as_from_blocks(monkeypatch, engine):
+    x = rand_tensor((8, 4, 8), seed=8)
+    shape = md.ComputationShape(2, 1, 2)
+    blocks, assignment = md.decompose(x, shape)
+    listed = [_cut(x, shape, c) for c in range(shape.num_cores)]
+    forward = md.kdft_forward if engine == "kdft" else md.fft_forward
+    create = md.create_kdft_plan if engine == "kdft" else md.create_fft_plan
+    for mode, workers, slab_bytes in itertools.product(
+            md.PrecisionMode, (1, 2), (mesh_module.SLAB_BYTES, 1)):
+        plan = create(shape, x.shape, mode)
+        monkeypatch.setattr(mesh_module, "SLAB_BYTES", slab_bytes)
+        runs = []
+        for given in (listed, blocks):
+            mesh = md.MeshSim(shape)
+            out = forward(mesh, plan, given, workers=workers)
+            runs.append((out.re.tobytes(), out.im.tobytes(), mesh.ledger.per_tag()))
+            assert np.array_equal(md.gather_to_host(out, assignment).re,
+                                  md.gather_to_host(list(out), assignment).re)
+        assert runs[0] == runs[1]
 
 
 def _row_slice(plan, d, pos):

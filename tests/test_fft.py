@@ -236,8 +236,12 @@ def test_forward_argument_errors():
     blocks, _ = md.decompose(rand_tensor((8,), seed=97), shape)
     with pytest.raises(md.ArgumentError):
         md.fft_forward(md.MeshSim(md.ComputationShape(4, 1, 1)), plan, blocks)
-    with pytest.raises(md.DimensionError):
+    with pytest.raises(md.DimensionError, match="expected 2 blocks, got 1"):
         md.fft_forward(md.MeshSim(shape), plan, blocks[:1])
+    # blocks decomposed for another grid
+    other, _ = md.decompose(rand_tensor((8,), seed=97), md.ComputationShape(1, 1, 1))
+    with pytest.raises(md.DimensionError, match=r"expected \(4,\) on \(2, 1, 1\)"):
+        md.fft_forward(md.MeshSim(shape), plan, other)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (4, 1, 1)])
@@ -415,7 +419,7 @@ def test_moved_and_computed_planes_are_read_only():
     transformed = md.local_fft(blocks[0], axis=1)
     plan = md.create_fft_plan(shape, x.shape)
     forward = md.fft_forward(md.MeshSim(shape), plan, blocks)
-    for t in blocks + [transformed] + exchanged + forward:
+    for t in [blocks, *blocks, transformed, *exchanged, forward, *forward]:
         for plane in (t.re, t.im):
             assert not plane.flags.writeable
             with pytest.raises(ValueError):

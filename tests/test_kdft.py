@@ -136,10 +136,12 @@ def test_forward_argument_errors():
     blocks, _ = md.decompose(rand_tensor((8,), seed=40), shape)
     with pytest.raises(md.ArgumentError):
         md.kdft_forward(md.MeshSim(md.ComputationShape(4, 1, 1)), plan, blocks)
-    with pytest.raises(md.DimensionError):
+    with pytest.raises(md.DimensionError, match="expected 2 blocks, got 1"):
         md.kdft_forward(mesh, plan, blocks[:1])
-    with pytest.raises(md.DimensionError):
+    with pytest.raises(md.DimensionError, match=r"block 1 must have shape \(4,\)"):
         md.kdft_forward(mesh, plan, [blocks[0], rand_tensor((3,), seed=41)])
+    with pytest.raises(md.DimensionError, match="block 0 must be a ComplexTensor"):
+        md.kdft_inverse_uniform(mesh, plan, [None, blocks[1]])
 
 
 # -- inverse -----------------------------------------------------------------

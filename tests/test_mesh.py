@@ -413,9 +413,9 @@ def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
     pools, slabs = [], []
 
     class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
         def submit(self, fn, *args):
             slabs.append(len(args[-1]))
@@ -441,7 +441,8 @@ def test_worker_pool_is_capped_at_the_host_cpus(monkeypatch, cpus, pool, slabs):
     pools, submitted = [], []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        # its runs go inline, on the calling thread, so it needs no initializer
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
 
         def __enter__(self):

@@ -13,7 +13,12 @@ slab). A case's line is its name and the SHA-256 of its output planes
 (dtype, shape and bytes), its ledger, its per-tag ledger and, for kdft
 forward, its trace. After the cases, one line per kdft plan (layout,
 precision, uniform or nonuniform points) hashes its ``ring_blocks`` terms.
-The last line hashes every line before it.
+Then each engine runs once on a per-core list of blocks built by hand and
+once on :func:`meshdft.decompose`'s blocks (names ending ``/list`` and
+``/blocks``, which must agree), and the ``meshdft`` command line runs tiny
+``transform`` and ``scaling`` invocations (names starting ``cli/``), each
+hashing every file it writes and its standard output. The last line hashes
+every line before it.
 
 ``--compare A B`` reads two such files and prints the names whose digests
 differ or that only one file has, one a line; it exits 1 if there are any.
@@ -24,14 +29,19 @@ is no golden value to check a tree against.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
 import meshdft as md
+from meshdft import cli
 from meshdft import mesh as mesh_module
 
 # (extents, grid): P = 1, P = N, m < P, and m >= P in 2-D and 3-D
@@ -55,6 +65,26 @@ MODES = tuple((mode, np.float64, "") for mode in md.PrecisionMode) + (
     (md.PrecisionMode.F32, np.float32, "/input-f32"),)
 WORKERS = (1, 2)
 SLABS = (("default", mesh_module.SLAB_BYTES), ("1", 1))
+# (name, argv): command lines small enough for the test suite; "{dir}" is a
+# fresh directory, and "points.json" in it holds nonuniform points for 8 x 4
+CLI_RUNS = (
+    ("transform/kdft-16-on-4-f64", ["transform", "--algo", "kdft", "--dims", "16",
+                                    "--shape", "4", "--gen", "random", "--seed", "3"]),
+    ("transform/fft-8x4x4-on-2x1x2-f32-workers2",
+     ["transform", "--algo", "fft", "--dims", "8x4x4", "--shape", "2x1x2",
+      "--precision", "f32", "--gen", "random", "--seed", "4", "--workers", "2"]),
+    ("transform/fft-64-on-8-bf16split3", ["transform", "--algo", "fft", "--dims", "64",
+                                          "--shape", "8", "--precision", "bf16split3",
+                                          "--gen", "tone:5"]),
+    ("transform/kdft-8x4-on-2x2-nonuniform",
+     ["transform", "--algo", "kdft", "--dims", "8x4", "--shape", "2x2", "--gen", "random",
+      "--sampling", "nonuniform", "--points-file", "{dir}/points.json"]),
+    ("scaling/strong-fft-64-f32", ["scaling", "--algo", "fft", "--mode", "strong",
+                                   "--dims", "64", "--sweep", "1,2,3,4,8",
+                                   "--precision", "f32", "--seed", "5"]),
+    ("scaling/weak-kdft-on-2", ["scaling", "--algo", "kdft", "--mode", "weak", "--shape", "2",
+                                "--sweep", "8,16,8", "--workers", "2"]),
+)
 
 
 def _plan(engine, extents, grid, mode):
@@ -126,6 +156,65 @@ def plans(layouts=LAYOUTS):
         yield f"kdft-plan/{mode.value}/{sampling}/{layout}", h.hexdigest()
 
 
+def _hand_built(x, grid):
+    """Per-core blocks of ``x`` on ``grid`` as a list, each cut out by its coordinates."""
+    block = tuple(n // p for n, p in zip(x.shape, grid))
+    out = []
+    for core in range(int(np.prod(grid))):
+        at = np.unravel_index(core, grid)
+        cut = tuple(slice(c * b, (c + 1) * b) for c, b in zip(at, block))
+        out.append(md.ComplexTensor(x.re[cut], x.im[cut]))
+    return out
+
+
+def listed(layouts=LAYOUTS):
+    """Yield (name, SHA-256) for each engine fed a hand-built per-core list, then
+    :func:`meshdft.decompose`'s blocks: f32 at workers 2, on the last layout."""
+    extents, grid = layouts[-1]
+    rng = np.random.default_rng(len(extents) + grid[0])
+    x = md.ComplexTensor(rng.uniform(-1, 1, extents), rng.uniform(-1, 1, extents))
+    layout = "x".join(map(str, extents)) + "-on-" + "x".join(map(str, grid))
+    for engine in ("kdft-forward", "fft"):
+        plan = _plan(engine, extents, grid, md.PrecisionMode.F32)
+        for kind, blocks in (("list", _hand_built(x, grid)),
+                             ("blocks", md.decompose(x, md.ComputationShape(*grid))[0])):
+            digest = _digest(*_run(engine, plan, blocks, 2))
+            yield f"{engine}/f32/workers2/{layout}/{kind}", digest
+
+
+def _points_file(path):
+    rng = np.random.default_rng(8)
+    dims = [[[float(np.cos(a)), float(np.sin(a))] for a in rng.uniform(0, 2 * np.pi, n)]
+            for n in (8, 4)]
+    with open(path, "w") as fh:
+        json.dump({"dims": dims}, fh)
+
+
+def cli_runs():
+    """Yield (name, SHA-256) for each :data:`CLI_RUNS` command: its exit code, its
+    standard output and every file it writes (``--output`` and its sidecar,
+    ``--report``, or the sweep's report JSON and CSV), in a fresh directory."""
+    for name, argv in CLI_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            _points_file(os.path.join(tmp, "points.json"))
+            argv = [a.replace("{dir}", tmp) for a in argv]
+            if argv[0] == "transform":
+                argv += ["--output", os.path.join(tmp, "out.bin"),
+                         "--report", os.path.join(tmp, "report.json")]
+            else:
+                argv += ["--report", os.path.join(tmp, "sweep")]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(argv)
+            h = hashlib.sha256(f"exit {code}\n".encode())
+            h.update(stdout.getvalue().replace(tmp, "{dir}").encode())
+            for file in sorted(os.listdir(tmp)):
+                if file != "points.json":
+                    with open(os.path.join(tmp, file), "rb") as fh:
+                        h.update(f"{file}\n".encode() + fh.read())
+        yield f"cli/{name}", h.hexdigest()
+
+
 def _read(path):
     with open(path) as fh:
         return dict(line.split() for line in fh if line.strip())
@@ -138,7 +227,8 @@ def compare(path_a, path_b):
 
 
 def main(layouts=LAYOUTS):
-    lines = [f"{name} {digest}" for name, digest in itertools.chain(cases(layouts), plans(layouts))]
+    lines = [f"{name} {digest}" for name, digest in itertools.chain(
+        cases(layouts), plans(layouts), listed(layouts), cli_runs())]
     lines.append("all " + hashlib.sha256("\n".join(lines).encode()).hexdigest())
     print("\n".join(lines))
 
