@@ -199,17 +199,16 @@ def cmd_scaling(args):
     if not sweep:
         raise ArgumentError("--sweep must list at least one point")
     precision = PrecisionMode.parse(args.precision)
-    # every input to a point but the extents and the grid is fixed for the whole sweep
+    strong = args.mode == "strong"
+    extents_of = [parse_dims(args.dims if strong else point) for point in sweep]
+    # every input to a point but the extents and the grid is fixed for the whole sweep;
+    # what points with the same extents share is kept until the last of them
+    last_use = {extents: i for i, extents in enumerate(extents_of)}
     shared = {}
     results = []
     any_ok = False
-    for point in sweep:
-        if args.mode == "strong":
-            extents = parse_dims(args.dims)
-            shape_text = point
-        else:
-            extents = parse_dims(point)
-            shape_text = args.shape
+    for i, (point, extents) in enumerate(zip(sweep, extents_of)):
+        shape_text = point if strong else args.shape
         row = {
             "dims": "x".join(str(n) for n in extents),
             "shape": shape_text,
@@ -242,6 +241,9 @@ def cmd_scaling(args):
             row["status"] = f"skipped: {exc}"
             results.append(row)
             continue
+        finally:
+            if last_use[extents] == i:
+                shared.pop(extents, None)
         ledger = report["ledger"]
         num = report["num_cores"]
         row["num_cores"] = num

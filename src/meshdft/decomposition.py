@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .ctensor import ComplexTensor
-from .errors import ArgumentError, AssemblyError, DimensionError, PlanError
+from .errors import ArgumentError, AssemblyError, PlanError
 
 
 @dataclass(frozen=True)
@@ -118,17 +118,23 @@ class Blocks(Sequence):
     ``blocks[i]`` is core i's block as a :class:`ComplexTensor` view of the
     planes, flat core ids row-major; a slice is a list of such blocks.
 
-    The constructor freezes the planes it is given in place, without a copy
-    or a scan: it is for planes the package made. A per-core list from
-    outside goes through :func:`_as_blocks`.
+    Blocks are output, made by :func:`decompose` and the engines through
+    :meth:`_own`; there is no public constructor. Input built outside the
+    package is a per-core list of ``ComplexTensor`` blocks, which the engines
+    and :func:`gather_to_host` check and stack.
     """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re, im):
+    @classmethod
+    def _own(cls, re, im):
+        """Wrap finite, same-shape same-dtype planes without a copy or a scan, freezing
+        them in place, as ``ComplexTensor._own`` does."""
         re.setflags(write=False)
         im.setflags(write=False)
+        self = object.__new__(cls)
         self.re, self.im = re, im
+        return self
 
     @property
     def grid(self):
@@ -157,40 +163,14 @@ class Blocks(Sequence):
         return f"Blocks(grid={self.grid}, shape={self.shape}, dtype={self.dtype})"
 
 
-# what a malformed per-core list is told, by the error its caller raises: an
-# engine's (DimensionError) or gather_to_host's (AssemblyError)
-_LIST_ERRORS = {
-    DimensionError: ("block {core} must be a ComplexTensor",
-                     "block {core} must have shape {block}"),
-    AssemblyError: ("block {core} missing or not a ComplexTensor",
-                    "block {core} has shape {shape}, expected {block}"),
-}
+def _stack(blocks, dims):
+    """A checked per-core list of same-shape blocks as :class:`Blocks` on grid ``dims``.
 
-
-def _as_blocks(blocks, shape, block, error):
-    """``blocks`` as :class:`Blocks` of ``block``-shaped blocks on ``shape``'s grid.
-
-    :class:`Blocks` are checked once; a per-core list is checked block by
-    block and stacked. Raises ``error``, DimensionError or AssemblyError, on
-    a mismatch.
+    Blocks of mixed dtypes are stacked in the widest, a cast that is exact.
     """
-    if isinstance(blocks, Blocks):
-        if blocks.grid != shape.dims or blocks.shape != block:
-            raise error(f"blocks of shape {blocks.shape} on a {blocks.grid} grid, "
-                        f"expected {block} on {shape.dims}")
-        return blocks
-    if len(blocks) != shape.num_cores:
-        raise error(f"expected {shape.num_cores} blocks, got {len(blocks)}")
-    not_tensor, wrong_shape = _LIST_ERRORS[error]
-    for core, b in enumerate(blocks):
-        if not isinstance(b, ComplexTensor):
-            raise error(not_tensor.format(core=core))
-        if b.shape != block:
-            raise error(wrong_shape.format(core=core, shape=b.shape, block=block))
-        if b.dtype != blocks[0].dtype:
-            raise error("blocks disagree on dtype")
-    return Blocks(*(np.stack([getattr(b, part) for b in blocks]).reshape(shape.dims + block)
-                    for part in ("re", "im")))
+    shape = dims + blocks[0].shape
+    return Blocks._own(*(np.stack([getattr(b, part) for b in blocks]).reshape(shape)
+                         for part in ("re", "im")))
 
 
 def _grid_view(plane, dims):
@@ -216,7 +196,8 @@ def decompose(tensor, shape):
     if not isinstance(shape, ComputationShape):
         raise ArgumentError("decompose expects a ComputationShape")
     assignment = BlockAssignment(tuple(int(n) for n in tensor.shape), shape)
-    return Blocks(_grid_view(tensor.re, shape.dims), _grid_view(tensor.im, shape.dims)), assignment
+    planes = (_grid_view(tensor.re, shape.dims), _grid_view(tensor.im, shape.dims))
+    return Blocks._own(*planes), assignment
 
 
 def gather_to_host(blocks, assignment):
@@ -230,8 +211,23 @@ def gather_to_host(blocks, assignment):
     """
     if not isinstance(assignment, BlockAssignment):
         raise ArgumentError("gather_to_host expects a BlockAssignment")
-    dims = assignment.shape.dims
-    blocks = _as_blocks(blocks, assignment.shape, assignment.block_shape, AssemblyError)
+    dims, block = assignment.shape.dims, assignment.block_shape
+    if isinstance(blocks, Blocks):
+        if (blocks.grid, blocks.shape) != (dims, block):
+            raise AssemblyError(f"blocks of shape {blocks.shape} on a {blocks.grid} grid, "
+                                f"expected {block} on {dims}")
+    else:
+        num = assignment.shape.num_cores
+        if len(blocks) != num:
+            raise AssemblyError(f"expected {num} blocks, got {len(blocks)}")
+        for core, b in enumerate(blocks):
+            if not isinstance(b, ComplexTensor):
+                raise AssemblyError(f"block {core} missing or not a ComplexTensor")
+            if b.shape != block:
+                raise AssemblyError(f"block {core} has shape {b.shape}, expected {block}")
+            if b.dtype != blocks[0].dtype:
+                raise AssemblyError("blocks disagree on dtype")
+        blocks = _stack(blocks, dims)
     if dims[1] == dims[2] == 1:
         return ComplexTensor._own(*(p.reshape(assignment.global_shape)
                                     for p in (blocks.re, blocks.im)))

@@ -177,8 +177,8 @@ def kdft_inverse_uniform(mesh, plan, blocks, workers=1):
         raise UnsupportedOperationError(
             "inverse requires uniform sampling on every dimension"
         )
-    out = kdft_forward(mesh, plan, Blocks(blocks.re, -blocks.im), workers=workers)
+    out = kdft_forward(mesh, plan, Blocks._own(blocks.re, -blocks.im), workers=workers)
     factor = out.dtype.type(1.0 / plan.total_elements)
     planes = (out.re * factor, -out.im * factor)
     _check_finite(*planes)
-    return Blocks(*planes)
+    return Blocks._own(*planes)

@@ -39,8 +39,8 @@ import os
 
 import numpy as np
 
-from .ctensor import PrecisionMode, _check_finite
-from .decomposition import BlockAssignment, Blocks, ComputationShape, _as_blocks
+from .ctensor import ComplexTensor, PrecisionMode, _check_finite
+from .decomposition import BlockAssignment, Blocks, ComputationShape, _stack
 from .errors import ArgumentError, CommunicationError, DimensionError
 
 # The most bytes of payload one kernel call takes on: a slab of cores stays in
@@ -120,8 +120,21 @@ def _check_blocks(mesh, plan, blocks):
     """An engine's input as :class:`Blocks` on its plan's grid; a per-core list is stacked."""
     if not isinstance(mesh, MeshSim) or mesh.shape != plan.shape:
         raise ArgumentError("mesh and plan must share the same computation shape")
-    block = BlockAssignment(plan.extents, plan.shape).block_shape
-    return _as_blocks(blocks, plan.shape, block, DimensionError)
+    dims, block = plan.shape.dims, BlockAssignment(plan.extents, plan.shape).block_shape
+    if isinstance(blocks, Blocks):
+        if (blocks.grid, blocks.shape) != (dims, block):
+            raise DimensionError(f"blocks of shape {blocks.shape} on a {blocks.grid} grid, "
+                                 f"expected {block} on {dims}")
+        return blocks
+    num_cores = plan.shape.num_cores
+    if len(blocks) != num_cores:
+        raise DimensionError(f"expected {num_cores} blocks, got {len(blocks)}")
+    for i, b in enumerate(blocks):
+        if not isinstance(b, ComplexTensor):
+            raise DimensionError(f"block {i} must be a ComplexTensor")
+        if b.shape != block:
+            raise DimensionError(f"block {i} must have shape {block}")
+    return _stack(blocks, dims)
 
 
 @contextmanager
@@ -163,7 +176,7 @@ def _entry(each, blocks, mode):
 
 def _exit(planes, grid):
     """Stacked ``(P, *block)`` planes as :class:`Blocks` on ``grid``, without a copy."""
-    return Blocks(*(p.reshape(grid + p.shape[1:]) for p in planes))
+    return Blocks._own(*(p.reshape(grid + p.shape[1:]) for p in planes))
 
 
 def _empty_stack(num, block, axis, dtype):
@@ -218,14 +231,8 @@ def _moves(box, step, n):
     o, i, j = box
     s = step % n
     runs = ((i.start, min(i.stop, s), n - s), (max(i.start, s), i.stop, -s))
-    return tuple((slice(lo - i.start, hi - i.start), (o, slice(lo + d, hi + d), j))
-                 for lo, hi, d in runs if lo < hi)
-
-
-@lru_cache(maxsize=256)
-def _step_moves(view, core_bytes, slab_bytes, step):
-    """Every slab's :func:`_moves` at ring ``step``, in :func:`_slabs`' order."""
-    return tuple(_moves(box, step, view[1]) for box in _slabs(view, core_bytes, slab_bytes))
+    return [(slice(lo - i.start, hi - i.start), (o, slice(lo + d, hi + d), j))
+            for lo, hi, d in runs if lo < hi]
 
 
 def _ignore_overflow():
@@ -368,8 +375,8 @@ class MeshSim:
             if step:
                 self.ledger.record_permute(core_bytes * self.num_cores, tag=tag)
             t = None if table is None else table(step)
-            each(lambda box, h, moves: kernel(step, box, h, moves, t),
-                 view, core_bytes, held, _step_moves(view, core_bytes, SLAB_BYTES, step))
+            each(lambda box, h: kernel(step, box, h, _moves(box, step, view[1]), t),
+                 view, core_bytes, held)
 
     def all_to_all_groups(self, groups, planes, split_axis=0, tag="", each=None, kernel=None):
         """One all_to_all invocation spanning several disjoint groups.

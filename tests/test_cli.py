@@ -407,6 +407,27 @@ def test_skipped_point_stores_no_reference(tmp_path, oracle_calls):
     ]
 
 
+def test_sweep_keeps_shared_inputs_until_their_last_point(tmp_path, monkeypatch):
+    held = []
+    real = cli.run_transform
+
+    def recording(config, shared=None):
+        held.append(sorted(shared))
+        return real(config, shared)
+
+    monkeypatch.setattr(cli, "run_transform", recording)
+    base = str(tmp_path / "sweep")
+    argv = ["scaling", "--algo", "kdft", "--mode", "weak", "--shape", "2",
+            "--sweep", "16,32,16,8", "--report", base]
+    assert cli.main(argv) == 0
+    # 32 is dropped after its one point, 16 after its second
+    assert held == [[], [(16,)], [(16,)], []]
+    # and so is what a skipped point built
+    held.clear()
+    assert cli.main([*argv[:-3], "3,16,3", "--report", base]) == 0
+    assert held == [[], [(3,)], [(3,)]]
+
+
 def test_each_invocation_pays_for_its_own_oracle(oracle_calls, builds, capsys):
     argv = ["scaling", "--algo", "fft", "--mode", "strong", "--dims", "32",
             "--sweep", "1,2"]

@@ -205,6 +205,32 @@ def test_engines_give_the_same_bits_from_a_list_as_from_blocks(monkeypatch, engi
         assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("engine", ["kdft", "fft", "inverse"])
+def test_engines_take_a_list_of_mixed_dtypes(engine):
+    x = rand_tensor((8, 4), seed=9)
+    shape = md.ComputationShape(2, 2, 1)
+    mixed = [_cut(x, shape, c) for c in range(shape.num_cores)]
+    mixed[1] = mixed[1].astype(np.float32)
+    # widening a block to f64 is exact, so it gives the same bits
+    widened = [b.astype(np.float64) for b in mixed]
+    create = md.create_fft_plan if engine == "fft" else md.create_kdft_plan
+    run = {"kdft": md.kdft_forward, "fft": md.fft_forward,
+           "inverse": md.kdft_inverse_uniform}[engine]
+    for mode in md.PrecisionMode:
+        plan = create(shape, x.shape, mode)
+        outs = [run(md.MeshSim(shape), plan, given) for given in (mixed, widened)]
+        assert outs[0].dtype == mode.real_dtype
+        assert outs[0].re.tobytes() == outs[1].re.tobytes()
+        assert outs[0].im.tobytes() == outs[1].im.tobytes()
+
+
+def test_blocks_have_no_public_constructor():
+    # a per-core list is the input built outside the package; it is checked
+    blocks, _ = md.decompose(rand_tensor((8,), seed=10), md.ComputationShape(2, 1, 1))
+    with pytest.raises(TypeError):
+        md.decomposition.Blocks(np.array(blocks.re), np.array(blocks.im))
+
+
 def _row_slice(plan, d, pos):
     """Core position ``pos``'s row slice along ``d``, its column blocks rejoined."""
     blocks = [plan_block(plan, d, pos, j) for j in range(plan.shape.dims[d])]
