@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .ctensor import PrecisionMode
 from .decomposition import ComputationShape, decompose, gather_to_host
-from .errors import ArgumentError, MeshDftError, ProtocolError
+from .errors import ArgumentError, MeshDftError, PlanError, ProtocolError
 from .fft import create_fft_plan, fft_forward
 from .kdft import create_kdft_plan, kdft_forward
 from .mesh import MeshSim
@@ -104,33 +104,37 @@ def run_transform(config, shared=None):
     as ``config``. A miss is built and stored in it. A sweep passes one dict
     for the whole sweep, so points with the same dims build each once.
 
-    Raises ``ProtocolError`` if the measured ledger differs from the closed
-    form in ``reports.expected_ledger``.
+    Raises ``PlanError`` if the host cannot allocate the run's arrays, and
+    ``ProtocolError`` if the measured ledger differs from the closed form in
+    ``reports.expected_ledger``.
     """
     entry = {} if shared is None else shared.setdefault(config.extents, {})
-    if "tensor" not in entry:
-        entry["samples"] = _resolve_samples(config)
-        entry["tensor"] = _load_input(config)
-    config.samples, tensor = entry["samples"], entry["tensor"]
-    mesh = MeshSim(config.shape)
-    if config.algorithm == "kdft":
-        plan = create_kdft_plan(config.shape, config.samples, config.precision)
+    try:
+        if "tensor" not in entry:
+            entry["samples"] = _resolve_samples(config)
+            entry["tensor"] = _load_input(config)
+        config.samples, tensor = entry["samples"], entry["tensor"]
+        mesh = MeshSim(config.shape)
+        if config.algorithm == "kdft":
+            plan = create_kdft_plan(config.shape, config.samples, config.precision)
+        else:
+            plan = create_fft_plan(config.shape, config.extents, config.precision)
         blocks, assignment = decompose(tensor, config.shape)
-        out_blocks = kdft_forward(mesh, plan, blocks, workers=config.workers)
-    else:
-        plan = create_fft_plan(config.shape, config.extents, config.precision)
-        blocks, assignment = decompose(tensor, config.shape)
-        out_blocks = fft_forward(mesh, plan, blocks, workers=config.workers)
-    result = gather_to_host(out_blocks, assignment)
+        forward = kdft_forward if config.algorithm == "kdft" else fft_forward
+        result = gather_to_host(forward(mesh, plan, blocks, workers=config.workers), assignment)
 
-    oracle_error = oracle_max = None
-    if oracle_feasible(config.extents):
-        ref = entry.get("oracle")
-        if ref is None:
-            # looked up at call time, so a wrapper set on this module sees every call
-            ref = entry["oracle"] = direct_dft(tensor, config.samples)
-        oracle_error = relative_l2_error(result, ref.values)
-        oracle_max = ref.max_abs
+        oracle_error = oracle_max = None
+        if oracle_feasible(config.extents):
+            ref = entry.get("oracle")
+            if ref is None:
+                # looked up at call time, so a wrapper set on this module sees every call
+                ref = entry["oracle"] = direct_dft(tensor, config.samples)
+            oracle_error = relative_l2_error(result, ref.values)
+            oracle_max = ref.max_abs
+    except MemoryError as exc:
+        dims = "x".join(map(str, config.extents))
+        raise PlanError(f"dims {dims} on grid {_shape_str(config.shape)} in "
+                        f"{config.precision.value} do not fit in memory: {exc}") from None
 
     report = transform_report(
         config.algorithm,
@@ -343,9 +347,12 @@ def build_parser():
     return parser
 
 
+# parse_args leaves its parser as it was, so one parser serves every call
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "transform":
             return cmd_transform(args)

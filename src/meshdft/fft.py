@@ -15,8 +15,9 @@ twiddles as exact table entries. The P-point DFT is the shift-by-one ring
 that kdft runs (:func:`meshdft.mesh._shift_ring`), P-1 permutes, with 1x1
 blocks c = w_N**(b*p*M) applied to a payload's rows re and im as real 2x2
 blocks [[c_re, -c_im], [c_im, c_re]]: one matrix product per slab and step.
-Each step gathers its P blocks from the P-th roots' blocks, prepared once per
-ring, so no plan holds per-core phase blocks.
+The plan holds each dimension's stage matrices and the P-th roots' prepared
+blocks, so a forward call builds no table; each step gathers its P blocks
+from the roots' blocks, and no plan holds per-core phase blocks.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .ctensor import ComplexTensor, PrecisionMode, _check_finite
 from .decomposition import ComputationShape
 from . import mesh as mesh_module
 from .errors import ArgumentError, DimensionError, PlanError
-from .mesh import _check_blocks, _check_plan, _entry, _exit, _shift_ring, _stage
+from .mesh import _check_plan, _forward
 from .vandermonde import _unit_roots
 
 
@@ -39,26 +40,37 @@ def _is_pow2(n):
 
 @lru_cache(maxsize=64)
 def _stage_matrices(m, mode, parts=1):
-    """The prepared re and im terms of one decimation-in-time stage of extent m.
+    """The prepared re and im terms of each decimation-in-time stage of an m-point
+    local FFT, in the order it applies them: 2, 4 or 8 points first, then 8 times
+    more at each stage, the stages of m/8 (or none) and then one of extent m; none
+    for m = 1.
 
-    The stage takes the q-point transforms Y_j of the r subsequences x[j::r]
-    to X[k1 + q*k2] = sum_j w**(j*(k1 + q*k2)) * Y_j[k1], w = exp(-2j*pi/m),
+    The stage of extent m takes the q-point transforms Y_j of the r subsequences
+    x[j::r] to X[k1 + q*k2] = sum_j w**(j*(k1 + q*k2)) * Y_j[k1], w = exp(-2j*pi/m),
     as q matrices of r x r (r = 8, or m <= 8): entry (k2, j) of matrix k1 is
     that power's table entry, twiddle included. For ``parts`` > 1 it is the
     last stage of an fft dimension of n = m*parts points, one set per line
     position, whose subsequence offset b (:func:`gather_positions`) brings
     the four-step twiddle w_n**(b*k) of row k: entry (k2, j) times it is
     w_n**((parts*j + b)*k), one entry of the length-n table, so folding it
-    in adds no rounding. The terms are read-only, (parts, q, r, r).
+    in adds no rounding. The exponents are one array in the smallest dtype
+    that holds n - 1, reduced mod n with ``& (n - 1)``: n is a power of two,
+    so a product that wraps in that dtype is still right mod n. They index
+    the prepared length-n tables. The terms are read-only, (parts, q, r, r).
     """
-    n, r = m * parts, min(m, 8)
+    if m == 1:
+        return ()
+    n, r, dtype = m * parts, min(m, 8), np.min_scalar_type(m * parts - 1)
     k1, k2, j = np.ogrid[: m // r, :r, :r]
     b = np.asarray(gather_positions(parts, m)).reshape(-1, 1, 1, 1)
-    terms = tuple(mode.prepare(table[(parts * j + b) * (k1 + m // r * k2) % n])
+    # both factors are below n
+    exponents = np.multiply((parts * j + b).astype(dtype), (k1 + m // r * k2).astype(dtype))
+    exponents &= n - 1
+    terms = tuple(tuple(np.take(t, exponents, mode="clip") for t in mode.prepare(table))
                   for table in _unit_roots(n))
     for term in terms[0] + terms[1]:
         term.flags.writeable = False
-    return terms
+    return _stage_matrices(m // r, mode) + (terms,)
 
 
 def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
@@ -79,33 +91,31 @@ def local_fft(tensor, axis=0, mode=PrecisionMode.F64_REFERENCE):
     if not _is_pow2(m):
         raise DimensionError(f"extent {m} along axis {axis} is not a power of two")
     moved = [np.moveaxis(p, axis, 0) for p in (tensor.re, tensor.im)]
-    y = _local_fft(moved, (1, m), mode)
+    y = _local_fft(moved, (1, m), mode, _stage_matrices(m, mode))
     return ComplexTensor._own(*(np.moveaxis(p.reshape(moved[0].shape), 0, axis) for p in y))
 
 
-def _local_fft(moved, lead, mode, last=None, out=None):
+def _local_fft(moved, lead, mode, stages, out=None):
     """:func:`local_fft` of the (re, im) planes ``moved``, the batch axes leading and
     then the transform's; they are read as ``lead`` = (batch axes..., m) and the rest.
     The batch axes (a slab's cores) stay on matmul's batch axis, so their bits do
     not depend on how many share a call.
 
-    ``last``, if given, replaces the last stage's :func:`_stage_matrices` with terms
-    that broadcast over ``lead``'s batch axes, and ``out`` is a pair of planes
-    shaped ``lead`` + (rest,) that takes the last stage's products. Returns the
-    result planes, shaped so, or ``out``.
+    ``stages`` are :func:`_stage_matrices`' terms, whose last may be replaced by
+    terms that broadcast over ``lead``'s batch axes, and ``out`` is a pair of
+    planes shaped ``lead`` + (rest,) that takes the last stage's products.
+    Returns the result planes, shaped so, or ``out``.
     """
     dtype, product, m = mode.real_dtype, mode.product, lead[-1]
-    last, out = last or _stage_matrices(m, mode), out or (None, None)
+    out = out or (None, None)
     # the caller's planes are read where they already have this layout, and
     # otherwise moved and cast in one copy, which the first stage then reuses
     owned = m == 1 or not all(p.dtype == dtype and p.flags.c_contiguous for p in moved)
     y = tuple((np.array(p, dtype, order="C") if owned else p).reshape(lead + (-1,)) for p in moved)
     del moved
-    # 2, 4 or 8 points first, then 8 times more at each stage
-    for extent in (m >> s for s in range(3 * ((m.bit_length() - 2) // 3), -1, -3)):
-        w_re, w_im = last if extent == m else _stage_matrices(extent, mode)
+    for w_re, w_im in stages:
         q, r = w_re[0].shape[-3:-1]
-        outs = tuple(np.empty(y[0].shape, dtype) if extent < m or o is None else o for o in out)
+        outs = tuple(np.empty(y[0].shape, dtype) if q * r < m or o is None else o for o in out)
         # matrix k1's row k2 lands at frequency k1 + q*k2 of the extent
         dest = tuple(o.reshape(lead[:-1] + (r, q, -1)).swapaxes(-3, -2) for o in outs)
         y_re = mode.prepare(y[0].reshape(lead[:-1] + (q, r, -1)))
@@ -157,41 +167,58 @@ def _gather_groups(lines, parts, m):
 
 @dataclass(frozen=True)
 class FftPlan:
-    """Decimation layout per dimension; twiddles and coefficients come from a unit-root table."""
+    """Every table a forward call reads, per dimension: ``stages[d]``, the local FFT's
+    :func:`_stage_matrices`, the last with each line position's twiddles, and
+    ``ring_tables[d]`` (:func:`_ring_table`). Dimensions of equal extent and core
+    count share them; the stages are the cache's read-only arrays.
+    """
 
     shape: ComputationShape
     extents: tuple
     precision: PrecisionMode
-    beta_maps: dict
+    stages: tuple
+    ring_tables: tuple
+    stage_names = ("local FFT", "phase ring")
 
     @property
     def rank(self):
         return len(self.extents)
+
+    def _ring_stage(self, mesh, each, xs, d, lines, view, tag):
+        """Dimension d's ring operand, from the all_to_all whose kernel runs the slabs'
+        twiddled local FFTs, and its step blocks (:func:`meshdft.mesh._forward`)."""
+        n, parts, mode = self.extents[d], self.shape.dims[d], self.precision
+        m = n // parts
+        held = mesh.all_to_all_groups(_gather_groups(lines, parts, m), xs, d, tag, each,
+                                      _local_fft_kernel(view, d, n, self.stages[d], mode))
+        mesh.ledger.add_flops("local_fft", local_fft_flops(m, xs[0].size // m), tag)
+        return held, _ring_coefficients(*self.ring_tables[d])
 
 
 def create_fft_plan(shape, extents, precision=PrecisionMode.F64_REFERENCE):
     """Plan a power-of-two transform over the core grid."""
     extents = tuple(int(n) for n in extents)
     _check_plan(shape, precision, extents)
-    beta_maps = {}
-    for d in range(len(extents)):
-        n, p = extents[d], shape.dims[d]
+    dims = tuple(zip(extents, shape.dims))
+    for d, (n, p) in enumerate(dims):
         if not _is_pow2(n):
             raise PlanError(f"extent {n} on dim {d} must be a power of two")
         if not _is_pow2(p):
             raise PlanError(f"core count {p} on dim {d} must be a power of two")
-        beta_maps[d] = gather_positions(p, n // p)
-    return FftPlan(shape, extents, precision, beta_maps)
+    built = {(n, p): (_stage_matrices(n // p, precision, p), _ring_table(n, p, precision))
+             for n, p in dict.fromkeys(dims)}
+    stages, ring_tables = zip(*map(built.get, dims))
+    return FftPlan(shape, extents, precision, stages, ring_tables)
 
 
-def _local_fft_kernel(view, axis, n, mode):
+def _local_fft_kernel(view, axis, n, stages, mode):
     """The gather's kernel: a slab's twiddled local FFTs along ``axis``, as the ring's operand.
 
     Its one copy of the received planes is the exchange. Each core's last
-    stage applies the twiddles of its line position (:func:`_stage_matrices`)
-    and writes the ring's operand: ``axis`` leading, its two rows re and im,
-    ``(..., 2, m*rest)``, prepared for the mode at once (under bf16split3 only
-    the split terms outlive a slab). It is shaped as the slab
+    stage (of ``stages``, :class:`FftPlan`) applies the twiddles of its line
+    position and writes the ring's operand: ``axis`` leading, its two rows re
+    and im, ``(..., 2, m*rest)``, prepared for the mode at once (under
+    bf16split3 only the split terms outlive a slab). It is shaped as the slab
     of the lines' ``view`` that holds the same cores, as the ring takes them:
     for the powers of two an fft takes, every slab of any view of the core
     axis is an aligned run of cores (:func:`meshdft.mesh._slabs`), the same
@@ -199,7 +226,7 @@ def _local_fft_kernel(view, axis, n, mode):
     """
     outer, parts, inner = view
     m, dtype = n // parts, mode.real_dtype
-    stride, last = _stride(parts, m), _stage_matrices(m, mode, parts)
+    stride = _stride(parts, m)
     # the view of the gather's groups (:meth:`MeshSim._check_groups`), single cores if m = 1
     gather = (outer, parts // stride, stride * inner) if m > 1 else (outer * parts * inner, 1, 1)
 
@@ -208,34 +235,44 @@ def _local_fft_kernel(view, axis, n, mode):
         lines_box = (max(1, cores // (parts * inner)), min(parts, max(1, cores // inner)),
                      min(inner, cores))
         pos = np.ravel_multi_index(tuple(s.start for s in box), gather) // inner % parts
-        terms = tuple(tuple(t[pos:pos + lines_box[1], None] for t in plane) for plane in last)
+        last = tuple(tuple(tuple(t[pos:pos + lines_box[1], None] for t in plane) for plane in s)
+                     for s in stages[-1:])
         x = np.empty(lines_box + (2, m, payload[0].size // (cores * m)), dtype)
         moved = [np.moveaxis(p, (3 + axis, 4 + axis), (3, 4)) for p in payload]
-        _local_fft(moved, lines_box + (m,), mode, terms, (x[..., 0, :, :], x[..., 1, :, :]))
+        _local_fft(moved, lines_box + (m,), mode, stages[:-1] + last,
+                   (x[..., 0, :, :], x[..., 1, :, :]))
         return mode.prepare(x.reshape(lines_box + (2, -1)))
 
     return kernel
 
 
-def _ring_coefficients(n, parts, beta_map, mode):
-    """Each ring step's blocks for one dimension: a P-point DFT across the line.
-
-    At step s the payload that started at position i, the twiddled FFT of the
-    subsequence of offset b = beta_map[i], sits at position p = (i - s) mod
-    parts, whose row r (frequency k = p*m + r) takes w_n**(b*k); the twiddle
-    w_n**(b*r) is in its local FFT, and the rest, c = w_n**(b*p*m), is the
-    table's entry m*(b*p mod parts). The ring applies c to the payload's rows
-    re and im as the real 2x2 block [[c_re, -c_im], [c_im, c_re]]. The P-th
-    roots' blocks are prepared for the mode once; a step's blocks, indexed by
-    i, are one matrix plane of ``(P, 2, 2)`` terms. They are gathered for a
-    run of steps at once, as many as fit in a slab's bytes
-    (:data:`meshdft.mesh.SLAB_BYTES`): the whole ring on a few cores, and at
-    most a slab's worth on many, where a whole-ring table would not fit.
-    """
+def _ring_table(n, parts, mode):
+    """One dimension's ring table (:func:`_ring_coefficients`): the P-th roots' real 2x2
+    blocks, prepared for the mode, ``(P, 2, 2)`` terms, and the offset each line
+    position holds (:func:`gather_positions`) as an array."""
     # every m-th entry: the length-parts table
     c_re, c_im = (t[::n // parts] for t in _unit_roots(n))
     table = mode.prepare(np.stack([c_re, -c_im, c_im, c_re], axis=-1).reshape(parts, 2, 2))
-    beta, start = np.asarray(beta_map, dtype=np.int64), np.arange(parts)
+    return table, np.asarray(gather_positions(parts, n // parts), dtype=np.int64)
+
+
+def _ring_coefficients(table, beta):
+    """Each ring step's blocks for one dimension: a P-point DFT across the line.
+
+    At step s the payload that started at position i, the twiddled FFT of the
+    subsequence of offset b = beta[i], sits at position p = (i - s) mod
+    parts, whose row r (frequency k = p*m + r) takes w_n**(b*k); the twiddle
+    w_n**(b*r) is in its local FFT, and the rest, c = w_n**(b*p*m), is the
+    table's entry m*(b*p mod parts). The ring applies c to the payload's rows
+    re and im as the real 2x2 block [[c_re, -c_im], [c_im, c_re]]. ``table``
+    holds the P-th roots' blocks (:func:`_ring_table`); a step's blocks,
+    indexed by i, are one matrix plane of ``(P, 2, 2)`` terms. They are
+    gathered for a run of steps at once, as many as fit in a slab's bytes
+    (:data:`meshdft.mesh.SLAB_BYTES`): the whole ring on a few cores, and at
+    most a slab's worth on many, where a whole-ring table would not fit.
+    """
+    parts = len(beta)
+    start = np.arange(parts)
     run = max(1, mesh_module.SLAB_BYTES // sum(t.nbytes for t in table))
     held = {}
 
@@ -258,19 +295,4 @@ def fft_forward(mesh, plan, blocks, workers=1):
     Output distribution matches the direct engine: block p covers contiguous
     frequency rows [p*N/P, (p+1)*N/P) along each distributed dimension.
     """
-    blocks = _check_blocks(mesh, plan, blocks)
-    mode, num, block = plan.precision, mesh.num_cores, blocks.shape
-    with mesh.cores(workers) as each:
-        xs = _entry(each, blocks, mode)
-        for d in range(plan.rank):
-            n, parts = plan.extents[d], plan.shape.dims[d]
-            m, lines, tag = n // parts, plan.shape.lines(d), f"dim{d + 1}"
-            view = mesh._check_groups(lines)
-            with _stage("local FFT", d, mode):
-                xs = mesh.all_to_all_groups(_gather_groups(lines, parts, m), xs, d, tag, each,
-                                            _local_fft_kernel(view, d, n, mode))
-            mesh.ledger.add_flops("local_fft", local_fft_flops(m, num * math.prod(block) // m), tag)
-            coefficients = _ring_coefficients(n, parts, plan.beta_maps[d], mode)
-            with _stage("phase ring", d, mode):
-                xs = _shift_ring(mesh, each, lines, xs, coefficients, block, d, mode, tag)
-    return _exit(xs, plan.shape.dims)
+    return _forward(mesh, plan, blocks, workers)

@@ -20,7 +20,7 @@ import numpy as np
 from .ctensor import PrecisionMode, _check_finite
 from .decomposition import Blocks, ComputationShape
 from .errors import UnsupportedOperationError
-from .mesh import _check_blocks, _check_plan, _entry, _exit, _shift_ring, _stage
+from .mesh import _check_blocks, _check_plan, _forward
 from .vandermonde import SamplePoints, _nonuniform_rows, _unit_roots
 
 
@@ -42,10 +42,19 @@ class KdftPlan:
     samples: tuple
     precision: PrecisionMode
     ring_blocks: tuple
+    stage_names = ("shift ring", "shift ring")
 
     @property
     def rank(self):
         return len(self.extents)
+
+    def _ring_stage(self, mesh, each, xs, d, lines, view, tag):
+        """Dimension d's ring operand, each slab's :func:`_operand`, and its step blocks,
+        entry s of ``ring_blocks[d]``'s stacks (:func:`meshdft.mesh._forward`)."""
+        mode, terms = self.precision, self.ring_blocks[d]
+        core_bytes = 2 * mode.real_dtype.itemsize * math.prod(xs[0].shape[1:])
+        held = each(lambda box: _operand(box, xs, d, view, mode), view, core_bytes)
+        return held, lambda s: [[t[s] for t in plane] for plane in terms]
 
     @property
     def total_elements(self):
@@ -120,17 +129,6 @@ def _operand(box, xs, axis, view, mode):
     return mode.prepare(x.reshape(x.shape[:4] + (-1,)))
 
 
-def _trace_records(xs, lines, parts):
-    """One dimension's ring steps as trace records (:func:`kdft_forward`)."""
-    firsts = [complex(float(re.flat[0]), float(im.flat[0])) for re, im in zip(*xs)]
-    # member i of a group receives from member i+1
-    pairs = tuple(p for g in lines for p in zip(g[1:] + g[:1], g))
-    cores = sorted((c, i, g) for g in lines for i, c in enumerate(g))
-    return [{"einsums": [{"core": c, "v_col": (i + s) % parts,
-                          "x_first": firsts[g[(i + s) % parts]]} for c, i, g in cores],
-             "pairs": pairs if s < parts - 1 else None} for s in range(parts)]
-
-
 def kdft_forward(mesh, plan, blocks, workers=1, trace=None):
     """Run the forward transform on :class:`Blocks` (or a per-core list); returns the
     frequency blocks as :class:`Blocks`.
@@ -146,23 +144,7 @@ def kdft_forward(mesh, plan, blocks, workers=1, trace=None):
     the permute after the step, over every grid line of the dimension, or
     None at the last step.
     """
-    blocks = _check_blocks(mesh, plan, blocks)
-    mode, block = plan.precision, blocks.shape
-    core_bytes = 2 * mode.real_dtype.itemsize * math.prod(block)
-    with mesh.cores(workers) as each:
-        xs = _entry(each, blocks, mode)
-        for d in range(plan.rank):
-            lines, parts, terms = plan.shape.lines(d), plan.shape.dims[d], plan.ring_blocks[d]
-            view = mesh._check_groups(lines)
-            with _stage("shift ring", d, mode):
-                held = each(lambda box: _operand(box, xs, d, view, mode), view, core_bytes)
-                ys = _shift_ring(mesh, each, lines, held,
-                                 lambda s: [[t[s] for t in plane] for plane in terms],
-                                 block, d, mode, f"dim{d + 1}")
-            if trace is not None:
-                trace.extend(_trace_records(xs, lines, parts))
-            xs = ys
-    return _exit(xs, plan.shape.dims)
+    return _forward(mesh, plan, blocks, workers, trace)
 
 
 def kdft_inverse_uniform(mesh, plan, blocks, workers=1):

@@ -10,7 +10,10 @@ collectives take core groups that are the lines of a view of that axis as
 ``(outer, n, inner)`` (:meth:`MeshSim._check_groups`), member i of a group at
 index i along n: equal groups of evenly spaced cores, covering the mesh.
 
-An engine call opens one context, ``with mesh.cores(workers) as each:``.
+Both engines' forward calls are one loop, :func:`_forward`, over their plans'
+per-dimension stages: a stage makes its ring's operand and gives its step
+blocks, and one :func:`_shift_ring` applies them. The call opens one
+context, ``with mesh.cores(workers) as each:``.
 ``each(fn, view, core_bytes)`` makes one kernel call per slab of cores, a box
 of the view of at most :data:`SLAB_BYTES` (or one core), so the tiling
 depends on the payload bytes alone; worker threads take contiguous runs of
@@ -172,6 +175,46 @@ def _entry(each, blocks, mode):
     with _stage("entry cast", None, mode):
         each(cast, grid, 2 * dtype.itemsize * math.prod(block))
     return out
+
+
+def _trace_records(xs, lines, parts):
+    """One dimension's ring steps as trace records (:func:`meshdft.kdft.kdft_forward`)."""
+    firsts = [complex(float(re.flat[0]), float(im.flat[0])) for re, im in zip(*xs)]
+    # member i of a group receives from member i+1
+    pairs = tuple(p for g in lines for p in zip(g[1:] + g[:1], g))
+    cores = sorted((c, i, g) for g in lines for i, c in enumerate(g))
+    return [{"einsums": [{"core": c, "v_col": (i + s) % parts,
+                          "x_first": firsts[g[(i + s) % parts]]} for c, i, g in cores],
+             "pairs": pairs if s < parts - 1 else None} for s in range(parts)]
+
+
+def _forward(mesh, plan, blocks, workers, trace=None):
+    """Both engines' one loop: the entry, each dimension's stage, the exit.
+
+    A stage is ``plan._ring_stage(mesh, each, xs, d, lines, view, tag)``: the
+    ring's operand, made from the stacked planes ``xs``, and its step blocks
+    ``blocks(s)``, which one :func:`_shift_ring` applies. ``plan.stage_names``
+    names the two in their errors (:func:`_stage`). A ``trace`` list gets
+    each ring's steps (:func:`_trace_records`).
+    """
+    blocks = _check_blocks(mesh, plan, blocks)
+    mode, block = plan.precision, blocks.shape
+    with mesh.cores(workers) as each:
+        xs = _entry(each, blocks, mode)
+        for d in range(plan.rank):
+            lines, tag = plan.shape.lines(d), f"dim{d + 1}"
+            view = mesh._check_groups(lines)
+            with _stage(plan.stage_names[0], d, mode):
+                held, source = plan._ring_stage(mesh, each, xs, d, lines, view, tag)
+            # the trace reads the dimension's input, which is freed before the ring runs
+            records = None if trace is None else _trace_records(xs, lines, view[1])
+            del xs
+            with _stage(plan.stage_names[1], d, mode):
+                xs = _shift_ring(mesh, each, lines, held, source, block, d, mode, tag)
+            del held
+            if records is not None:
+                trace.extend(records)
+    return _exit(xs, plan.shape.dims)
 
 
 def _exit(planes, grid):

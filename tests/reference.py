@@ -130,9 +130,10 @@ def twiddled_local_fft(tensor, axis, parts, pos, mode=PrecisionMode.F64_REFERENC
     """The local FFT of the core at line position ``pos`` of an fft dimension on
     ``parts`` cores, its subsequence's twiddles folded into the last stage."""
     m = tensor.shape[axis]
-    last = tuple(tuple(t[pos:pos + 1] for t in plane) for plane in _stage_matrices(m, mode, parts))
+    stages = _stage_matrices(m, mode, parts)
+    last = tuple(tuple(tuple(t[pos:pos + 1] for t in plane) for plane in s) for s in stages[-1:])
     moved = [np.moveaxis(p, axis, 0) for p in (tensor.re, tensor.im)]
-    y = _local_fft(moved, (1, m), mode, last)
+    y = _local_fft(moved, (1, m), mode, stages[:-1] + last)
     return ComplexTensor._own(*(np.moveaxis(p.reshape(moved[0].shape), 0, axis) for p in y))
 
 

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,17 @@ import pytest
 import meshdft as md
 from meshdft import cli, reports, tensorio
 from helpers import rand_tensor, write_points_file
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _fresh_process(code, *args):
+    """(exit code, stdout) of ``code`` run by a fresh interpreter that imports this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120, env=env)
+    return proc.returncode, proc.stdout
 
 
 def test_parse_dims():
@@ -508,3 +522,64 @@ def test_every_rank_calls_the_one_oracle(oracle_calls):
         assert cli.main(["transform", "--algo", "kdft", "--dims", dims,
                          "--gen", "random"]) == 0
     assert oracle_calls == [(8,), (4, 4), (2, 2, 2)]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # a transform, a sweep, then a transform that leaves out the first one's
+    # flags and sets others: in one process, each prints and writes what it
+    # does in a fresh one
+    runs = [
+        ["transform", "--algo", "kdft", "--dims", "8", "--shape", "2", "--gen", "random",
+         "--seed", "7", "--precision", "f32", "--report", "{dir}/report.json"],
+        ["scaling", "--algo", "fft", "--mode", "strong", "--dims", "16", "--sweep", "1,2,4",
+         "--report", "{dir}/sweep"],
+        ["transform", "--algo", "fft", "--dims", "8x4", "--shape", "2x2", "--gen", "tone:1",
+         "--workers", "2", "--report", "{dir}/report.json"],
+    ]
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        here.mkdir()
+        fresh.mkdir()
+        assert cli.main([a.replace("{dir}", str(here)) for a in argv]) == 0
+        stdout = capsys.readouterr().out.replace(str(here), "{dir}")
+        code, fresh_stdout = _fresh_process(
+            "import sys; from meshdft import cli; sys.exit(cli.main(sys.argv[1:]))",
+            *(a.replace("{dir}", str(fresh)) for a in argv))
+        assert code == 0
+        assert stdout == fresh_stdout.replace(str(fresh), "{dir}")
+        files = sorted(os.listdir(here))
+        assert files and files == sorted(os.listdir(fresh))
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--gen", "random"],
+    ["scaling", "--mode", "strong", "--sweep", "2x2x2"],
+], ids=["transform", "scaling"])
+def test_a_run_past_the_host_memory_is_a_plan_error(argv):
+    # the random input alone asks for 2 PiB, which the host refuses at once:
+    # the run exits 2 with one error line, or a sweep marks the point skipped,
+    # and the process allocates nothing large on the way (its peak RSS)
+    argv = argv[:1] + ["--algo", "fft", "--dims", "65536x65536x65536", "--shape", "2x2x2",
+                       *argv[1:]]
+    code, stdout = _fresh_process(
+        "import contextlib, io, json, resource, sys\n"
+        "from meshdft import cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([code, out.getvalue(), err.getvalue(), peak_kib]))\n", *argv)
+    assert code == 0
+    code, out, err, peak_kib = json.loads(stdout)
+    why = ("dims 65536x65536x65536 on grid 2x2x2 in f64 do not fit in memory: "
+           "Unable to allocate 2.00 PiB")
+    assert code == 2
+    if argv[0] == "transform":
+        assert out == "" and err.startswith(f"error: {why}") and err.count("\n") == 1
+    else:
+        assert out.startswith(f"fft dims=65536x65536x65536 shape=2x2x2: skipped: {why}")
+        assert out.count("\n") == 1
+        assert err == "error: every sweep point failed validation\n"
+    assert peak_kib < 256 * 1024

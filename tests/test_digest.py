@@ -21,13 +21,15 @@ def test_digest_hashes_every_case_once(capsys):
     names, hashes = zip(*(line.split() for line in lines))
     # 4 engines, 3 precisions on f64 input and f32 on f32 input, 2 worker counts,
     # 2 slabbings; then a kdft plan per precision and sampling; then 2 engines
-    # fed a list and blocks; then the command lines
+    # fed a list and blocks; then the command lines and the five demos
     runs, plans = 4 * 4 * 2 * 2 * len(digest.TINY_LAYOUTS), 3 * 2 * len(digest.TINY_LAYOUTS)
-    fed, clis = runs + plans + 4, len(digest.CLI_RUNS)
-    assert len(set(names)) == len(names) == fed + clis + 1
+    fed, clis, demos = runs + plans + 4, len(digest.CLI_RUNS), len(digest.DEMOS)
+    assert demos == 5
+    assert len(set(names)) == len(names) == fed + clis + demos + 1
     assert all(name.startswith("kdft-plan/") for name in names[runs:runs + plans])
     assert [name.rsplit("/", 1)[1] for name in names[runs + plans:fed]] == ["list", "blocks"] * 2
-    assert all(name.startswith("cli/") for name in names[fed:-1])
+    assert all(name.startswith("cli/") for name in names[fed:fed + clis])
+    assert all(name.startswith("demo/") for name in names[fed + clis:-1])
     assert names[-1] == "all"
     assert all(re.fullmatch(r"[0-9a-f]{64}", h) for h in hashes)
     # the same run gives the same lines
@@ -47,7 +49,7 @@ def test_digest_hashes_every_case_once(capsys):
     # an engine gives the same bits from a hand-built list as from decompose's blocks
     listed = hashes[runs + plans:fed]
     assert listed[0] == listed[1] != listed[2] == listed[3]
-    assert len(set(hashes[fed:-1])) == clis
+    assert len(set(hashes[fed:-1])) == clis + demos
 
 
 def test_compare_names_the_cases_that_differ(tmp_path):

@@ -140,7 +140,7 @@ def test_phase_ring_recombines_subsequence_ffts():
 def test_plan_validation():
     shape = md.ComputationShape(2, 1, 1)
     plan = md.create_fft_plan(shape, (8,))
-    assert plan.beta_maps[0] == (0, 1)
+    assert plan.ring_tables[0][1].tolist() == [0, 1]
     with pytest.raises(md.PlanError) as err:
         md.create_fft_plan(shape, (6,))
     assert "must be a power of two" in str(err.value)
@@ -428,21 +428,56 @@ def test_moved_and_computed_planes_are_read_only():
 
 def test_bf16_forward_splits_each_payload_plane_once_per_ring(monkeypatch):
     shape = md.ComputationShape(4, 2, 1)
-    plan = md.create_fft_plan(shape, (32, 16), BF16)
     blocks, _ = md.decompose(rand_tensor((32, 16), seed=62), shape)
     fft._stage_matrices.cache_clear()
     splits = counting_split3(monkeypatch)
+    plan = md.create_fft_plan(shape, (32, 16), BF16)
     md.fft_forward(md.MeshSim(shape), plan, blocks)
-    # the 8 cores' (8, 8) payloads fit one slab. Per dimension: the 8-point
-    # FFT's matrices, with each line position's twiddles, are split once;
-    # its two data planes once, stacked as the lines' (outer, n, inner) view,
-    # then (q, r, columns); the ring's operand once, its rows re and im,
-    # (..., 2, 8*8); and the ring's table of P real 2x2 blocks once
-    per_dim = [
-        [(parts, 1, 8, 8)] * 2 + [view + (1, 8, 8)] * 2 + [view + (2, 64)] + [(parts, 2, 2)]
-        for parts, view in ((4, (1, 4, 2)), (2, (4, 2, 1)))
-    ]
-    assert splits == per_dim[0] + per_dim[1]
+    # the plan splits, per dimension, the n-point tables that the 8-point
+    # FFT's matrices, with each line position's twiddles, are gathered from,
+    # and the ring's table of P real 2x2 blocks, once. The 8 cores' (8, 8)
+    # payloads fit one slab, and per dimension the forward call splits the
+    # FFT's two data planes once, stacked as the lines' (outer, n, inner)
+    # view, then (q, r, columns), and the ring's operand once, its rows re
+    # and im, (..., 2, 8*8)
+    dims = ((32, 4, (1, 4, 2)), (16, 2, (4, 2, 1)))
+    planned = [split for n, parts, _ in dims for split in [(n,)] * 2 + [(parts, 2, 2)]]
+    run = [split for _, _, view in dims for split in [view + (1, 8, 8)] * 2 + [view + (2, 64)]]
+    assert splits == planned + run
+
+
+@pytest.mark.parametrize("mode", [F64, F32, BF16], ids=lambda m: m.value)
+@pytest.mark.parametrize("extents,grid", [
+    ((16, 16, 8), (2, 2, 1)), ((64,), (16, 1, 1)), ((64,), (64, 1, 1)),
+])
+def test_forward_call_builds_no_table(monkeypatch, extents, grid, mode):
+    # a plan holds every table its forward call reads, shared by dimensions
+    # of equal extent and core count: once it is built, the table builders
+    # raise, and so does preparing a table (at most 4-D, where a forward
+    # call's payload planes are 5- or 6-D), and the bits stay the same
+    shape = md.ComputationShape(*grid)
+    plan = md.create_fft_plan(shape, extents, mode)
+    blocks, _ = md.decompose(rand_tensor(extents, seed=63), shape)
+    want = md.fft_forward(md.MeshSim(shape), plan, blocks)
+    if len(extents) > 1:
+        assert plan.stages[0] is plan.stages[1] and plan.ring_tables[0] is plan.ring_tables[1]
+
+    def no_table(*args):
+        raise AssertionError("a forward call built a table")
+
+    prepare = md.PrecisionMode.prepare
+
+    def payload_only(self, plane):
+        if np.ndim(plane) <= 4:
+            no_table()
+        return prepare(self, plane)
+
+    monkeypatch.setattr(fft, "_stage_matrices", no_table)
+    monkeypatch.setattr(fft, "_unit_roots", no_table)
+    monkeypatch.setattr(md.vandermonde, "_unit_roots", no_table)
+    monkeypatch.setattr(md.PrecisionMode, "prepare", payload_only)
+    got = md.fft_forward(md.MeshSim(shape), plan, blocks)
+    assert got.re.tobytes() == want.re.tobytes() and got.im.tobytes() == want.im.tobytes()
 
 
 def test_ledger_after_a_failed_run():

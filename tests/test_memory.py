@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 
 import meshdft as md
+from meshdft import fft, vandermonde
 from helpers import BF16, F32, rand_tensor
 from reference import contract
 
@@ -114,12 +115,38 @@ def test_bf16_fft_forward_peak():
 
 
 def test_fft_plan_is_linear_in_n():
-    # phase factors come from the length-N unit-root table at run time; a plan
-    # of per-core phase blocks would hold 16*N*P bytes (256 MiB here)
-    n, parts = 65536, 256
-    shape = md.ComputationShape(parts, 1, 1)
-    _, peak = _peak_bytes(lambda: md.create_fft_plan(shape, (n,)))
-    assert peak <= 16 * n
+    # the plan holds the length-N unit-root table (16*N bytes in f64), the
+    # local FFT's stages, the last with every line position's twiddles (8*N
+    # entries per plane: 128*N bytes), and the ring's P-entry tables. The
+    # build's temporaries are the last stage's exponents, in the smallest
+    # dtype that holds N - 1 (2 bytes an entry here: 16*N), the gather's intp
+    # copy of them (64*N), and the small index arrays they are made from,
+    # under 64 KiB. A plan of per-core phase blocks would hold 16*N*P bytes
+    # (256 MiB at P = 256), so its peak would not be the same at P = 256 and
+    # 2048
+    n = 65536
+    peaks = []
+    for parts in (256, 2048):
+        shape = md.ComputationShape(parts, 1, 1)
+        fft._stage_matrices.cache_clear()
+        vandermonde._unit_roots.cache_clear()
+        plan, peak = _peak_bytes(lambda: md.create_fft_plan(shape, (n,)))
+        stages = [sum(t.nbytes for plane in stage for t in plane) for stage in plan.stages[0]]
+        table, beta = plan.ring_tables[0]
+        assert stages[-1] == 128 * n
+        tables = 16 * n + sum(stages) + sum(t.nbytes for t in table) + beta.nbytes
+        assert peak <= tables + 80 * n + (1 << 16)
+        peaks.append(peak)
+        # before plans held their tables, the first forward call built them,
+        # and it peaked with the plan build at 224.4*N (P = 256) and 227.2*N
+        # (P = 2048)
+        blocks, _ = md.decompose(rand_tensor((n,), seed=86), shape)
+        fft._stage_matrices.cache_clear()
+        vandermonde._unit_roots.cache_clear()
+        _, first = _peak_bytes(
+            lambda: md.fft_forward(md.MeshSim(shape), md.create_fft_plan(shape, (n,)), blocks))
+        assert first <= 228 * n
+    assert max(peaks) <= 1.01 * min(peaks)
 
 
 def test_all_to_all_hands_a_kernel_views_of_the_stacked_planes():

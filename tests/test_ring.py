@@ -95,6 +95,7 @@ def fft_forward_reference(plan, blocks, step_term=_block_step):
     for d in range(plan.rank):
         n, parts = plan.extents[d], plan.shape.dims[d]
         m, lines, tag = n // parts, plan.shape.lines(d), f"dim{d + 1}"
+        beta_map = md.gather_positions(parts, m)
         xs = _gather_reference(ledger, xs, lines, d, parts, m, tag)
         for line in lines:
             for pos, core in enumerate(line):
@@ -109,7 +110,7 @@ def fft_forward_reference(plan, blocks, step_term=_block_step):
             for line in lines:
                 for pos, core in enumerate(line):
                     # this position holds the payload that started step positions on
-                    b, x = plan.beta_maps[d][(pos + step) % parts], xs[line[(pos + step) % parts]]
+                    b, x = beta_map[(pos + step) % parts], xs[line[(pos + step) % parts]]
                     term = step_term(phase[pos].re[0, b], phase[pos].im[0, b], x, d, mode)
                     sums[core] = term if sums[core] is None else _add(sums[core], term)
         ledger.add_flops("einsum", sum(4 * x.size * parts for x in xs), tag)
@@ -256,7 +257,7 @@ def test_unit_root_table_equals_build_phase_slice(n, parts):
     # local FFT, and the ring's coefficient c is row 0 of the phase slice,
     # applied as the real block [[c_re, -c_im], [c_im, c_re]]
     beta_map = fft.gather_positions(parts, n // parts)
-    coefficients = fft._ring_coefficients(n, parts, beta_map, F64)
+    coefficients = fft._ring_coefficients(*fft._ring_table(n, parts, F64))
     slices = [build_phase_slice(n, parts, p) for p in range(parts)]
     for step in range(parts):
         ((got,),) = coefficients(step)

@@ -17,8 +17,10 @@ Then each engine runs once on a per-core list of blocks built by hand and
 once on :func:`meshdft.decompose`'s blocks (names ending ``/list`` and
 ``/blocks``, which must agree), and the ``meshdft`` command line runs tiny
 ``transform`` and ``scaling`` invocations (names starting ``cli/``), each
-hashing every file it writes and its standard output. The last line hashes
-every line before it.
+hashing every file it writes and its standard output, and each demo under
+``demos/`` runs in a fresh interpreter that imports the same ``meshdft``
+(names starting ``demo/``), hashing its exit code and standard output. The
+last line hashes every line before it.
 
 ``--compare A B`` reads two such files and prints the names whose digests
 differ or that only one file has, one a line; it exits 1 if there are any.
@@ -30,11 +32,13 @@ is no golden value to check a tree against.
 
 import argparse
 import contextlib
+import glob
 import hashlib
 import io
 import itertools
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -85,6 +89,10 @@ CLI_RUNS = (
     ("scaling/weak-kdft-on-2", ["scaling", "--algo", "kdft", "--mode", "weak", "--shape", "2",
                                 "--sweep", "8,16,8", "--workers", "2"]),
 )
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 
 def _plan(engine, extents, grid, mode):
@@ -215,6 +223,18 @@ def cli_runs():
         yield f"cli/{name}", h.hexdigest()
 
 
+def demos():
+    """Yield (name, SHA-256) for each of :data:`DEMOS`: its exit code and standard
+    output, run from the repository root by a fresh interpreter that imports the
+    ``meshdft`` this process imported."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(md.__file__)))
+    for path in DEMOS:
+        proc = subprocess.run([sys.executable, path], capture_output=True, timeout=300,
+                              cwd=ROOT, env=env)
+        h = hashlib.sha256(f"exit {proc.returncode}\n".encode() + proc.stdout)
+        yield f"demo/{os.path.basename(path)[:-3]}", h.hexdigest()
+
+
 def _read(path):
     with open(path) as fh:
         return dict(line.split() for line in fh if line.strip())
@@ -228,7 +248,7 @@ def compare(path_a, path_b):
 
 def main(layouts=LAYOUTS):
     lines = [f"{name} {digest}" for name, digest in itertools.chain(
-        cases(layouts), plans(layouts), listed(layouts), cli_runs())]
+        cases(layouts), plans(layouts), listed(layouts), cli_runs(), demos())]
     lines.append("all " + hashlib.sha256("\n".join(lines).encode()).hexdigest())
     print("\n".join(lines))
 
